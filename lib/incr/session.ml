@@ -665,8 +665,11 @@ let ensure_repair t =
            (Array.to_list prims))
     in
     let card =
-      Sat.Cardinality.build solver
-        (List.map (fun tp -> Sat.Lit.pos tp.t_diff) (Array.to_list tprims))
+      Obs.Trace.with_span ~name:"cnf.cardinality"
+        ~args:(fun () -> [ ("inputs", Obs.Json.Int (Array.length tprims)) ])
+        (fun () ->
+          Sat.Cardinality.build solver
+            (List.map (fun tp -> Sat.Lit.pos tp.t_diff) (Array.to_list tprims)))
     in
     let r = { rf; ntprims; tprims; card; chains; struct_guards } in
     g.g_repair <- Some r;
@@ -741,7 +744,16 @@ let repair_pins t rs =
 let consistent_now cs pins =
   let solver = Relog.Finder.solver cs.cf in
   let guards = List.map (fun (_, _, gd) -> gd) cs.dirs in
-  match Sat.Solver.solve ~assumptions:(pins @ guards) solver with
+  let assumptions = pins @ guards in
+  match
+    Obs.Trace.with_span ~name:"solve"
+      ~args:(fun () ->
+        [
+          ("backend", Obs.Json.String "session.check");
+          ("assumptions", Obs.Json.Int (List.length assumptions));
+        ])
+      (fun () -> Sat.Solver.solve ~assumptions solver)
+  with
   | Sat.Solver.Sat -> true
   | Sat.Solver.Unsat -> false
 
@@ -837,11 +849,16 @@ let rerepair ?(limit = 16) t =
         let rec go acc n =
           if n >= limit then acc
           else
+            let assumptions = base @ Sat.Cardinality.at_most rs.card k @ [ scope ] in
             match
-              Relog.Finder.solve
-                ~assumptions:
-                  (base @ Sat.Cardinality.at_most rs.card k @ [ scope ])
-                rs.rf
+              Obs.Trace.with_span ~name:"solve"
+                ~args:(fun () ->
+                  [
+                    ("backend", Obs.Json.String "session.repair");
+                    ("distance", Obs.Json.Int k);
+                    ("assumptions", Obs.Json.Int (List.length assumptions));
+                  ])
+                (fun () -> Relog.Finder.solve ~assumptions rs.rf)
             with
             | Relog.Finder.Unsat -> acc
             | Relog.Finder.Sat inst -> (

@@ -9,8 +9,9 @@ type sbp_state = {
 
 type t = {
   trans : Translate.t;
-  mutable last : (Sat.Lit.var * bool) list option;
-      (* primary assignment of the last model, for blocking *)
+  mutable last : Sat.Lit.t array option;
+      (* the last model's primaries, each negated: its blocking
+         clause *)
   mutable last_assumed : Sat.Lit.t list;
       (* assumptions of the last solve, for assumption-aware blocking *)
   mutable fixed_atoms : Mdl.Ident.Set.t;
@@ -136,12 +137,14 @@ let solve ?(assumptions = []) t =
     t.n_unsat <- t.n_unsat + 1;
     Unsat
   | Sat.Solver.Sat ->
-    let assignment =
+    let blocking =
       Translate.fold_primaries t.trans
-        (fun _ _ v acc -> (v, Sat.Solver.value (solver t) v) :: acc)
+        (fun _ _ v acc ->
+          (if Sat.Solver.value (solver t) v then Sat.Lit.neg_of v else Sat.Lit.pos v)
+          :: acc)
         []
     in
-    t.last <- Some assignment;
+    t.last <- Some (Array.of_list blocking);
     t.n_sat <- t.n_sat + 1;
     Sat (Translate.decode t.trans)
 
@@ -168,26 +171,27 @@ let new_scope t = Sat.Lit.pos (Sat.Solver.new_var (solver t))
 let block ?scope t =
   match t.last with
   | None -> ()
-  | Some assignment ->
+  | Some lits ->
     let clause =
       match scope with
-      | None ->
-        List.map
-          (fun (v, value) -> if value then Sat.Lit.neg_of v else Sat.Lit.pos v)
-          assignment
+      | None -> lits
       | Some g ->
         let assumed = Hashtbl.create 16 in
         List.iter
           (fun l -> Hashtbl.replace assumed (Sat.Lit.var l) ())
           t.last_assumed;
-        Sat.Lit.neg g
-        :: List.filter_map
-             (fun (v, value) ->
-               if Hashtbl.mem assumed v then None
-               else Some (if value then Sat.Lit.neg_of v else Sat.Lit.pos v))
-             assignment
+        let clause = Array.make (Array.length lits + 1) (Sat.Lit.neg g) in
+        let n = ref 1 in
+        Array.iter
+          (fun l ->
+            if not (Hashtbl.mem assumed (Sat.Lit.var l)) then begin
+              clause.(!n) <- l;
+              incr n
+            end)
+          lits;
+        Array.sub clause 0 !n
     in
-    Sat.Solver.add_clause (solver t) clause;
+    Sat.Solver.add_clause_array (solver t) clause;
     t.n_blocked <- t.n_blocked + 1;
     t.last <- None
 

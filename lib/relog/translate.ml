@@ -18,6 +18,26 @@ type matrix = {
   cells : C.t TupleMap.t;
 }
 
+(* Memo key: node id, then the projected environment (see [project]).
+   Hashed and compared over every element. *)
+module Memo = Hashtbl.Make (struct
+  type t = int * int list
+
+  let equal ((a : int), l) (b, m) = a = b && List.equal Int.equal l m
+
+  let hash (id, l) =
+    List.fold_left (fun h x -> (h * 65599) + x) id l land max_int
+end)
+
+module Id_tbl = Hashtbl.Make (Int)
+
+module Rel_tbl = Hashtbl.Make (struct
+  type t = Ident.t
+
+  let equal = Ident.equal
+  let hash = Ident.hash
+end)
+
 (* The lowering is memoized per hash-consed node: [e_memo]/[f_memo]
    key on (node id, environment projected onto the node's free
    variables), so a subtree is lowered once per distinct binding of
@@ -39,11 +59,15 @@ type t = {
      no clauses for unchanged parts. *)
   primaries : (Ident.t * Rel.Tuple.t, Sat.Lit.var) Hashtbl.t;
   (* memoized relation matrices, current bounds only *)
-  rel_matrices : (Ident.t, matrix) Hashtbl.t;
-  e_memo : (int * int list, matrix) Hashtbl.t;
-  f_memo : (int * int list, C.t) Hashtbl.t;
-  e_nodes : (int, Hc.expr) Hashtbl.t;
-  f_nodes : (int, Hc.formula) Hashtbl.t;
+  rel_matrices : matrix Rel_tbl.t;
+  e_memo : matrix Memo.t;
+  f_memo : C.t Memo.t;
+  e_nodes : Hc.expr Id_tbl.t;
+  f_nodes : Hc.formula Id_tbl.t;
+  (* memo lookups of the current translation call, added to the
+     process-wide relog.memo_hits/misses counters when it ends *)
+  mutable hits : int;
+  mutable misses : int;
   (* telemetry: wall time spent translating, formulas translated *)
   translate_span : Sat.Telemetry.span;
 }
@@ -58,11 +82,13 @@ let create ?solver ?store bnds =
     store;
     bnds;
     primaries = Hashtbl.create 256;
-    rel_matrices = Hashtbl.create 64;
-    e_memo = Hashtbl.create 1024;
-    f_memo = Hashtbl.create 1024;
-    e_nodes = Hashtbl.create 512;
-    f_nodes = Hashtbl.create 512;
+    rel_matrices = Rel_tbl.create 64;
+    e_memo = Memo.create 1024;
+    f_memo = Memo.create 1024;
+    e_nodes = Id_tbl.create 512;
+    f_nodes = Id_tbl.create 512;
+    hits = 0;
+    misses = 0;
     translate_span = Sat.Telemetry.span ();
   }
 
@@ -71,7 +97,7 @@ let bounds t = t.bnds
 let store t = t.store
 
 let matrix_of_rel t r =
-  match Hashtbl.find_opt t.rel_matrices r with
+  match Rel_tbl.find_opt t.rel_matrices r with
   | Some m -> m
   | None ->
     let lower, upper =
@@ -101,7 +127,7 @@ let matrix_of_rel t r =
         upper TupleMap.empty
     in
     let m = { m_arity = Option.value ~default:1 arity; cells } in
-    Hashtbl.replace t.rel_matrices r m;
+    Rel_tbl.replace t.rel_matrices r m;
     m
 
 let cell m tuple = TupleMap.find_opt tuple m.cells
@@ -158,13 +184,13 @@ let mat_product t a b =
 let mat_join t a b =
   if a.m_arity = 0 || b.m_arity = 0 then error "join of nullary relation";
   (* Index b by first column. *)
-  let by_first : (int, (Rel.Tuple.t * C.t) list) Hashtbl.t = Hashtbl.create 64 in
+  let by_first : (Rel.Tuple.t * C.t) list Id_tbl.t = Id_tbl.create 64 in
   TupleMap.iter
     (fun tb eb ->
       let key = tb.(0) in
       let rest = Array.sub tb 1 (Array.length tb - 1) in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_first key) in
-      Hashtbl.replace by_first key ((rest, eb) :: cur))
+      let cur = Option.value ~default:[] (Id_tbl.find_opt by_first key) in
+      Id_tbl.replace by_first key ((rest, eb) :: cur))
     b.cells;
   let disjuncts : C.t list TupleMap.t ref = ref TupleMap.empty in
   TupleMap.iter
@@ -172,7 +198,7 @@ let mat_join t a b =
       let la = Array.length ta in
       let key = ta.(la - 1) in
       let prefix = Array.sub ta 0 (la - 1) in
-      match Hashtbl.find_opt by_first key with
+      match Id_tbl.find_opt by_first key with
       | None -> ()
       | Some matches ->
         List.iter
@@ -269,12 +295,12 @@ let rec expr t (env : env) (e : Hc.expr) : matrix =
   | Hc.None_ -> { m_arity = 1; cells = TupleMap.empty }
   | _ -> (
     let key = (e.Hc.e_id, project env e.Hc.e_free_vars) in
-    match Hashtbl.find_opt t.e_memo key with
+    match Memo.find_opt t.e_memo key with
     | Some m ->
-      Obs.Metrics.incr m_memo_hits;
+      t.hits <- t.hits + 1;
       m
     | None ->
-      Obs.Metrics.incr m_memo_misses;
+      t.misses <- t.misses + 1;
       let m =
         match e.Hc.e_view with
         | Hc.Rel _ | Hc.Var _ | Hc.Atom _ | Hc.None_ -> assert false
@@ -290,8 +316,8 @@ let rec expr t (env : env) (e : Hc.expr) : matrix =
         | Hc.RClosure a ->
           mat_union t (mat_closure t universe (expr t env a)) (mat_iden t universe)
       in
-      Hashtbl.replace t.e_memo key m;
-      Hashtbl.replace t.e_nodes e.Hc.e_id e;
+      Memo.replace t.e_memo key m;
+      Id_tbl.replace t.e_nodes e.Hc.e_id e;
       m)
 
 let subset_circuit t mx my =
@@ -324,12 +350,12 @@ let rec formula t (env : env) (f : Hc.formula) : C.t =
   | Hc.False -> C.fls b
   | _ -> (
     let key = (f.Hc.f_id, project env f.Hc.f_free_vars) in
-    match Hashtbl.find_opt t.f_memo key with
+    match Memo.find_opt t.f_memo key with
     | Some n ->
-      Obs.Metrics.incr m_memo_hits;
+      t.hits <- t.hits + 1;
       n
     | None ->
-      Obs.Metrics.incr m_memo_misses;
+      t.misses <- t.misses + 1;
       let n =
         match f.Hc.f_view with
         | Hc.True | Hc.False -> assert false
@@ -351,8 +377,8 @@ let rec formula t (env : env) (f : Hc.formula) : C.t =
         | Hc.Forall (decls, body) -> quantify t env decls body ~universal:true
         | Hc.Exists (decls, body) -> quantify t env decls body ~universal:false
       in
-      Hashtbl.replace t.f_memo key n;
-      Hashtbl.replace t.f_nodes f.Hc.f_id f;
+      Memo.replace t.f_memo key n;
+      Id_tbl.replace t.f_nodes f.Hc.f_id f;
       n)
 
 and quantify t env decls body ~universal =
@@ -400,11 +426,11 @@ let rebind t bnds' =
   if not (Bounds.universe_compatible old bnds') then begin
     (* Unrelated universes: atom indices changed meaning; nothing
        index-keyed survives. *)
-    Hashtbl.reset t.rel_matrices;
-    Hashtbl.reset t.e_memo;
-    Hashtbl.reset t.f_memo;
-    Hashtbl.reset t.e_nodes;
-    Hashtbl.reset t.f_nodes;
+    Rel_tbl.reset t.rel_matrices;
+    Memo.reset t.e_memo;
+    Memo.reset t.f_memo;
+    Id_tbl.reset t.e_nodes;
+    Id_tbl.reset t.f_nodes;
     Hashtbl.reset t.primaries;
     t.bnds <- bnds';
     List.length (Bounds.relations bnds')
@@ -413,21 +439,21 @@ let rebind t bnds' =
     let changed = Bounds.diff old bnds' in
     let changed_set = List.fold_left (fun s r -> Ident.Set.add r s) Ident.Set.empty changed in
     let univ_changed = not (Bounds.same_universe old bnds') in
-    List.iter (Hashtbl.remove t.rel_matrices) changed;
+    List.iter (Rel_tbl.remove t.rel_matrices) changed;
     let dead rels uses_univ =
       (univ_changed && uses_univ)
       || (not (Ident.Set.is_empty changed_set)
          && Ident.Set.exists (fun r -> Ident.Set.mem r changed_set) rels)
     in
-    Hashtbl.filter_map_inplace
+    Memo.filter_map_inplace
       (fun (id, _) m ->
-        match Hashtbl.find_opt t.e_nodes id with
+        match Id_tbl.find_opt t.e_nodes id with
         | Some e -> if dead e.Hc.e_rels e.Hc.e_univ then None else Some m
         | None -> None)
       t.e_memo;
-    Hashtbl.filter_map_inplace
+    Memo.filter_map_inplace
       (fun (id, _) n ->
-        match Hashtbl.find_opt t.f_nodes id with
+        match Id_tbl.find_opt t.f_nodes id with
         | Some f -> if dead f.Hc.f_rels f.Hc.f_univ then None else Some n
         | None -> None)
       t.f_memo;
@@ -455,14 +481,23 @@ let timed t f =
       Obs.Metrics.observe h_translate dt)
     f
 
+let flush_memo_counts t =
+  Obs.Metrics.add m_memo_hits t.hits;
+  Obs.Metrics.add m_memo_misses t.misses;
+  t.hits <- 0;
+  t.misses <- 0
+
 (* Import, simplify (both memoized in the store) and lower to a
    circuit. The [translate.lower] span covers circuit construction;
    CNF emission is separate ([translate.cnf]) so traces show where
    the wall went. *)
 let lower t f =
   Obs.Trace.with_span ~name:"translate.lower" (fun () ->
-      let hf = Simplify.hc_formula t.store (Hc.of_ast t.store f) in
-      formula t Ident.Map.empty hf)
+      Fun.protect
+        ~finally:(fun () -> flush_memo_counts t)
+        (fun () ->
+          let hf = Simplify.hc_formula t.store (Hc.of_ast t.store f) in
+          formula t Ident.Map.empty hf))
 
 let assert_formula t f =
   Obs.Metrics.incr m_formulas;
@@ -495,7 +530,7 @@ let materialize t r =
 let fold_primaries t f acc =
   Hashtbl.fold
     (fun (r, tuple) v acc ->
-      if not (Hashtbl.mem t.rel_matrices r) then acc
+      if not (Rel_tbl.mem t.rel_matrices r) then acc
       else
         match Bounds.get t.bnds r with
         | Some (lower, upper) when TS.mem tuple upper && not (TS.mem tuple lower)
@@ -537,7 +572,7 @@ let stats t =
     primary_vars = Hashtbl.length t.primaries;
     vars = Sat.Solver.nb_vars t.sat;
     clauses = Sat.Solver.nb_clauses t.sat;
-    relations = Hashtbl.length t.rel_matrices;
+    relations = Rel_tbl.length t.rel_matrices;
     formulas = Sat.Telemetry.events t.translate_span;
     translate_time = Sat.Telemetry.seconds t.translate_span;
   }

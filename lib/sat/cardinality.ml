@@ -28,15 +28,15 @@ let merge ~width solver a b =
   let w = min (na + nb) width in
   let r = Array.init w (fun _ -> Lit.pos (Solver.new_var solver)) in
   for i = 0 to na - 1 do
-    Solver.add_clause solver [ Lit.neg a.(i); r.(i) ]
+    Solver.add_clause_array solver [| Lit.neg a.(i); r.(i) |]
   done;
   for j = 0 to nb - 1 do
-    Solver.add_clause solver [ Lit.neg b.(j); r.(j) ]
+    Solver.add_clause_array solver [| Lit.neg b.(j); r.(j) |]
   done;
   for i = 0 to na - 1 do
-    for j = 0 to nb - 1 do
-      if i + j + 1 < w then
-        Solver.add_clause solver [ Lit.neg a.(i); Lit.neg b.(j); r.(i + j + 1) ]
+    (* pairs with i + j + 1 >= w are dropped *)
+    for j = 0 to min (nb - 1) (w - i - 2) do
+      Solver.add_clause_array solver [| Lit.neg a.(i); Lit.neg b.(j); r.(i + j + 1) |]
     done
   done;
   r
@@ -106,6 +106,6 @@ let assert_at_most solver t k =
   if k < t.inputs then begin
     if k > t.cap then invalid_arg "Cardinality.assert_at_most: bound exceeds build cap";
     for j = k to Array.length t.outputs - 1 do
-      Solver.add_clause solver [ Lit.neg t.outputs.(j) ]
+      Solver.add_clause_array solver [| Lit.neg t.outputs.(j) |]
     done
   end

@@ -377,31 +377,54 @@ let attach_clause s c =
   Vec.push s.watches.(c.w0) c;
   Vec.push s.watches.(c.w1) c
 
-let add_clause s lits =
+(* Ascending in place. Clauses are short (Tseitin gates, totalizer
+   merges, blocking clauses), so insertion sort wins below a cutoff. *)
+let sort_lits a =
+  let n = Array.length a in
+  if n > 16 then Array.sort Int.compare a
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+let add_clause_array s a =
   if s.ok then begin
     (* Clauses are always added at the root level; a previous [solve]
        may have left the trail at a positive decision level. *)
     cancel_until s 0;
-    (* Normalize: sort, merge duplicates, drop tautologies and
-       level-0-false literals, detect satisfied clauses. *)
-    let lits = List.sort_uniq Int.compare lits in
-    let tautology =
-      let rec go = function
-        | a :: (b :: _ as rest) -> (Lit.neg a = b && Lit.var a = Lit.var b) || go rest
-        | [ _ ] | [] -> false
-      in
-      go lits
-    in
-    let satisfied =
-      List.exists (fun l -> s.level.(Lit.var l) = 0 && lit_is_true s l) lits
-    in
-    if not (tautology || satisfied) then begin
-      let lits =
-        List.filter (fun l -> not (s.level.(Lit.var l) = 0 && lit_is_false s l)) lits
-      in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
+    (* Normalize in one pass over the sorted literals: merge
+       duplicates, detect tautologies (a complementary pair is
+       adjacent once sorted: pos v = 2v, neg v = 2v + 1) and clauses
+       satisfied at level 0, and compact away level-0-false
+       literals. *)
+    sort_lits a;
+    let n = Array.length a in
+    let kept = ref 0 and prev = ref (-1) and drop = ref false in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      if l <> !prev then begin
+        if Lit.neg !prev = l then drop := true;
+        prev := l;
+        if s.level.(Lit.var l) = 0 then begin
+          if lit_is_true s l then drop := true
+        end
+        else begin
+          a.(!kept) <- l;
+          incr kept
+        end
+      end
+    done;
+    if not !drop then begin
+      match !kept with
+      | 0 -> s.ok <- false
+      | 1 ->
+        let l = a.(0) in
         (* Unit clause: assign at level 0. Callers add clauses only at
            level 0 (before/between solves). *)
         assert (decision_level s = 0);
@@ -417,8 +440,8 @@ let add_clause s lits =
           | Conflict _ -> s.ok <- false
           | Interrupted -> ()
         end
-      | lits ->
-        let arr = Array.of_list lits in
+      | k ->
+        let arr = if k = n then a else Array.sub a 0 k in
         let c =
           { lits = arr; w0 = arr.(0); w1 = arr.(1); activity = 0.0; removed = false }
         in
@@ -426,6 +449,21 @@ let add_clause s lits =
         attach_clause s c
     end
   end
+
+let add_clause s lits = add_clause_array s (Array.of_list lits)
+
+let fold_clauses f s acc =
+  let root_end =
+    if decision_level s = 0 then Vec.size s.trail else Vec.get s.trail_lim 0
+  in
+  let acc = ref acc in
+  for i = 0 to root_end - 1 do
+    acc := f [| Vec.get s.trail i |] !acc
+  done;
+  for i = 0 to Vec.size s.clauses - 1 do
+    acc := f (Array.copy (Vec.get s.clauses i).lits) !acc
+  done;
+  !acc
 
 (* ----------------------------------------------------------------- *)
 (* Conflict analysis (first UIP)                                       *)

@@ -21,7 +21,23 @@ val nb_clauses : t -> int
 val add_clause : t -> Lit.t list -> unit
 (** Add a problem clause. Tautologies are dropped, duplicate literals
     merged. Adding the empty clause (or a clause false under level-0
-    assignments) makes the instance permanently unsatisfiable. *)
+    assignments) makes the instance permanently unsatisfiable.
+    Same as {!add_clause_array} on [Array.of_list]. *)
+
+val add_clause_array : t -> Lit.t array -> unit
+(** {!add_clause} without the list: the one clause normaliser (sort,
+    merge duplicates, drop tautologies and clauses satisfied at level
+    0, remove literals false at level 0). The solver takes the array
+    over: it is sorted in place and may become the stored clause, so
+    the caller must not touch it afterwards. *)
+
+val fold_clauses : (Lit.t array -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the problem clause database in order: first every
+    root-level assignment as a unit clause, in assignment order (unit
+    clauses are assigned, not stored), then every stored problem
+    clause in the order it was added, with its literals as normalised
+    by {!add_clause_array}. Learnt clauses are not included. The
+    arrays are fresh copies. *)
 
 type result =
   | Sat

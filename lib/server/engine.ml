@@ -15,6 +15,11 @@ let m_revived = Metrics.counter "server.sessions_revived"
 let m_closed = Metrics.counter "server.sessions_closed"
 let m_coalesced = Metrics.counter "server.edits_coalesced"
 let m_slow = Metrics.counter "server.slow_requests"
+
+(* Evictions whose snapshot could not be written: the session stays
+   live, so the engine runs over [max_live] until a save succeeds. *)
+let m_snapshot_errors = Metrics.counter "server.snapshot_errors"
+
 let g_live = Metrics.gauge "server.sessions_live"
 let g_cold = Metrics.gauge "server.sessions_cold"
 let g_depth = Metrics.gauge "server.queue_depth"
@@ -162,7 +167,7 @@ let rec evict_if_needed t =
           e.e_state <- Cold path;
           Metrics.incr m_evicted;
           evict_if_needed t
-        | Error _ -> ())
+        | Error _ -> Metrics.incr m_snapshot_errors)
       | _ -> ())
   end
 

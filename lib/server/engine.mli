@@ -21,7 +21,9 @@
       least-recently-used idle session to a durable {!Snapshot} in
       [snapshot_dir]; the next request addressed to an evicted
       session transparently revives it (same verdicts, menus and
-      distances — {!Snapshot}'s round-trip guarantee).
+      distances — {!Snapshot}'s round-trip guarantee). A snapshot
+      that cannot be written leaves the session live (the engine runs
+      over [max_live]) and counts in [server.snapshot_errors].
 
     Instrumentation: per-verb latency histograms
     ([server.latency.<verb>_s], enqueue to reply), split into
@@ -34,7 +36,8 @@
     (replies whose end-to-end latency crossed [slow_ms]),
     [server.sessions_opened], [server.sessions_evicted],
     [server.sessions_revived], [server.sessions_closed],
-    [server.edits_coalesced], and gauges [server.sessions_live],
+    [server.edits_coalesced], [server.snapshot_errors] (evictions
+    whose snapshot save failed), and gauges [server.sessions_live],
     [server.sessions_cold], [server.queue_depth],
     [server.queue_depth_max] / [server.queue_age_max_s] (the worst
     single session's backlog — the runaway-client signal). Every verb

@@ -174,16 +174,27 @@ let sanitize name =
       | _ -> '_')
     name
 
+(* Write to [<name>.snap.tmp], then rename over [<name>.snap]. On
+   every error path the channel is closed and the temp file removed:
+   a long-running daemon must not leak a descriptor, or leave a
+   half-written file behind, per failed save. *)
 let save ~dir ~name t =
   try
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
     let path = Filename.concat dir (sanitize name ^ ".snap") in
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
-    output_string oc (to_string t);
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path;
+    let renamed = ref false in
+    Fun.protect
+      ~finally:(fun () ->
+        close_out_noerr oc;
+        if not !renamed then try Sys.remove tmp with Sys_error _ -> ())
+      (fun () ->
+        output_string oc (to_string t);
+        output_char oc '\n';
+        close_out oc;
+        Sys.rename tmp path;
+        renamed := true);
     Ok path
   with
   | Unix.Unix_error (e, _, arg) ->

@@ -489,6 +489,44 @@ let test_replay_parse_errors () =
   | Ok _ -> Alcotest.fail "expected one empty step"
   | Error e -> Alcotest.fail e
 
+(* The repair ladder's SAT work is booked as SAT work: every ladder
+   solve runs under a [solve] span tagged [session.repair] with its
+   distance, and the totalizer build under [cnf.cardinality]. *)
+let test_rerepair_spans () =
+  let cfs, fm =
+    state ~cf1:[ "A"; "C" ] ~cf2:[ "B" ] ~fm:[ ("A", false); ("B", true) ]
+  in
+  let sess = open_exn ~cfs ~fm [ "cf1"; "cf2" ] in
+  Obs.Trace.clear ();
+  Obs.Trace.set_enabled true;
+  let rep =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled false)
+      (fun () -> rerepair_exn ~limit:2 sess)
+  in
+  let evs = Obs.Trace.events () in
+  Obs.Trace.clear ();
+  (match rep.S.outcome with
+  | S.Repaired _ -> ()
+  | _ -> Alcotest.fail "expected a repair");
+  let begins name =
+    List.filter (fun (e : Obs.Trace.event) -> e.ph = `Begin && e.name = name) evs
+  in
+  let ladder =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+        List.assoc_opt "backend" e.args = Some (Obs.Json.String "session.repair"))
+      (begins "solve")
+  in
+  Alcotest.(check bool) "ladder solves traced" true (ladder <> []);
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      Alcotest.(check bool) "distance tagged" true (List.mem_assoc "distance" e.args);
+      Alcotest.(check bool) "assumptions tagged" true
+        (List.mem_assoc "assumptions" e.args))
+    ladder;
+  Alcotest.(check int) "one totalizer build" 1 (List.length (begins "cnf.cardinality"))
+
 let suite =
   [
     Alcotest.test_case "walk: recheck equals Check.run" `Quick
@@ -503,4 +541,6 @@ let suite =
     Alcotest.test_case "warm recheck beats from-scratch (E9)" `Quick
       test_warm_beats_scratch;
     Alcotest.test_case "replay script parsing" `Quick test_replay_parse_errors;
+    Alcotest.test_case "repair ladder runs under solve spans" `Quick
+      test_rerepair_spans;
   ]

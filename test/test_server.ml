@@ -786,6 +786,87 @@ let test_net_feed_protocol_errors () =
     check_contains "the valid stats frame is answered" ~sub:"\"ok\":true" r3
   | _ -> Alcotest.fail "expected exactly three replies")
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot save failures                                              *)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let tmp_entries dir =
+  List.filter
+    (fun f -> Filename.check_suffix f ".tmp")
+    (Array.to_list (Sys.readdir dir))
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* A failed save leaves neither its temp file nor an open descriptor
+   behind: the rename fails when [<name>.snap] is a non-empty
+   directory, and the final flush fails when the temp path leads to
+   /dev/full (where the host has one). *)
+let test_snapshot_save_failures_clean_up () =
+  let sp = base_spec () in
+  let snap = Snap.of_session ~spec:sp (hydrate_exn sp) in
+  let dir = tmpdir "snapfail" in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  let blocker = Filename.concat dir "victim.snap" in
+  Unix.mkdir blocker 0o755;
+  write_file (Filename.concat blocker "occupant") "x";
+  (match Snap.save ~dir ~name:"victim" snap with
+  | Ok p -> Alcotest.failf "save over a non-empty directory succeeded: %s" p
+  | Error _ -> ());
+  Alcotest.(check (list string)) "no temp file after a failed rename" [] (tmp_entries dir);
+  Alcotest.(check bool) "the blocking directory is untouched" true
+    (Sys.file_exists (Filename.concat blocker "occupant"));
+  if Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd" then begin
+    let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let tmp = Filename.concat dir "full.snap.tmp" in
+    let before = fds () in
+    for _ = 1 to 3 do
+      Unix.symlink "/dev/full" tmp;
+      match Snap.save ~dir ~name:"full" snap with
+      | Ok p -> Alcotest.failf "save onto /dev/full succeeded: %s" p
+      | Error _ -> ()
+    done;
+    Alcotest.(check int) "no descriptor leaked by failed writes" before (fds ());
+    Alcotest.(check (list string)) "no temp file after a failed write" [] (tmp_entries dir)
+  end;
+  rm_rf dir
+
+(* An eviction whose snapshot cannot be written is counted, and the
+   session it could not evict keeps answering. *)
+let test_eviction_save_errors_counted () =
+  let errors = Obs.Metrics.counter "server.snapshot_errors" in
+  let e0 = Obs.Metrics.counter_value errors in
+  let not_a_dir = tmpdir "notadir" in
+  rm_rf not_a_dir;
+  write_file not_a_dir "a regular file, not a snapshot directory";
+  let eng = E.create ~jobs:1 ~max_live:1 ~snapshot_dir:not_a_dir () in
+  List.iter
+    (fun session -> ignore (ok ("open " ^ session) (call eng ~session (P.Open (base_spec ())))))
+    [ "s1"; "s2" ];
+  List.iter
+    (fun session ->
+      let consistent, _ =
+        checked ("recheck " ^ session) (call eng ~session (P.Recheck { blame = false }))
+      in
+      Alcotest.(check bool) (session ^ " verdict") true consistent)
+    [ "s1"; "s2" ];
+  Alcotest.(check bool) "server.snapshot_errors advanced" true
+    (Obs.Metrics.counter_value errors > e0);
+  check_contains "/metrics exports the counter" ~sub:"server_snapshot_errors"
+    (Obs.Metrics.to_prometheus ());
+  E.shutdown eng;
+  rm_rf not_a_dir
+
 let suite =
   [
     Alcotest.test_case "protocol frames round-trip" `Quick test_codec_round_trip;
@@ -811,4 +892,8 @@ let suite =
       test_sessions_json;
     Alcotest.test_case "net feed counts protocol errors" `Quick
       test_net_feed_protocol_errors;
+    Alcotest.test_case "failed snapshot saves clean up" `Quick
+      test_snapshot_save_failures_clean_up;
+    Alcotest.test_case "failed eviction saves are counted" `Quick
+      test_eviction_save_errors_counted;
   ]
