@@ -534,6 +534,66 @@ let e8 ~jobs =
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: one Test.make per timed table             *)
 
+(* The six-feature, k = 2 check translation of test/cnf_pin (b): one
+   finder over the all-mutable bounds and a guard per direction,
+   solved the way [Incr.Session.recheck] solves it — every model
+   primary pinned to its value in the state (class extents before
+   features, then by relation and tuple), the direction's guard last. *)
+let check_solver () =
+  let fm =
+    F.feature_model ~name:"fm"
+      [ ("F1", true); ("F2", true); ("F3", false); ("F4", false); ("F5", true); ("F6", false) ]
+  in
+  let cfs =
+    [
+      F.configuration ~name:"cf1" [ "F1"; "F2"; "F3"; "F5" ];
+      F.configuration ~name:"cf2" [ "F1"; "F2"; "F5"; "F6" ];
+    ]
+  in
+  let trans = F.transformation ~k:2 and models = F.bind ~cfs ~fm in
+  let info = Result.get_ok (Qvtr.Typecheck.check trans ~metamodels:F.metamodels) in
+  let enc =
+    Result.get_ok
+      (Qvtr.Encode.create ~transformation:trans ~metamodels:F.metamodels ~models
+         ~slack_objects:4 ())
+  in
+  let finder =
+    Relog.Finder.create (Qvtr.Encode.bounds enc ~targets:(I.Set.of_list (List.map fst models)))
+  in
+  let guards =
+    List.map
+      (fun (_, _, f) -> Relog.Finder.guard finder f)
+      (Qvtr.Semantics.top_formulas (Qvtr.Semantics.create enc info))
+  in
+  let facts = Hashtbl.create 256 in
+  List.iter
+    (fun (p, m) ->
+      List.iter
+        (fun (r, tuple) -> Hashtbl.replace facts (I.name r, tuple) ())
+        (Qvtr.Encode.model_facts enc ~param:p m))
+    models;
+  let rank r =
+    match String.index_opt (I.name r) '$' with
+    | None -> None
+    | Some i ->
+      let n = I.name r in
+      Some (String.length n > i + 3 && String.sub n (i + 1) 3 = "ft$", n)
+  in
+  let prims =
+    Relog.Translate.fold_primaries (Relog.Finder.translation finder)
+      (fun r tuple v acc ->
+        match rank r with Some k -> ((k, tuple), r, v) :: acc | None -> acc)
+      []
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  let pins =
+    List.map
+      (fun ((_, tuple), r, v) ->
+        if Hashtbl.mem facts (I.name r, tuple) then Sat.Lit.pos v else Sat.Lit.neg_of v)
+      prims
+  in
+  (Relog.Finder.solver finder, pins, guards)
+
 let bechamel_suite () =
   let open Bechamel in
   let open Toolkit in
@@ -551,6 +611,7 @@ let bechamel_suite () =
   in
   let deps4k = chain_deps 4096 in
   let goal4k = Qvtr.Dependency.make ~sources:[ "M0" ] ~target:"M4096" in
+  let check, check_pins, check_guards = check_solver () in
   let tests =
     Test.make_grouped ~name:"mdqvtr"
       [
@@ -587,6 +648,19 @@ let bechamel_suite () =
                  done
                done;
                Sat.Solver.solve s));
+        Test.make ~name:"sat-check-solve"
+          (Staged.stage (fun () ->
+               let c = Sat.Solver.clone check in
+               List.iter
+                 (fun g -> ignore (Sat.Solver.solve ~assumptions:(check_pins @ [ g ]) c))
+                 check_guards));
+        Test.make ~name:"sat-clone-check"
+          (Staged.stage (fun () -> Sat.Solver.clone check));
+        Test.make ~name:"sat-totalizer-128"
+          (Staged.stage (fun () ->
+               let s = Sat.Solver.create () in
+               let inputs = List.init 128 (fun _ -> Sat.Lit.pos (Sat.Solver.new_var s)) in
+               Sat.Cardinality.build s inputs));
         Test.make ~name:"e2-exhaustive-check-144"
           (Staged.stage (fun () ->
                List.for_all

@@ -820,7 +820,7 @@ let dedup_sort reps =
 
 let m_rerepairs = Obs.Metrics.counter "incr.rerepairs"
 
-let rerepair ?(limit = 16) t =
+let rerepair_upto ~limit t =
   Obs.Metrics.incr m_rerepairs;
   Obs.Trace.with_span ~name:"session.rerepair"
     ~args:(fun () -> [ ("limit", Obs.Json.Int limit) ])
@@ -887,6 +887,12 @@ let rerepair ?(limit = 16) t =
       Ok { outcome; repair_stats = finish t snap }
     end
   with Invalid_argument msg -> Error msg
+
+(* A limit below 1 would stop the collector before its first solve at
+   every distance, reporting Cannot_restore for a repairable state. *)
+let rerepair ?(limit = 16) t =
+  if limit < 1 then Error (Printf.sprintf "rerepair: limit must be at least 1 (got %d)" limit)
+  else rerepair_upto ~limit t
 
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)

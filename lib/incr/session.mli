@@ -175,7 +175,8 @@ val rerepair : ?limit:int -> t -> (repair_report, string) result
     repair finder. The outcome (distance and canonical repair menu)
     matches a from-scratch {!Echo.Engine.enforce_all} over the
     current models with aligned [extra_values]/[slack_objects]. The
-    session's models are not changed — see {!commit}. *)
+    session's models are not changed — see {!commit}. [Error] when
+    [limit < 1]. *)
 
 val commit : t -> repair -> (unit, string) result
 (** Make a repair the session's current state, routed through

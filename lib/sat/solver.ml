@@ -1,40 +1,51 @@
-(* A MiniSat-style CDCL solver.
+(* A MiniSat-style CDCL solver over int-only data structures.
 
    Conventions:
    - assignment per variable: -1 unassigned, 1 true, 0 false;
    - a literal l is true iff its variable is assigned to [sign l];
-   - clauses are int arrays of literals. The literal array is
-     IMMUTABLE once the clause is built: the two watched literals are
-     the [w0]/[w1] fields (literal values, not indices), so
-     propagation never writes into [lits]. This is what makes
-     {!clone} cheap — clones share the literal arrays and only carry
-     their own clause records (watch fields, activity);
-   - watch lists are indexed by the literal that must become FALSE for
-     the clause to need attention (i.e. clause c watches lit p via the
-     list of [Lit.neg p]); clause [c] sits in [watches.(c.w0)] and
-     [watches.(c.w1)], exactly. *)
+     literals follow {!Lit}'s encoding (var v is 2v, not v is 2v + 1),
+     spelled out locally below because the hot loop cannot afford a
+     cross-module call per literal;
+   - clauses live in a segmented int arena: a header of [header] ints
+     (size, watched literals w0/w1, learnt id and removed flag)
+     followed by the literals. A clause reference packs (segment,
+     offset) into one int. The literals are never written once stored:
+     the two watched literals are the header's w0/w1 (literal values,
+     not indices), so propagation only rewrites the header;
+   - watch lists are int vectors of clause references, indexed by the
+     literal that must become FALSE for the clause to need attention
+     (i.e. clause c watches lit p via the list of [Lit.neg p]); clause
+     [c] sits in [watches.(w0 c)] and [watches.(w1 c)], exactly;
+   - a variable's reason is the reference of the clause that implied
+     it, -1 for decisions and root-level units.
 
-type clause = {
-  lits : int array;  (* immutable; shared between clones *)
-  mutable w0 : int;  (* watched literal values; w0 <> w1 *)
-  mutable w1 : int;
-  mutable activity : float;
-  mutable removed : bool;
-}
+   Nothing the propagation loop touches is a boxed value: it reads and
+   writes int arrays only, so it makes no [caml_modify] call and
+   allocates nothing. *)
 
-(* Growable vector of clauses / ints. *)
-module Vec = struct
-  type 'a t = {
-    mutable data : 'a array;
+(* ----------------------------------------------------------------- *)
+(* Literals                                                            *)
+
+let var l = l lsr 1
+let sign l = l land 1 = 0
+let neg l = l lxor 1
+
+(* ----------------------------------------------------------------- *)
+(* Growable int vectors                                                *)
+
+(* Monomorphic on purpose: without flambda, a store into an ['a array]
+   goes through the generic path even when ['a] is [int]. *)
+module Ivec = struct
+  type t = {
+    mutable data : int array;
     mutable size : int;
-    dummy : 'a;
   }
 
-  let create dummy = { data = Array.make 16 dummy; size = 0; dummy }
+  let create () = { data = [||]; size = 0 }
 
   let push v x =
     if v.size = Array.length v.data then begin
-      let data = Array.make (2 * Array.length v.data) v.dummy in
+      let data = Array.make (max 4 (2 * v.size)) 0 in
       Array.blit v.data 0 data 0 v.size;
       v.data <- data
     end;
@@ -42,26 +53,61 @@ module Vec = struct
     v.size <- v.size + 1
 
   let get v i = v.data.(i)
-  let set v i x = v.data.(i) <- x
-  let size v = v.size
-  let shrink v n = v.size <- n
-  let copy v = { data = Array.copy v.data; size = v.size; dummy = v.dummy }
+  let copy v = { data = Array.copy v.data; size = v.size }
 end
+
+(* ----------------------------------------------------------------- *)
+(* Clause arena                                                        *)
+
+(* Header layout. [h_meta] holds [(learnt_id lsl 1) lor removed]; the
+   learnt id is the clause's index in [learnts] (and in the activity
+   array), -1 for problem clauses. *)
+let h_size = 0
+let h_w0 = 1
+let h_w1 = 2
+let h_meta = 3
+let header = 4
+let problem_meta = -1 lsl 1
+
+let seg_bits = 32
+let off_mask = (1 lsl seg_bits) - 1
+let first_segment = 1024
+
+(* Problem clauses and learnt clauses fill separate chains of segments,
+   each segment twice the size of the one before it. A full segment is
+   never copied or grown: the next clause starts a new one. The learnt
+   chain alone is compacted (by [reduce_db]). *)
+type region = {
+  mutable cur : int;  (* table slot of the segment being filled; -1 before the first *)
+  mutable fill : int;  (* next free offset in it *)
+  mutable last : int;  (* size of the newest segment *)
+  slots : Ivec.t;  (* every table slot of this region *)
+}
+
+let new_region () = { cur = -1; fill = 0; last = 0; slots = Ivec.create () }
+
+let copy_region r = { r with slots = Ivec.copy r.slots }
 
 type t = {
   (* clause database *)
-  clauses : clause Vec.t;  (* problem clauses *)
-  learnts : clause Vec.t;
+  mutable segs : int array array;  (* segment table; freed slots hold [||] *)
+  mutable nslots : int;  (* table slots ever used *)
+  free_slots : Ivec.t;
+  problem : region;
+  learnt : region;
+  clauses : Ivec.t;  (* problem clause references, in order added *)
+  learnts : Ivec.t;  (* learnt clause references; the i-th has learnt id i *)
+  mutable lact : float array;  (* learnt id -> activity *)
   (* watches.(lit) = clauses that must be inspected when [lit] becomes
      false. *)
-  mutable watches : clause Vec.t array;
+  mutable watches : Ivec.t array;
   (* assignment *)
   mutable assign : int array;  (* var -> -1/0/1 *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;  (* var -> clause reference, -1 for none *)
   mutable phase : bool array;
-  trail : int Vec.t;  (* literals in assignment order *)
-  trail_lim : int Vec.t;  (* decision-level boundaries in trail *)
+  trail : Ivec.t;  (* literals in assignment order *)
+  trail_lim : Ivec.t;  (* decision-level boundaries in trail *)
   mutable qhead : int;
   (* branching *)
   mutable activity : float array;
@@ -71,6 +117,13 @@ type t = {
   mutable heap_size : int;
   mutable heap_pos : int array;  (* var -> index in heap, -1 if absent *)
   mutable seen : bool array;
+  mutable amark : bool array;  (* literal -> is an assumption of the failing solve *)
+  (* conflict-analysis scratch *)
+  an_tail : Ivec.t;  (* learnt tail literals, in discovery order *)
+  an_stack : Ivec.t;  (* redundancy check: literals to expand *)
+  an_added : Ivec.t;  (* redundancy check: vars it marked *)
+  an_clear : Ivec.t;  (* vars marked by successful redundancy checks *)
+  an_learnt : Ivec.t;  (* the clause being learnt *)
   mutable nvars : int;
   mutable ok : bool;  (* false once the clause set is unsat at level 0 *)
   (* learnt-database reduction threshold: once the learnt count
@@ -102,19 +155,23 @@ type t = {
   mutable n_minimized : int;
 }
 
-let dummy_clause = { lits = [||]; w0 = 0; w1 = 0; activity = 0.0; removed = false }
-
 let create () =
   {
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
-    watches = Array.init 2 (fun _ -> Vec.create dummy_clause);
+    segs = [||];
+    nslots = 0;
+    free_slots = Ivec.create ();
+    problem = new_region ();
+    learnt = new_region ();
+    clauses = Ivec.create ();
+    learnts = Ivec.create ();
+    lact = [||];
+    watches = Array.init 2 (fun _ -> Ivec.create ());
     assign = Array.make 1 (-1);
     level = Array.make 1 (-1);
-    reason = Array.make 1 None;
+    reason = Array.make 1 (-1);
     phase = Array.make 1 false;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
     qhead = 0;
     activity = Array.make 1 0.0;
     var_inc = 1.0;
@@ -123,6 +180,12 @@ let create () =
     heap_size = 0;
     heap_pos = Array.make 1 (-1);
     seen = Array.make 1 false;
+    amark = Array.make 2 false;
+    an_tail = Ivec.create ();
+    an_stack = Ivec.create ();
+    an_added = Ivec.create ();
+    an_clear = Ivec.create ();
+    an_learnt = Ivec.create ();
     nvars = 0;
     ok = true;
     max_learnts = 0.0;
@@ -142,7 +205,55 @@ let create () =
   }
 
 let nb_vars s = s.nvars
-let nb_clauses s = Vec.size s.clauses
+let nb_clauses s = s.clauses.size
+
+let seg_of s cr = s.segs.(cr lsr seg_bits)
+let off cr = cr land off_mask
+
+(* Open a fresh segment of [size] ints for [r], in a recycled table
+   slot when one is free. *)
+let new_segment s r size =
+  let slot =
+    if s.free_slots.size > 0 then begin
+      s.free_slots.size <- s.free_slots.size - 1;
+      Ivec.get s.free_slots s.free_slots.size
+    end
+    else begin
+      if s.nslots = Array.length s.segs then begin
+        let segs = Array.make (max 4 (2 * s.nslots)) [||] in
+        Array.blit s.segs 0 segs 0 s.nslots;
+        s.segs <- segs
+      end;
+      s.nslots <- s.nslots + 1;
+      s.nslots - 1
+    end
+  in
+  s.segs.(slot) <- Array.make size 0;
+  r.cur <- slot;
+  r.fill <- 0;
+  r.last <- size;
+  Ivec.push r.slots slot
+
+(* Store lits.(0 .. n-1) as a clause of [r] watching its first two
+   literals; returns its reference. *)
+let store s r lits n meta =
+  let words = header + n in
+  if r.cur < 0 || r.fill + words > Array.length s.segs.(r.cur) then
+    new_segment s r (max words (max first_segment (2 * r.last)));
+  let seg = s.segs.(r.cur) and o = r.fill in
+  seg.(o + h_size) <- n;
+  seg.(o + h_w0) <- lits.(0);
+  seg.(o + h_w1) <- lits.(1);
+  seg.(o + h_meta) <- meta;
+  for i = 0 to n - 1 do
+    seg.(o + header + i) <- lits.(i)
+  done;
+  r.fill <- o + words;
+  (r.cur lsl seg_bits) lor o
+
+let clause_lits s cr =
+  let seg = seg_of s cr and o = off cr in
+  Array.sub seg (o + header) seg.(o + h_size)
 
 (* ----------------------------------------------------------------- *)
 (* Heap of variables ordered by activity                               *)
@@ -213,22 +324,23 @@ let new_var s =
   s.nvars <- v + 1;
   s.assign <- grow_array s.assign (v + 1) (-1);
   s.level <- grow_array s.level (v + 1) (-1);
-  s.reason <- grow_array s.reason (v + 1) None;
+  s.reason <- grow_array s.reason (v + 1) (-1);
   s.phase <- grow_array s.phase (v + 1) false;
   s.activity <- grow_array s.activity (v + 1) 0.0;
   s.heap <- grow_array s.heap (v + 1) 0;
   s.heap_pos <- grow_array s.heap_pos (v + 1) (-1);
   s.seen <- grow_array s.seen (v + 1) false;
   let nlits = 2 * (v + 1) in
+  s.amark <- grow_array s.amark nlits false;
   if Array.length s.watches < nlits then begin
     let watches = Array.init (max nlits (2 * Array.length s.watches)) (fun i ->
-        if i < Array.length s.watches then s.watches.(i) else Vec.create dummy_clause)
+        if i < Array.length s.watches then s.watches.(i) else Ivec.create ())
     in
     s.watches <- watches
   end;
   s.assign.(v) <- -1;
   s.level.(v) <- -1;
-  s.reason.(v) <- None;
+  s.reason.(v) <- -1;
   s.heap_pos.(v) <- -1;
   heap_insert s v;
   v
@@ -236,45 +348,43 @@ let new_var s =
 (* ----------------------------------------------------------------- *)
 (* Assignment                                                          *)
 
-let lit_is_true s l = s.assign.(Lit.var l) = (if Lit.sign l then 1 else 0)
-let lit_is_false s l = s.assign.(Lit.var l) = (if Lit.sign l then 0 else 1)
-let lit_is_unassigned s l = s.assign.(Lit.var l) = -1
-let decision_level s = Vec.size s.trail_lim
+let lit_is_true s l = s.assign.(var l) = 1 - (l land 1)
+let lit_is_false s l = s.assign.(var l) = l land 1
+let lit_is_unassigned s l = s.assign.(var l) = -1
+let decision_level s = s.trail_lim.size
 
 let enqueue s l reason =
-  let v = Lit.var l in
-  s.assign.(v) <- (if Lit.sign l then 1 else 0);
+  let v = var l in
+  s.assign.(v) <- 1 - (l land 1);
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
-  if s.phase.(v) <> Lit.sign l then s.n_phase_flips <- s.n_phase_flips + 1;
-  s.phase.(v) <- Lit.sign l;
-  Vec.push s.trail l;
+  if s.phase.(v) <> sign l then s.n_phase_flips <- s.n_phase_flips + 1;
+  s.phase.(v) <- sign l;
+  Ivec.push s.trail l;
   s.n_propagations <- s.n_propagations + 1
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
-      let v = Lit.var l in
+    let bound = Ivec.get s.trail_lim lvl in
+    for i = s.trail.size - 1 downto bound do
+      let v = var (Ivec.get s.trail i) in
       s.assign.(v) <- -1;
-      s.reason.(v) <- None;
+      s.reason.(v) <- -1;
       s.level.(v) <- -1;
       heap_insert s v
     done;
-    Vec.shrink s.trail bound;
-    Vec.shrink s.trail_lim lvl;
+    s.trail.size <- bound;
+    s.trail_lim.size <- lvl;
     s.qhead <- bound
   end
 
 (* ----------------------------------------------------------------- *)
 (* Propagation                                                         *)
 
-exception Conflict of clause
 exception Interrupted
 
-(* Propagate all enqueued facts; raise [Conflict] on a falsified
-   clause.
+(* Propagate all enqueued facts; returns the reference of a falsified
+   clause, or -1 when every clause is satisfied or unit-propagated.
 
    The cooperative stop flag is polled here too, between propagation
    waves (every 64 trail positions): a cube-enumeration or portfolio
@@ -285,66 +395,79 @@ exception Interrupted
    watch list consistent (the pending literal simply stays queued);
    the flag itself is left set — [solve] owns consuming it. *)
 let propagate s =
-  while s.qhead < Vec.size s.trail do
+  let confl = ref (-1) in
+  (* Neither array is replaced while propagating (only [new_var] and
+     [new_segment] do that); reading them once keeps the loop from
+     reloading them after every store. The literal tests below are
+     [lit_is_true]/[lit_is_false] spelled out on [assign]. *)
+  let assign = s.assign and segs = s.segs in
+  while !confl < 0 && s.qhead < s.trail.size do
     if s.qhead land 63 = 0 && Atomic.get s.stop then raise Interrupted;
-    let p = Vec.get s.trail s.qhead in
+    let p = s.trail.data.(s.qhead) in
     s.qhead <- s.qhead + 1;
     (* p just became true: visit clauses watching ¬p. *)
-    let false_lit = Lit.neg p in
+    let false_lit = neg p in
     let ws = s.watches.(false_lit) in
-    let n = Vec.size ws in
+    let wd = ws.data in
+    let n = ws.size in
     let kept = ref 0 in
-    (try
-       for i = 0 to n - 1 do
-         let c = Vec.get ws i in
-         (* Normalize: the false literal in w1. *)
-         if c.w0 = false_lit then begin
-           c.w0 <- c.w1;
-           c.w1 <- false_lit
-         end;
-         if lit_is_true s c.w0 then begin
-           (* Clause already satisfied: keep the watch. *)
-           Vec.set ws !kept c;
-           incr kept
-         end
-         else begin
-           (* Look for a new literal to watch; [lits] is never written
-              (watch state lives in w0/w1), so the scan may cross the
-              current watches — skip w0 explicitly, and false_lit is
-              excluded by being false. *)
-           let lits = c.lits in
-           let len = Array.length lits in
-           let found = ref false in
-           let j = ref 0 in
-           while (not !found) && !j < len do
-             let l = lits.(!j) in
-             if l <> c.w0 && not (lit_is_false s l) then begin
-               c.w1 <- l;
-               Vec.push s.watches.(l) c;
-               found := true
-             end;
-             incr j
-           done;
-           if not !found then begin
-             (* Unit or conflicting. *)
-             Vec.set ws !kept c;
-             incr kept;
-             if lit_is_false s c.w0 then begin
-               (* Conflict: keep remaining watches before raising. *)
-               for k = i + 1 to n - 1 do
-                 Vec.set ws !kept (Vec.get ws k);
-                 incr kept
-               done;
-               Vec.shrink ws !kept;
-               raise (Conflict c)
-             end
-             else enqueue s c.w0 (Some c)
-           end
-         end
-       done;
-       Vec.shrink ws !kept
-     with Conflict _ as e -> raise e)
-  done
+    let i = ref 0 in
+    while !i < n do
+      let cr = wd.(!i) in
+      incr i;
+      let seg = segs.(cr lsr seg_bits) and o = cr land off_mask in
+      (* Normalize: the false literal in w1. *)
+      let w0 =
+        let w0 = seg.(o + h_w0) in
+        if w0 = false_lit then begin
+          let w1 = seg.(o + h_w1) in
+          seg.(o + h_w0) <- w1;
+          seg.(o + h_w1) <- false_lit;
+          w1
+        end
+        else w0
+      in
+      if assign.(var w0) = 1 - (w0 land 1) then begin
+        (* Clause already satisfied: keep the watch. *)
+        wd.(!kept) <- cr;
+        incr kept
+      end
+      else begin
+        (* Look for a new literal to watch; the literals are never
+           written (watch state lives in the header), so the scan may
+           cross the current watches — skip w0 explicitly, and
+           false_lit is excluded by being false. *)
+        let j = ref (o + header) in
+        let stop = o + header + seg.(o + h_size) in
+        while !j < stop do
+          let l = seg.(!j) in
+          if l <> w0 && assign.(var l) <> l land 1 then begin
+            seg.(o + h_w1) <- l;
+            Ivec.push s.watches.(l) cr;
+            j := stop + 1
+          end
+          else incr j
+        done;
+        if !j = stop then begin
+          (* Unit or conflicting. *)
+          wd.(!kept) <- cr;
+          incr kept;
+          if assign.(var w0) = w0 land 1 then begin
+            (* Conflict: keep the remaining watches. *)
+            while !i < n do
+              wd.(!kept) <- wd.(!i);
+              incr kept;
+              incr i
+            done;
+            confl := cr
+          end
+          else enqueue s w0 cr
+        end
+      end
+    done;
+    ws.size <- !kept
+  done;
+  !confl
 
 (* ----------------------------------------------------------------- *)
 (* Activity                                                            *)
@@ -366,16 +489,22 @@ let decay_activities s =
   s.var_inc <- s.var_inc /. var_decay;
   s.cla_inc <- s.cla_inc /. clause_decay
 
-let bump_clause s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then c.activity <- c.activity *. 1e-20
+(* Problem clauses carry no activity: only learnt clauses are ever
+   ranked by it. *)
+let bump_clause s cr =
+  let id = (seg_of s cr).(off cr + h_meta) asr 1 in
+  if id >= 0 then begin
+    let a = s.lact.(id) +. s.cla_inc in
+    s.lact.(id) <- (if a > 1e20 then a *. 1e-20 else a)
+  end
 
 (* ----------------------------------------------------------------- *)
 (* Clause attachment                                                   *)
 
-let attach_clause s c =
-  Vec.push s.watches.(c.w0) c;
-  Vec.push s.watches.(c.w1) c
+let attach_clause s cr =
+  let seg = seg_of s cr and o = off cr in
+  Ivec.push s.watches.(seg.(o + h_w0)) cr;
+  Ivec.push s.watches.(seg.(o + h_w1)) cr
 
 (* Ascending in place. Clauses are short (Tseitin gates, totalizer
    merges, blocking clauses), so insertion sort wins below a cutoff. *)
@@ -409,9 +538,9 @@ let add_clause_array s a =
     for i = 0 to n - 1 do
       let l = a.(i) in
       if l <> !prev then begin
-        if Lit.neg !prev = l then drop := true;
+        if neg !prev = l then drop := true;
         prev := l;
-        if s.level.(Lit.var l) = 0 then begin
+        if s.level.(var l) = 0 then begin
           if lit_is_true s l then drop := true
         end
         else begin
@@ -430,23 +559,20 @@ let add_clause_array s a =
         assert (decision_level s = 0);
         if lit_is_false s l then s.ok <- false
         else if lit_is_unassigned s l then begin
-          enqueue s l None;
+          enqueue s l (-1);
           (* A stale interrupt flag may fire inside this propagation
              (e.g. a blocking clause added right after a cancelled
              solve): swallow it here — clause addition is not
              interruptible work — and leave the flag set for the next
              [solve] to consume. *)
-          try propagate s with
-          | Conflict _ -> s.ok <- false
-          | Interrupted -> ()
+          match propagate s with
+          | confl -> if confl >= 0 then s.ok <- false
+          | exception Interrupted -> ()
         end
       | k ->
-        let arr = if k = n then a else Array.sub a 0 k in
-        let c =
-          { lits = arr; w0 = arr.(0); w1 = arr.(1); activity = 0.0; removed = false }
-        in
-        Vec.push s.clauses c;
-        attach_clause s c
+        let cr = store s s.problem a k problem_meta in
+        Ivec.push s.clauses cr;
+        attach_clause s cr
     end
   end
 
@@ -454,14 +580,14 @@ let add_clause s lits = add_clause_array s (Array.of_list lits)
 
 let fold_clauses f s acc =
   let root_end =
-    if decision_level s = 0 then Vec.size s.trail else Vec.get s.trail_lim 0
+    if decision_level s = 0 then s.trail.size else Ivec.get s.trail_lim 0
   in
   let acc = ref acc in
   for i = 0 to root_end - 1 do
-    acc := f [| Vec.get s.trail i |] !acc
+    acc := f [| Ivec.get s.trail i |] !acc
   done;
-  for i = 0 to Vec.size s.clauses - 1 do
-    acc := f (Array.copy (Vec.get s.clauses i).lits) !acc
+  for i = 0 to s.clauses.size - 1 do
+    acc := f (clause_lits s (Ivec.get s.clauses i)) !acc
   done;
   !acc
 
@@ -474,141 +600,150 @@ let fold_clauses f s acc =
    clause ([seen]), or itself redundant. Precondition: [seen] is true
    exactly on the tail literals of the learnt clause. A successful
    check leaves its marks in [seen] (memoizing the established
-   redundancies for later checks) and records them in [to_clear]; a
+   redundancies for later checks) and records them in [an_clear]; a
    failed check undoes only the marks it added. Tail literals live
    strictly below the current decision level, so the walk never
    reaches the UIP or any current-level variable. *)
-let lit_redundant s to_clear p =
-  if s.reason.(Lit.var p) = None then false
+let lit_redundant s p =
+  if s.reason.(var p) < 0 then false
   else begin
-    let added = ref [] in
-    let stack = ref [ p ] in
+    let stack = s.an_stack and added = s.an_added in
+    stack.size <- 0;
+    added.size <- 0;
+    Ivec.push stack p;
     let ok = ref true in
-    (try
-       while !stack <> [] do
-         let l = List.hd !stack in
-         stack := List.tl !stack;
-         let c =
-           match s.reason.(Lit.var l) with
-           | Some c -> c
-           | None -> assert false
-         in
-         Array.iter
-           (fun q ->
-             let v = Lit.var q in
-             if v <> Lit.var l && (not s.seen.(v)) && s.level.(v) > 0 then begin
-               if s.reason.(v) = None then raise Exit;
-               s.seen.(v) <- true;
-               added := v :: !added;
-               stack := q :: !stack
-             end)
-           c.lits
-       done
-     with Exit ->
-       ok := false;
-       List.iter (fun v -> s.seen.(v) <- false) !added);
-    if !ok then to_clear := List.rev_append !added !to_clear;
+    while !ok && stack.size > 0 do
+      stack.size <- stack.size - 1;
+      let l = Ivec.get stack stack.size in
+      let cr = s.reason.(var l) in
+      let seg = seg_of s cr and o = off cr in
+      let stop = o + header + seg.(o + h_size) in
+      let j = ref (o + header) in
+      while !ok && !j < stop do
+        let q = seg.(!j) in
+        let v = var q in
+        if v <> var l && (not s.seen.(v)) && s.level.(v) > 0 then begin
+          if s.reason.(v) < 0 then ok := false
+          else begin
+            s.seen.(v) <- true;
+            Ivec.push added v;
+            Ivec.push stack q
+          end
+        end;
+        incr j
+      done
+    done;
+    for i = 0 to added.size - 1 do
+      let v = Ivec.get added i in
+      if !ok then Ivec.push s.an_clear v else s.seen.(v) <- false
+    done;
     !ok
   end
 
+(* Leaves the learnt clause in [an_learnt] (asserting literal first)
+   and returns the backtrack level. *)
 let analyze s confl =
-  let learnt = ref [] in
+  let tail = s.an_tail in
+  tail.size <- 0;
   let path_count = ref 0 in
   let p = ref (-1) in
   (* -1 means "whole conflict clause" on the first iteration *)
-  let idx = ref (Vec.size s.trail - 1) in
-  let btlevel = ref 0 in
+  let idx = ref (s.trail.size - 1) in
   let confl = ref confl in
   let continue = ref true in
   while !continue do
     bump_clause s !confl;
-    let lits = !confl.lits in
+    let seg = seg_of s !confl and o = off !confl in
     (* Skip the pivot literal by variable (clauses never repeat a
-       variable): the asserting literal no longer sits at a known
-       index now that [lits] is immutable and watches live in w0/w1. *)
-    let skip = if !p = -1 then -1 else Lit.var !p in
-    for j = 0 to Array.length lits - 1 do
-      let q = lits.(j) in
-      let v = Lit.var q in
+       variable): the asserting literal sits at no known index, since
+       the literals are immutable and watches live in w0/w1. *)
+    let skip = if !p = -1 then -1 else var !p in
+    for j = o + header to o + header + seg.(o + h_size) - 1 do
+      let q = seg.(j) in
+      let v = var q in
       if v <> skip && (not s.seen.(v)) && s.level.(v) > 0 then begin
         bump_var s v;
         s.seen.(v) <- true;
         if s.level.(v) >= decision_level s then incr path_count
-        else begin
-          learnt := q :: !learnt;
-          if s.level.(v) > !btlevel then btlevel := s.level.(v)
-        end
+        else Ivec.push tail q
       end
     done;
     (* Select next literal on the trail to expand. *)
-    let rec next () =
-      let l = Vec.get s.trail !idx in
-      decr idx;
-      if s.seen.(Lit.var l) then l else next ()
-    in
-    let l = next () in
-    s.seen.(Lit.var l) <- false;
+    while not s.seen.(var (Ivec.get s.trail !idx)) do
+      decr idx
+    done;
+    let l = Ivec.get s.trail !idx in
+    decr idx;
+    s.seen.(var l) <- false;
     decr path_count;
-    if !path_count <= 0 then begin
-      p := l;
-      continue := false
-    end
+    p := l;
+    if !path_count <= 0 then continue := false
     else begin
-      (match s.reason.(Lit.var l) with
-      | Some c -> confl := c
-      | None -> assert false);
-      p := l
+      confl := s.reason.(var l);
+      assert (!confl >= 0)
     end
   done;
-  (* Minimize the tail: drop redundant literals (the learnt clause
-     can only shrink, never grow). Dropped literals keep their [seen]
-     mark for the duration — later redundancy checks may lean on them,
-     which is sound because they are themselves implied by the rest. *)
-  let tail = !learnt in
-  let to_clear = ref [] in
-  let kept =
-    List.filter
-      (fun q ->
-        if lit_redundant s to_clear q then begin
-          s.n_minimized <- s.n_minimized + 1;
-          false
-        end
-        else true)
-      tail
-  in
-  (* The backtrack level is the highest level among surviving tail
-     literals (0 when the minimized clause is asserting at the root). *)
-  let btlevel = List.fold_left (fun acc q -> max acc s.level.(Lit.var q)) 0 kept in
-  let learnt = Lit.neg !p :: kept in
+  (* Minimize the tail, most recently found literal first: drop
+     redundant literals (the learnt clause can only shrink, never
+     grow). Dropped literals keep their [seen] mark for the duration —
+     later redundancy checks may lean on them, which is sound because
+     they are themselves implied by the rest. *)
+  let learnt = s.an_learnt in
+  learnt.size <- 0;
+  Ivec.push learnt (neg !p);
+  s.an_clear.size <- 0;
+  let btlevel = ref 0 in
+  for i = tail.size - 1 downto 0 do
+    let q = Ivec.get tail i in
+    if lit_redundant s q then s.n_minimized <- s.n_minimized + 1
+    else begin
+      Ivec.push learnt q;
+      (* The backtrack level is the highest level among surviving
+         tail literals (0 when the minimized clause is asserting at the
+         root). *)
+      btlevel := max !btlevel s.level.(var q)
+    end
+  done;
   (* Clear seen flags for reuse — over the original tail (dropped
      literals included) and everything the redundancy checks marked. *)
-  List.iter (fun l -> s.seen.(Lit.var l) <- false) tail;
-  List.iter (fun v -> s.seen.(v) <- false) !to_clear;
-  (learnt, btlevel)
+  for i = 0 to tail.size - 1 do
+    s.seen.(var (Ivec.get tail i)) <- false
+  done;
+  for i = 0 to s.an_clear.size - 1 do
+    s.seen.(Ivec.get s.an_clear i) <- false
+  done;
+  !btlevel
 
 (* After a conflict directly caused by assumptions: collect the subset
    of assumptions implying the conflict, starting from literal [p]
-   (a failed assumption). *)
-let analyze_final s p assumption_set =
+   (a failed assumption). Assumption membership is a literal-indexed
+   mark, set here and cleared before returning. *)
+let analyze_final s p assumptions =
   let core = ref [] in
-  if s.level.(Lit.var p) > 0 then begin
-    s.seen.(Lit.var p) <- true;
-    for i = Vec.size s.trail - 1 downto 0 do
-      let l = Vec.get s.trail i in
-      let v = Lit.var l in
+  if s.level.(var p) > 0 then begin
+    Array.iter (fun a -> s.amark.(a) <- true) assumptions;
+    s.seen.(var p) <- true;
+    for i = s.trail.size - 1 downto 0 do
+      let l = Ivec.get s.trail i in
+      let v = var l in
       if s.seen.(v) then begin
-        (match s.reason.(v) with
-        | None ->
+        let cr = s.reason.(v) in
+        if cr < 0 then begin
           (* A decision — under assumption-driven search all decisions
              at these levels are assumptions. *)
-          if Hashtbl.mem assumption_set l then core := l :: !core
-        | Some c ->
-          Array.iter
-            (fun q -> if s.level.(Lit.var q) > 0 then s.seen.(Lit.var q) <- true)
-            c.lits);
+          if s.amark.(l) then core := l :: !core
+        end
+        else begin
+          let seg = seg_of s cr and o = off cr in
+          for j = o + header to o + header + seg.(o + h_size) - 1 do
+            let q = seg.(j) in
+            if s.level.(var q) > 0 then s.seen.(var q) <- true
+          done
+        end;
         s.seen.(v) <- false
       end
-    done
+    done;
+    Array.iter (fun a -> s.amark.(a) <- false) assumptions
   end;
   !core
 
@@ -630,81 +765,134 @@ let luby y x =
   done;
   y ** float_of_int !seq
 
-let record_learnt s learnt btlevel =
-  match learnt with
-  | [] -> assert false
-  | [ l ] ->
+(* Record the clause [analyze] left in [an_learnt]. *)
+let record_learnt s btlevel =
+  let learnt = s.an_learnt in
+  let arr = learnt.data and n = learnt.size in
+  if n = 1 then begin
+    let l = arr.(0) in
     cancel_until s 0;
     if lit_is_unassigned s l then begin
-      enqueue s l None;
-      (try propagate s with Conflict _ -> s.ok <- false)
+      enqueue s l (-1);
+      if propagate s >= 0 then s.ok <- false
     end
     else if lit_is_false s l then s.ok <- false
-  | first :: _ ->
+  end
+  else begin
     cancel_until s btlevel;
     (* Put a highest-level literal (w.r.t. remaining assignment) second
        so watches stay valid: the asserting literal is first, a literal
        from btlevel second. *)
-    let arr = Array.of_list learnt in
     let max_i = ref 1 in
-    for i = 2 to Array.length arr - 1 do
-      if s.level.(Lit.var arr.(i)) > s.level.(Lit.var arr.(!max_i)) then max_i := i
+    for i = 2 to n - 1 do
+      if s.level.(var arr.(i)) > s.level.(var arr.(!max_i)) then max_i := i
     done;
     let tmp = arr.(1) in
     arr.(1) <- arr.(!max_i);
     arr.(!max_i) <- tmp;
-    (* [arr] is freshly built and never written again: watches start
-       on the asserting literal and the btlevel literal. *)
-    let c =
-      { lits = arr; w0 = arr.(0); w1 = arr.(1); activity = 0.0; removed = false }
-    in
-    bump_clause s c;
-    Vec.push s.learnts c;
+    (* Watches start on the asserting literal and the btlevel
+       literal. *)
+    let id = s.learnts.size in
+    let cr = store s s.learnt arr n (id lsl 1) in
+    if id = Array.length s.lact then begin
+      let lact = Array.make (max 16 (2 * id)) 0.0 in
+      Array.blit s.lact 0 lact 0 id;
+      s.lact <- lact
+    end;
+    s.lact.(id) <- 0.0;
+    bump_clause s cr;
+    Ivec.push s.learnts cr;
     s.n_learnt_total <- s.n_learnt_total + 1;
-    attach_clause s c;
-    enqueue s first (Some c)
+    attach_clause s cr;
+    enqueue s arr.(0) cr
+  end
 
 (* Drop the low-activity half of the learnt clauses. Clauses serving
-   as reasons for current assignments are kept. Watch lists are
-   rebuilt to exclude removed clauses. *)
+   as reasons for current assignments are kept. Runs at the root
+   level.
+
+   Survivors move, in activity order, into fresh segments, and the old
+   learnt segments are freed, so storage follows the live clauses.
+   Each moved clause leaves its new reference in its old header's w0
+   slot; the watch lists and the level-0 reasons are then remapped
+   through it (problem clauses never move), dropping removed clauses
+   and keeping every list's order. *)
 let reduce_db s =
-  let n = Vec.size s.learnts in
+  let n = s.learnts.size in
   if n > 0 then begin
-    let all = Array.init n (Vec.get s.learnts) in
-    (* protect reasons *)
-    let protected c =
-      let keep = ref false in
-      for i = 0 to Vec.size s.trail - 1 do
-        match s.reason.(Lit.var (Vec.get s.trail i)) with
-        | Some r when r == c -> keep := true
-        | Some _ | None -> ()
-      done;
-      !keep
-    in
-    Array.sort
-      (fun (a : clause) (b : clause) -> Float.compare b.activity a.activity)
-      all;
+    let meta cr = (seg_of s cr).(off cr + h_meta) in
+    (* protect reasons: one pass over the trail *)
+    let protected = Bytes.make n '\000' in
+    for i = 0 to s.trail.size - 1 do
+      let cr = s.reason.(var (Ivec.get s.trail i)) in
+      if cr >= 0 && meta cr >= 0 then Bytes.set protected (meta cr asr 1) '\001'
+    done;
+    let act = s.lact in
+    let all = Array.init n (fun i -> i) in
+    Array.sort (fun a b -> Float.compare act.(b) act.(a)) all;
     let cutoff = n / 2 in
+    let old = Array.sub s.learnts.data 0 n in
+    let words = ref 0 in
     Array.iteri
-      (fun i c ->
-        if i >= cutoff && Array.length c.lits > 2 && not (protected c) then
-          c.removed <- true)
+      (fun i id ->
+        let cr = old.(id) in
+        let seg = seg_of s cr and o = off cr in
+        if i >= cutoff && seg.(o + h_size) > 2 && Bytes.get protected id = '\000' then
+          seg.(o + h_meta) <- seg.(o + h_meta) lor 1
+        else words := !words + header + seg.(o + h_size))
       all;
-    (* rebuild the learnt vector and the watch lists *)
-    Vec.shrink s.learnts 0;
-    Array.iter (fun c -> if not c.removed then Vec.push s.learnts c) all;
+    (* move the survivors, in order, into a fresh chain *)
+    let old_slots = Ivec.copy s.learnt.slots in
+    s.learnt.slots.size <- 0;
+    s.learnt.cur <- -1;
+    s.learnt.last <- 0;
+    if !words > 0 then new_segment s s.learnt (max first_segment (2 * !words));
+    s.learnts.size <- 0;
+    let lact = Array.make (max 16 (2 * (n - cutoff))) 0.0 in
     Array.iter
-      (fun ws ->
+      (fun id ->
+        let cr = old.(id) in
+        let seg = seg_of s cr and o = off cr in
+        if seg.(o + h_meta) land 1 = 0 then begin
+          let nid = s.learnts.size in
+          let nr =
+            store s s.learnt (Array.sub seg (o + header) seg.(o + h_size))
+              seg.(o + h_size) (nid lsl 1)
+          in
+          let nseg = seg_of s nr and no = off nr in
+          nseg.(no + h_w0) <- seg.(o + h_w0);
+          nseg.(no + h_w1) <- seg.(o + h_w1);
+          seg.(o + h_w0) <- nr;
+          lact.(nid) <- act.(id);
+          Ivec.push s.learnts nr
+        end)
+      all;
+    s.lact <- lact;
+    let forward cr =
+      let seg = seg_of s cr and o = off cr in
+      if seg.(o + h_meta) < 0 then cr else seg.(o + h_w0)
+    in
+    Array.iter
+      (fun (ws : Ivec.t) ->
         let kept = ref 0 in
-        for i = 0 to Vec.size ws - 1 do
-          let c = Vec.get ws i in
-          if not c.removed then begin
-            Vec.set ws !kept c;
+        for i = 0 to ws.size - 1 do
+          let cr = Ivec.get ws i in
+          if meta cr land 1 = 0 then begin
+            ws.data.(!kept) <- forward cr;
             incr kept
           end
         done;
-        Vec.shrink ws !kept)
-      s.watches
+        ws.size <- !kept)
+      s.watches;
+    for i = 0 to s.trail.size - 1 do
+      let v = var (Ivec.get s.trail i) in
+      if s.reason.(v) >= 0 then s.reason.(v) <- forward s.reason.(v)
+    done;
+    for i = 0 to old_slots.size - 1 do
+      let slot = Ivec.get old_slots i in
+      s.segs.(slot) <- [||];
+      Ivec.push s.free_slots slot
+    done
   end
 
 type result =
@@ -756,11 +944,9 @@ let solve_inner ~assumptions s =
      clauses, floored so small instances never reduce. *)
   if s.max_learnts <= 0.0 then
     s.max_learnts <-
-      Float.max 1000.0 (float_of_int (Vec.size s.clauses) /. 3.0);
+      Float.max 1000.0 (float_of_int s.clauses.size /. 3.0);
   if not s.ok then Unsat
   else begin
-    let assumption_set = Hashtbl.create (List.length assumptions) in
-    List.iter (fun l -> Hashtbl.replace assumption_set l ()) assumptions;
     let assumptions = Array.of_list assumptions in
     (* Assumption-prefix trail reuse: a Sat answer leaves the trail
        frozen, and anything that invalidates it (add_clause, an Unsat
@@ -799,68 +985,70 @@ let solve_inner ~assumptions s =
                  also covers an [Interrupted] raised from deep inside
                  [propagate]. *)
               if Atomic.get s.stop then raise Interrupted;
-              (try
-                 propagate s;
-                 (* No conflict: decide. *)
-                 if float_of_int !conflicts_here >= !max_conflicts then begin
-                   (* Restart. *)
-                   s.n_restarts <- s.n_restarts + 1;
-                   (* Restarts are the natural sampling points for the
-                      trace's counter track: frequent enough to chart
-                      search progress, rare enough to stay cheap. The
-                      [enabled] guard keeps the CDCL loop free of any
-                      tracing cost otherwise. *)
-                   if Obs.Trace.enabled () then
-                     Obs.Trace.counter "sat.search"
-                       [
-                         ("conflicts", float_of_int s.n_conflicts);
-                         ("propagations", float_of_int s.n_propagations);
-                         ("learnt", float_of_int (Vec.size s.learnts));
-                       ];
-                   raise Exit
-                 end;
-                 (* Assumption decisions first. *)
-                 let dl = decision_level s in
-                 if dl < Array.length assumptions then begin
-                   let a = assumptions.(dl) in
-                   if lit_is_true s a then begin
-                     (* Already satisfied: open an empty decision level
-                        so indices keep matching. *)
-                     Vec.push s.trail_lim (Vec.size s.trail)
-                   end
-                   else if lit_is_false s a then begin
-                     s.conflict_core <- a :: analyze_final s (Lit.neg a) assumption_set;
-                     raise (Found Unsat)
-                   end
-                   else begin
-                     Vec.push s.trail_lim (Vec.size s.trail);
-                     s.n_decisions <- s.n_decisions + 1;
-                     enqueue s a None
-                   end
-                 end
-                 else begin
-                   let v = pick_branch_var s in
-                   if v < 0 then raise (Found Sat);
-                   Vec.push s.trail_lim (Vec.size s.trail);
-                   s.n_decisions <- s.n_decisions + 1;
-                   enqueue s (Lit.make v s.phase.(v)) None
-                 end
-               with Conflict c ->
-                 s.n_conflicts <- s.n_conflicts + 1;
-                 incr conflicts_here;
-                 if decision_level s = 0 then begin
-                   s.ok <- false;
-                   raise (Found Unsat)
-                 end;
-                 (* A conflict below the assumption levels must not
-                    backtrack past them blindly: analyze computes the
-                    proper level; if the learnt clause is asserting at a
-                    level inside the assumptions, that is fine — the
-                    assumption decisions will be replayed. *)
-                 let learnt, btlevel = analyze s c in
-                 record_learnt s learnt btlevel;
-                 if not s.ok then raise (Found Unsat);
-                 decay_activities s)
+              let confl = propagate s in
+              if confl >= 0 then begin
+                s.n_conflicts <- s.n_conflicts + 1;
+                incr conflicts_here;
+                if decision_level s = 0 then begin
+                  s.ok <- false;
+                  raise (Found Unsat)
+                end;
+                (* A conflict below the assumption levels must not
+                   backtrack past them blindly: analyze computes the
+                   proper level; if the learnt clause is asserting at a
+                   level inside the assumptions, that is fine — the
+                   assumption decisions will be replayed. *)
+                let btlevel = analyze s confl in
+                record_learnt s btlevel;
+                if not s.ok then raise (Found Unsat);
+                decay_activities s
+              end
+              else begin
+                (* No conflict: decide. *)
+                if float_of_int !conflicts_here >= !max_conflicts then begin
+                  (* Restart. *)
+                  s.n_restarts <- s.n_restarts + 1;
+                  (* Restarts are the natural sampling points for the
+                     trace's counter track: frequent enough to chart
+                     search progress, rare enough to stay cheap. The
+                     [enabled] guard keeps the CDCL loop free of any
+                     tracing cost otherwise. *)
+                  if Obs.Trace.enabled () then
+                    Obs.Trace.counter "sat.search"
+                      [
+                        ("conflicts", float_of_int s.n_conflicts);
+                        ("propagations", float_of_int s.n_propagations);
+                        ("learnt", float_of_int s.learnts.size);
+                      ];
+                  raise Exit
+                end;
+                (* Assumption decisions first. *)
+                let dl = decision_level s in
+                if dl < Array.length assumptions then begin
+                  let a = assumptions.(dl) in
+                  if lit_is_true s a then begin
+                    (* Already satisfied: open an empty decision level
+                       so indices keep matching. *)
+                    Ivec.push s.trail_lim s.trail.size
+                  end
+                  else if lit_is_false s a then begin
+                    s.conflict_core <- a :: analyze_final s (neg a) assumptions;
+                    raise (Found Unsat)
+                  end
+                  else begin
+                    Ivec.push s.trail_lim s.trail.size;
+                    s.n_decisions <- s.n_decisions + 1;
+                    enqueue s a (-1)
+                  end
+                end
+                else begin
+                  let v = pick_branch_var s in
+                  if v < 0 then raise (Found Sat);
+                  Ivec.push s.trail_lim s.trail.size;
+                  s.n_decisions <- s.n_decisions + 1;
+                  enqueue s (Lit.make v s.phase.(v)) (-1)
+                end
+              end
             done
           with Exit -> ());
          incr restart_count;
@@ -870,7 +1058,7 @@ let solve_inner ~assumptions s =
             the threshold geometrically so learning still deepens over
             a long run while propagation stops paying for dead
             clauses. *)
-         if float_of_int (Vec.size s.learnts) > s.max_learnts then begin
+         if float_of_int s.learnts.size > s.max_learnts then begin
            cancel_until s 0;
            reduce_db s;
            s.n_reduces <- s.n_reduces + 1;
@@ -927,7 +1115,7 @@ let solve ?(assumptions = []) s =
 
 let value s v = if v < s.nvars then s.assign.(v) = 1 else false
 
-let lit_value s l = if Lit.sign l then value s (Lit.var l) else not (value s (Lit.var l))
+let lit_value s l = if sign l then value s (var l) else not (value s (var l))
 
 (* The raw core collected by [analyze_final] can mention an assumption
    more than once (the failed assumption is consed onto the collected
@@ -995,7 +1183,7 @@ let stats s =
     propagations = s.n_propagations;
     conflicts = s.n_conflicts;
     restarts = s.n_restarts;
-    learnt = Vec.size s.learnts;
+    learnt = s.learnts.size;
     reduces = s.n_reduces;
     solves = s.n_solves;
     solve_time = s.solve_time;
@@ -1041,17 +1229,15 @@ let pp_stats ppf st =
    deduced. Must be called between solves (the original at rest, not
    mid-search); the original is only read.
 
-   The literal arrays are NOT copied: [clause.lits] is immutable (see
-   the header comment), so original and clones share every problem
-   and learnt literal array — a clone allocates only the per-clause
-   records (watch fields, activity) plus the per-variable arrays.
-   That drops the per-clone cost from O(total literals) to O(clauses
-   + vars), which is what makes one-clone-per-worker schemes (ladder
-   probes, cube enumeration, portfolio lanes) affordable.
+   The clause arena is copied segment by segment (each a flat int
+   array, so a block copy with no per-clause allocation); clause
+   references stay valid because the clone keeps the segment table's
+   layout. Cost: O(stored literals + vars).
 
    Invariants restored on the copy:
-   - each clone gets fresh clause records, so its watch fields w0/w1
-     evolve independently; watch lists are rebuilt in database order;
+   - the copied headers carry the original's w0/w1; watch lists are
+     rebuilt from them in database order (problem clauses as added,
+     then learnt clauses), each sized to fit;
    - reasons are dropped: after [cancel_until 0] only level-0
      assignments remain, and neither [analyze] nor [analyze_final]
      ever dereferences a level-0 reason;
@@ -1059,27 +1245,43 @@ let pp_stats ppf st =
      literal was processed through [propagate] while at level 0), so
      [qhead] can start at the trail end. *)
 let clone s =
-  let copy_vec_of_clauses v =
-    let out = Vec.create dummy_clause in
-    for i = 0 to Vec.size v - 1 do
-      let c = Vec.get v i in
-      Vec.push out
-        { lits = c.lits; w0 = c.w0; w1 = c.w1; activity = c.activity;
-          removed = false }
-    done;
-    out
+  let nlits = Array.length s.watches in
+  let counts = Array.make nlits 0 in
+  let count_refs (v : Ivec.t) =
+    for i = 0 to v.size - 1 do
+      let cr = Ivec.get v i in
+      let seg = seg_of s cr and o = off cr in
+      counts.(seg.(o + h_w0)) <- counts.(seg.(o + h_w0)) + 1;
+      counts.(seg.(o + h_w1)) <- counts.(seg.(o + h_w1)) + 1
+    done
+  in
+  count_refs s.clauses;
+  count_refs s.learnts;
+  (* A segment being filled is copied only up to its fill mark: the
+     clone's next clause then opens a new segment. *)
+  let copy_seg slot seg =
+    if slot = s.problem.cur then Array.sub seg 0 s.problem.fill
+    else if slot = s.learnt.cur then Array.sub seg 0 s.learnt.fill
+    else Array.copy seg
   in
   let t =
     {
-      clauses = copy_vec_of_clauses s.clauses;
-      learnts = copy_vec_of_clauses s.learnts;
-      watches = Array.init (Array.length s.watches) (fun _ -> Vec.create dummy_clause);
+      segs = Array.mapi copy_seg s.segs;
+      nslots = s.nslots;
+      free_slots = Ivec.copy s.free_slots;
+      problem = copy_region s.problem;
+      learnt = copy_region s.learnt;
+      clauses = Ivec.copy s.clauses;
+      learnts = Ivec.copy s.learnts;
+      lact = Array.copy s.lact;
+      watches =
+        Array.init nlits (fun l -> { Ivec.data = Array.make counts.(l) 0; size = 0 });
       assign = Array.copy s.assign;
       level = Array.copy s.level;
-      reason = Array.make (Array.length s.reason) None;
+      reason = Array.make (Array.length s.reason) (-1);
       phase = Array.copy s.phase;
-      trail = Vec.copy s.trail;
-      trail_lim = Vec.copy s.trail_lim;
+      trail = Ivec.copy s.trail;
+      trail_lim = Ivec.copy s.trail_lim;
       qhead = 0;
       activity = Array.copy s.activity;
       var_inc = s.var_inc;
@@ -1088,6 +1290,12 @@ let clone s =
       heap_size = s.heap_size;
       heap_pos = Array.copy s.heap_pos;
       seen = Array.make (Array.length s.seen) false;
+      amark = Array.make (Array.length s.amark) false;
+      an_tail = Ivec.create ();
+      an_stack = Ivec.create ();
+      an_added = Ivec.create ();
+      an_clear = Ivec.create ();
+      an_learnt = Ivec.create ();
       nvars = s.nvars;
       ok = s.ok;
       max_learnts = s.max_learnts;
@@ -1106,12 +1314,12 @@ let clone s =
       n_minimized = 0;
     }
   in
-  for i = 0 to Vec.size t.clauses - 1 do
-    attach_clause t (Vec.get t.clauses i)
+  for i = 0 to t.clauses.size - 1 do
+    attach_clause t (Ivec.get t.clauses i)
   done;
-  for i = 0 to Vec.size t.learnts - 1 do
-    attach_clause t (Vec.get t.learnts i)
+  for i = 0 to t.learnts.size - 1 do
+    attach_clause t (Ivec.get t.learnts i)
   done;
   cancel_until t 0;
-  t.qhead <- Vec.size t.trail;
+  t.qhead <- t.trail.size;
   t

@@ -28,8 +28,8 @@ val add_clause_array : t -> Lit.t array -> unit
 (** {!add_clause} without the list: the one clause normaliser (sort,
     merge duplicates, drop tautologies and clauses satisfied at level
     0, remove literals false at level 0). The solver takes the array
-    over: it is sorted in place and may become the stored clause, so
-    the caller must not touch it afterwards. *)
+    over: it is sorted and compacted in place, so the caller must not
+    rely on its contents afterwards. *)
 
 val fold_clauses : (Lit.t array -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over the problem clause database in order: first every
@@ -74,14 +74,13 @@ val clone : t -> t
 (** An independent snapshot of the solver: problem clauses, learnt
     clauses, level-0 assignments and VSIDS/phase heuristic state all
     carry over, so the clone resumes with everything the original
-    already deduced. Clause literal arrays are immutable and shared
-    between original and clones — a clone allocates only per-clause
-    watch records and per-variable arrays, so cloning costs
-    O(clauses + vars), not O(total literals). The original is only
-    read, so several clones may be taken concurrently — but only
-    while the original is at rest (between solves, as for
-    {!add_clause}). The clone starts with fresh per-instance {!stats}
-    and no pending {!interrupt}. *)
+    already deduced. The clause store is a few flat int segments,
+    copied as blocks with no per-clause allocation, and the watch
+    lists are rebuilt from it: cloning costs O(stored literals +
+    vars). The original is only read, so several clones may be taken
+    concurrently — but only while the original is at rest (between
+    solves, as for {!add_clause}). The clone starts with fresh
+    per-instance {!stats} and no pending {!interrupt}. *)
 
 val set_learnt_cap : t -> int -> unit
 (** Override the adaptive learnt-database reduction threshold (normally

@@ -56,6 +56,7 @@ type pending_req = {
   p_enq : float;  (** enqueue wall time, for the latency histograms *)
   mutable p_deq : float;  (** dequeue wall time; [p_enq] until popped *)
   p_reply : P.resp -> unit;
+  mutable p_answered : bool;  (** set once its reply is sent *)
 }
 
 type entry = {
@@ -265,6 +266,7 @@ let reply_inline t reply (req : P.req) enq result =
 
 (* A reply for a queued request: same accounting plus [pending]. *)
 let answer t pr result =
+  pr.p_answered <- true;
   finish t ~req:pr.p_req ~enq:pr.p_enq ~deq:pr.p_deq pr.p_reply result;
   Mutex.lock t.mu;
   t.pending <- t.pending - 1;
@@ -548,25 +550,33 @@ let pop_batch e =
   List.iter (fun pr -> pr.p_deq <- deq) popped;
   popped
 
+(* A handler that raises must not wedge its session: every frame of
+   the batch still unanswered gets an internal-error reply (counted in
+   [server.errors] like any error), so each frame is answered exactly
+   once, [pending] drains, and the entry goes idle as usual. *)
 let run_turn t e =
   Mutex.lock t.mu;
   let batch = pop_batch e in
   touch t e;
   refresh_gauges t;
   Mutex.unlock t.mu;
-  match batch with
-  | [] -> ()
-  | [ pr ] -> (
-    let verb = P.verb_of_request pr.p_req.P.q_req in
-    Obs.Trace.with_span ~name:("server." ^ verb) @@ fun () ->
-    match pr.p_req.P.q_req with
-    | P.Open spec -> handle_open t e pr spec
-    | P.Close -> handle_close t e pr
-    | P.Apply_edits _ -> handle_edits t e [ pr ]
-    | _ -> handle_simple t e pr)
-  | prs ->
-    Obs.Trace.with_span ~name:"server.apply_edits" @@ fun () ->
-    handle_edits t e prs
+  try
+    match batch with
+    | [] -> ()
+    | [ pr ] -> (
+      let verb = P.verb_of_request pr.p_req.P.q_req in
+      Obs.Trace.with_span ~name:("server." ^ verb) @@ fun () ->
+      match pr.p_req.P.q_req with
+      | P.Open spec -> handle_open t e pr spec
+      | P.Close -> handle_close t e pr
+      | P.Apply_edits _ -> handle_edits t e [ pr ]
+      | _ -> handle_simple t e pr)
+    | prs ->
+      Obs.Trace.with_span ~name:"server.apply_edits" @@ fun () ->
+      handle_edits t e prs
+  with exn ->
+    let msg = "internal error: " ^ Printexc.to_string exn in
+    List.iter (fun pr -> if not pr.p_answered then answer t pr (Error msg)) batch
 
 (* One turn, then hand the session back to the pool's queue tail so
    other sessions interleave. At jobs = 1 the pool runs tasks inline
@@ -629,7 +639,7 @@ let submit t (req : P.req) reply =
       t.pending <- t.pending + 1;
       touch t e;
       Queue.push
-        { p_req = req; p_enq = enq; p_deq = enq; p_reply = reply }
+        { p_req = req; p_enq = enq; p_deq = enq; p_reply = reply; p_answered = false }
         e.e_queue;
       refresh_gauges t;
       let start = not e.e_busy in

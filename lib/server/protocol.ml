@@ -266,10 +266,12 @@ let request_of_json j =
         Ok (Recheck { blame })
       | "rerepair" ->
         let* limit = field_int_default j "limit" 16 in
-        Ok (Rerepair { limit })
+        if limit < 1 then Error "field \"limit\": must be at least 1"
+        else Ok (Rerepair { limit })
       | "commit" ->
         let* choice = field_int_default j "choice" 0 in
-        Ok (Commit { choice })
+        if choice < 0 then Error "field \"choice\": must be non-negative"
+        else Ok (Commit { choice })
       | "snapshot" -> Ok Snapshot
       | "close" -> Ok Close
       | "stats" -> Ok Stats

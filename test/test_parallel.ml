@@ -164,9 +164,10 @@ let pigeonhole_cnf n m =
   s
 
 let test_clone_after_reduce () =
-  (* Clones share the learnt clauses' literal arrays with the parent,
-     and reduce_db marks clauses removed in-place; a clone taken after
-     reductions must still be semantically equivalent. php(7,6)
+  (* reduce_db moves the surviving learnt clauses into fresh segments
+     and remaps the watches through forwarding references; a clone
+     taken after reductions copies that compacted store and must
+     still be semantically equivalent. php(7,6)
      generates thousands of conflicts, so a learnt cap of 5 guarantees
      the reduce path actually runs (asserted — otherwise this test
      silently degrades to test_clone_equivalence). *)
@@ -178,7 +179,7 @@ let test_clone_after_reduce () =
   Alcotest.(check bool) "clone verdict agrees" true (S.solve c = S.Unsat);
   (* SAT-side coverage: random CNFs solved under the same tiny cap;
      models and assumption answers must survive whatever reductions
-     (and clause sharing) happened along the way *)
+     happened along the way *)
   let rng = Random.State.make [| 0x5EED |] in
   for _ = 1 to 20 do
     let nv = 12 + Random.State.int rng 6 in

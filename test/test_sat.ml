@@ -264,6 +264,32 @@ let test_reduce_db_stress () =
   let st = S.stats s in
   Alcotest.(check bool) "database was reduced" true (st.S.reduces > 0)
 
+let test_reduce_db_bounds_memory () =
+  (* a long-lived solver under many small learnt caps: reductions free
+     the clauses they drop, so the solver's whole footprint stays
+     within a constant factor of its live problem and learnt clauses
+     (each learnt clause has at most [nv] literals plus a header),
+     however many clauses it has learnt over its lifetime *)
+  let rng = Random.State.make [| 7 |] in
+  let nv = 150 in
+  let s = S.create () in
+  let _ = new_vars s nv in
+  List.iter (S.add_clause s) (random_clauses rng nv (41 * nv / 10) 3);
+  let problem = S.fold_clauses (fun c acc -> acc + 4 + Array.length c) s 0 in
+  for round = 1 to 40 do
+    S.set_learnt_cap s 30;
+    let assumptions = List.init 6 (fun _ -> L.make (Random.State.int rng nv) (Random.State.bool rng)) in
+    ignore (S.solve ~assumptions s);
+    let live = problem + ((S.stats s).S.learnt * (4 + nv)) + (40 * nv) in
+    let words = Obj.reachable_words (Obj.repr s) in
+    if words > 2 * live then
+      Alcotest.failf "round %d: %d words held for %d live (%d learnt)" round words live
+        (S.stats s).S.learnt
+  done;
+  let st = S.stats s in
+  Alcotest.(check bool) "many reductions" true (st.S.reduces >= 20);
+  Alcotest.(check bool) "learnt far more than kept" true (st.S.conflicts > 20 * st.S.learnt)
+
 let test_reduce_db_preserves_models () =
   (* a satisfiable instance solved across reductions still yields a
      correct model *)
@@ -355,6 +381,7 @@ let suite =
   suite
   @ [
       Alcotest.test_case "reduce_db stress" `Slow test_reduce_db_stress;
+      Alcotest.test_case "reduce_db bounds memory" `Quick test_reduce_db_bounds_memory;
       Alcotest.test_case "reduce_db preserves models" `Quick
         test_reduce_db_preserves_models;
       Alcotest.test_case "modernization counters" `Quick

@@ -233,6 +233,18 @@ let test_codec_rejects_malformed () =
       | Ok _ -> Alcotest.failf "%s: frame %S must be rejected" ctx line)
     bad
 
+let test_codec_rejects_out_of_range () =
+  List.iter
+    (fun (field, line) ->
+      match P.parse_request line with
+      | Error e -> check_contains line ~sub:(Printf.sprintf "%S" field) e
+      | Ok _ -> Alcotest.failf "frame %S must be rejected" line)
+    [
+      ("choice", {|{"id":1,"verb":"commit","session":"s","choice":-1}|});
+      ("limit", {|{"id":1,"verb":"rerepair","session":"s","limit":0}|});
+      ("limit", {|{"id":1,"verb":"rerepair","session":"s","limit":-3}|});
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot round-trip                                                 *)
 
@@ -641,6 +653,55 @@ let test_engine_addressing () =
   | _ -> Alcotest.fail "expected Stats_snapshot");
   E.shutdown eng
 
+(* Frames the wire codec rejects can still reach the engine from an
+   in-process caller. A zero repair limit must be an error (not a
+   false cannot_restore), and a handler that raises (a negative menu
+   index) must still be answered: the session keeps serving, drain
+   returns, and every frame is counted and logged exactly once. *)
+let test_hostile_frames_answered () =
+  let errors () = Obs.Metrics.counter_value (Obs.Metrics.counter "server.errors") in
+  List.iter
+    (fun jobs ->
+      let dir = tmpdir (Printf.sprintf "hostile-%d" jobs) in
+      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      let log_path = Filename.concat dir "req.jsonl" in
+      (try Sys.remove log_path with Sys_error _ -> ());
+      let reqlog = Server.Reqlog.create ~path:log_path () in
+      let eng = E.create ~jobs ~max_live:4 ~snapshot_dir:dir ~reqlog () in
+      let errors0 = errors () in
+      ignore (ok "open" (call eng (P.Open (base_spec ()))));
+      ignore
+        (ok "apply"
+           (call eng (P.Apply_edits { models = models_text ~cf1:[ "A" ] ~cf2:[] ~fm:base_fm })));
+      check_contains "limit 0" ~sub:"limit" (err "rerepair 0" (call eng (P.Rerepair { limit = 0 })));
+      (match repaired "rerepair 4" (call eng (P.Rerepair { limit = 4 })) with
+      | "repaired", _ :: _ -> ()
+      | outcome, _ -> Alcotest.failf "limit 4 must repair, got %s" outcome);
+      (* pipelined: the raising commit, then a recheck behind it *)
+      let replies = Array.make 2 None in
+      List.iteri
+        (fun i req ->
+          E.submit eng
+            { P.q_id = Atomic.fetch_and_add next_id 1; q_session = "s"; q_req = req }
+            (fun r -> replies.(i) <- Some r))
+        [ P.Commit { choice = -1 }; P.Recheck { blame = false } ];
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while Array.exists Option.is_none replies && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.005
+      done;
+      (match replies with
+      | [| Some commit; Some recheck |] ->
+        check_contains "commit -1" ~sub:"internal error" (err "commit -1" commit);
+        ignore (checked "recheck after the failed commit" recheck)
+      | _ -> Alcotest.failf "jobs %d: a frame behind a raising handler was never answered" jobs);
+      E.drain eng;
+      E.shutdown eng;
+      Server.Reqlog.close reqlog;
+      Alcotest.(check int) "both errors counted" 2 (errors () - errors0);
+      Alcotest.(check int) "frames served" 6 (E.frames_served eng);
+      Alcotest.(check int) "one record per frame" 6 (Server.Reqlog.count reqlog))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane: queue-wait accounting, request log, slow counter   *)
 
@@ -884,6 +945,10 @@ let suite =
       test_interleaved_requests_serialize;
     Alcotest.test_case "LRU cap 2, 5 clients: no edit lost" `Slow
       test_lru_never_loses_edits;
+    Alcotest.test_case "protocol rejects negative choice and zero limit" `Quick
+      test_codec_rejects_out_of_range;
+    Alcotest.test_case "raising handlers and zero limits are answered" `Quick
+      test_hostile_frames_answered;
     Alcotest.test_case "addressing errors and stats" `Quick
       test_engine_addressing;
     Alcotest.test_case "queue-wait accounting and request log" `Quick
