@@ -30,7 +30,7 @@ let m_enforcements = Obs.Metrics.counter "echo.engine.enforcements"
    actually runs: [enforce ~backend:Portfolio] degrades to the plain
    ladder when [jobs < 2] (and in nested parallel regions), and no
    bench or test drove a real race for several releases — which made
-   the two zero win counters in BENCH_2..4 look like broken
+   the two win counters sit at zero and look like broken
    accounting. [portfolio_races] separates the two failure modes for
    good: races = 0 means nobody raced; races > 0 with zero wins means
    both lanes failed. *)

@@ -3,7 +3,7 @@ type outcome = Repair.outcome
 let run ?(jobs = 1) ?token space =
   if jobs < 1 then invalid_arg "Maxsat_repair.run: jobs must be >= 1";
   try
-    let started = Sat.Telemetry.now () in
+    let started = Obs.Clock.now () in
     let maxsat = Sat.Maxsat.create () in
     Option.iter
       (fun tok ->
@@ -67,7 +67,7 @@ let run ?(jobs = 1) ?token space =
         cardinality_clauses = counts.Sat.Maxsat.aux;
         cardinality_saved_vars = counts.Sat.Maxsat.saved_vars;
         cardinality_saved_clauses = counts.Sat.Maxsat.saved_clauses;
-        total_time = Sat.Telemetry.now () -. started;
+        total_time = Obs.Clock.now () -. started;
       }
     in
     let rec solve () =

@@ -14,7 +14,7 @@ let h_cube_wall = Obs.Metrics.histogram "echo.repair.cube_wall_s"
 
 (* Canonical-dedup discards: distinct SAT assignments that decoded to
    an already-seen model. The figure the symmetry SBPs exist to
-   shrink — E12 tracks it on/off. *)
+   shrink — test_symmetry compares it with SBPs off and on. *)
 let m_dedup_discards = Obs.Metrics.counter "echo.repair.dedup_discards"
 
 let span_args ~backend ~distance ~assumptions () =
@@ -76,7 +76,7 @@ let start ?cap space =
     finder;
     card;
     total = List.length inputs;
-    started = Sat.Telemetry.now ();
+    started = Obs.Clock.now ();
     iterations = Atomic.make 0;
     blocked = Atomic.make 0;
     levels = [];
@@ -123,7 +123,7 @@ let add_stats a b =
 let telemetry_of sc ~jobs ~solver ~solver_calls ~solve_time_cpu
     ~solve_time_wall ~levels =
   let fs = Relog.Finder.stats sc.finder in
-  let total = Sat.Telemetry.now () -. sc.started in
+  let total = Obs.Clock.now () -. sc.started in
   Obs.Metrics.observe h_run_wall total;
   {
     Telemetry.backend = "iterative";
@@ -217,7 +217,8 @@ let block_clone trans clone =
    count, not the raw [jobs] request: a probe that cannot overlap any
    other work in wall-clock is pure cost (it skips the incremental
    warm-up consecutive levels share), which is precisely how jobs = 4
-   ran slower than jobs = 1 on small boxes in BENCH_2..4. The result
+   once ran slower than jobs = 1 on small boxes (DESIGN.md, "The
+   jobs = 4 regression, measured"). The result
    is window-invariant either way. MDQVTR_WORKERS overrides the
    detected core count (tests use it to force a genuinely concurrent
    schedule — speculative probes and adaptive cube splits — on
@@ -418,11 +419,11 @@ let parallel_minimal ~jobs ?token ~cap sc space =
   end
 
 let run_parallel ~jobs ?token ~cap sc space =
-  let solve_started = Sat.Telemetry.now () in
+  let solve_started = Obs.Clock.now () in
   match parallel_minimal ~jobs ?token ~cap sc space with
   | Error `Interrupted -> Error "interrupted"
   | Ok (board, stats, levels) -> (
-    let solve_wall = Sat.Telemetry.now () -. solve_started in
+    let solve_wall = Obs.Clock.now () -. solve_started in
     let tele () =
       telemetry_of sc ~jobs ~solver:stats ~solver_calls:stats.Sat.Solver.solves
         ~solve_time_cpu:stats.Sat.Solver.solve_time ~solve_time_wall:solve_wall
@@ -590,7 +591,7 @@ let run_all_serial sc ~cap ~limit space =
    collected from the pushed half is blocked only in its own clone —
    the other worker's re-find collapses in the model-level dedup. *)
 let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
-  let solve_started = Sat.Telemetry.now () in
+  let solve_started = Obs.Clock.now () in
   match parallel_minimal ~jobs ?token ~cap sc space with
   | Error `Interrupted -> Error "interrupted"
   | Ok (board, ladder_stats, levels) -> (
@@ -681,7 +682,7 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
         let enum_cube cube0 =
           let cube = ref cube0 in
           let depth = ref (List.length cube0) in
-          let cube_started = Sat.Telemetry.now () in
+          let cube_started = Obs.Clock.now () in
           let segment_started = ref cube_started in
           let n = ref 0 in
           let exhausted = ref false in
@@ -691,7 +692,7 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
                half away and renew the budget for the narrowed rest. *)
             (if
                !depth < max_depth
-               && Sat.Telemetry.now () -. !segment_started > split_after
+               && Obs.Clock.now () -. !segment_started > split_after
              then begin
                let gave =
                  Mutex.lock qmu;
@@ -708,7 +709,7 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
                  cube := change_lits.(!depth) :: !cube;
                  incr depth
                end;
-               segment_started := Sat.Telemetry.now ()
+               segment_started := Obs.Clock.now ()
              end);
             let assumptions = base @ !cube in
             Atomic.incr sc.iterations;
@@ -744,7 +745,7 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
                 collected := r :: !collected;
                 incr n)
           done;
-          Obs.Metrics.observe h_cube_wall (Sat.Telemetry.now () -. cube_started)
+          Obs.Metrics.observe h_cube_wall (Obs.Clock.now () -. cube_started)
         in
         let rec drain () =
           match take () with
@@ -792,7 +793,7 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
           telemetry_of sc ~jobs ~solver:stats
             ~solver_calls:stats.Sat.Solver.solves
             ~solve_time_cpu:stats.Sat.Solver.solve_time
-            ~solve_time_wall:(Sat.Telemetry.now () -. solve_started)
+            ~solve_time_wall:(Obs.Clock.now () -. solve_started)
             ~levels
         in
         let out =

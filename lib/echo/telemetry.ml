@@ -1,33 +1,4 @@
-(* Per-repair instrumentation roll-up. The JSON value lives in
-   [Obs.Json] (one canonical emitter for telemetry, BENCH_*.json and
-   the trace sinks); the type is re-exported here so constructors at
-   existing call sites keep working. *)
-
-type json = Obs.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-let json_to_string = Obs.Json.to_string
-
-let solver_json (st : Sat.Solver.stats) =
-  Obj
-    [
-      ("decisions", Int st.Sat.Solver.decisions);
-      ("propagations", Int st.Sat.Solver.propagations);
-      ("conflicts", Int st.Sat.Solver.conflicts);
-      ("restarts", Int st.Sat.Solver.restarts);
-      ("learnt", Int st.Sat.Solver.learnt);
-      ("reduces", Int st.Sat.Solver.reduces);
-      ("solves", Int st.Sat.Solver.solves);
-      ("solve_time_s", Float st.Sat.Solver.solve_time);
-    ]
-
-(* ------------------------------------------------------------------ *)
+(* Per-repair instrumentation roll-up. *)
 
 type t = {
   backend : string;
@@ -46,47 +17,6 @@ type t = {
   cardinality_saved_clauses : int;
   total_time : float;
 }
-
-let to_json t =
-  Obj
-    [
-      ("backend", String t.backend);
-      ("jobs", Int t.jobs);
-      ( "translation",
-        Obj
-          [
-            ("primary_vars", Int t.translation.Relog.Translate.primary_vars);
-            ("vars", Int t.translation.Relog.Translate.vars);
-            ("clauses", Int t.translation.Relog.Translate.clauses);
-            ("relations", Int t.translation.Relog.Translate.relations);
-            ("formulas", Int t.translation.Relog.Translate.formulas);
-            ( "translate_time_s",
-              Float t.translation.Relog.Translate.translate_time );
-          ] );
-      ("solver", solver_json t.solver);
-      ("solver_calls", Int t.solver_calls);
-      (* "solve_time_s" keeps the PR-1 meaning (summed worker effort)
-         for schema compatibility; the wall field is new. *)
-      ("solve_time_s", Float t.solve_time_cpu);
-      ("solve_time_cpu_s", Float t.solve_time_cpu);
-      ("solve_time_wall_s", Float t.solve_time_wall);
-      ( "distance_levels",
-        List
-          (List.map
-             (fun (d, n) -> Obj [ ("distance", Int d); ("solver_calls", Int n) ])
-             t.distance_levels) );
-      ("blocked_nonconformant", Int t.blocked_nonconformant);
-      ( "cardinality",
-        Obj
-          [
-            ("inputs", Int t.cardinality_inputs);
-            ("aux_vars", Int t.cardinality_aux_vars);
-            ("clauses", Int t.cardinality_clauses);
-            ("saved_vars", Int t.cardinality_saved_vars);
-            ("saved_clauses", Int t.cardinality_saved_clauses);
-          ] );
-      ("total_time_s", Float t.total_time);
-    ]
 
 let pp ppf t =
   let tr = t.translation in

@@ -5,8 +5,7 @@
     counters ({!Sat.Solver.stats}), the repair loop's own shape
     (iterations per distance level, blocked non-conformant instances,
     cardinality-circuit size) and wall-clock timings. Exposed on
-    {!Engine.enforce_result}, printed by the CLI's [--stats] flag and
-    serialized into the bench trajectory ([BENCH_*.json]). *)
+    {!Engine.enforce_result} and printed by the CLI's [--stats] flag. *)
 
 type t = {
   backend : string;  (** ["iterative"] or ["maxsat"] *)
@@ -39,22 +38,3 @@ type t = {
 }
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 Minimal JSON}
-
-    Re-export of the canonical {!Obs.Json.t} (one value type, escaper
-    and printer shared by telemetry, the bench driver's
-    [BENCH_*.json] emitter and both trace sinks). *)
-
-type json = Obs.Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-val json_to_string : json -> string
-val solver_json : Sat.Solver.stats -> json
-val to_json : t -> json

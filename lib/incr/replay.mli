@@ -22,8 +22,8 @@
     ([apply_edits] + [recheck], the warm path) and on a session opened
     from scratch over the same post-edit models (paying translation
     and cold solves — the work every [qvtr check] invocation does
-    today). Both report {!Session.step_stats}, which is what E9 in
-    [bench/] records to [BENCH_3.json]. *)
+    today). Both report {!Session.step_stats}; test_incr's "warm
+    recheck beats from-scratch (E9)" asserts on them. *)
 
 type step = {
   s_label : string;

@@ -203,12 +203,12 @@ let translate_seconds t =
   | None -> 0.0
 
 let snapshot t =
-  (Sat.Telemetry.now (), solver_totals t, t.translations, translate_seconds t)
+  (Obs.Clock.now (), solver_totals t, t.translations, translate_seconds t)
 
 let finish t (t0, s0, tr0, ts0) =
   let s1 = solver_totals t in
   {
-    wall = Sat.Telemetry.now () -. t0;
+    wall = Obs.Clock.now () -. t0;
     solver_calls = s1.Sat.Solver.solves - s0.Sat.Solver.solves;
     conflicts = s1.Sat.Solver.conflicts - s0.Sat.Solver.conflicts;
     propagations = s1.Sat.Solver.propagations - s0.Sat.Solver.propagations;

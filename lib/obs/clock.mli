@@ -1,9 +1,9 @@
 (** Monotonic time source shared by the whole stack.
 
-    Every span, telemetry timer and bench measurement reads this clock,
-    so durations can never go negative under NTP steps or manual clock
-    adjustment (the failure mode of [Unix.gettimeofday], which
-    {!Sat.Telemetry} used before this module existed).
+    Every span, telemetry timer, server queue/service duration and
+    bench measurement reads this clock, so durations can never go
+    negative or jump under NTP steps or manual clock adjustment (the
+    failure mode of [Unix.gettimeofday]).
 
     The origin is unspecified — only differences between two [now]
     readings are meaningful. *)

@@ -1,11 +1,9 @@
 (** Canonical JSON value, printer and strict parser.
 
-    The toolchain has no JSON library, and before this module existed
-    {!Echo.Telemetry} and the bench driver each hand-rolled their own
-    emitter. This is the single shared implementation: telemetry
-    roll-ups, [BENCH_*.json], the Chrome trace sink and the JSONL event
-    log all go through it. {!Echo.Telemetry.json} re-exports the type,
-    so existing constructors keep working. *)
+    The toolchain has no JSON library. This is the single shared
+    implementation: the metrics snapshot, the server protocol and
+    snapshots, the request log, the Chrome trace sink and the JSONL
+    event log all go through it. *)
 
 type t =
   | Null

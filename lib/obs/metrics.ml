@@ -51,11 +51,8 @@ let counter_value c = Atomic.get c.c
 
 (* A single atomic store, so the counter is never torn — but it is
    still a destructive write: an [incr] that lands between the
-   caller's read and this store is overwritten. That is inherent to
-   "set" semantics; callers that need lose-nothing draining use
-   [exchange_counter] and reason about the returned value instead. *)
+   caller's read and this store is overwritten. *)
 let set_counter c n = Atomic.set c.c n
-let exchange_counter c n = Atomic.exchange c.c n
 
 let gauge name =
   match
@@ -290,11 +287,3 @@ let to_prometheus () =
         Buffer.add_string b (Printf.sprintf "%s_count %d\n" name total))
     (snapshot ());
   Buffer.contents b
-
-let reset_all () =
-  List.iter
-    (function
-      | Counter c -> set_counter c 0
-      | Gauge g -> set_gauge g 0.
-      | Histogram h -> reset_histogram h)
-    (snapshot ())

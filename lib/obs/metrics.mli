@@ -28,15 +28,9 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 val set_counter : counter -> int -> unit
-(** For targeted resets ([Sat.Solver.reset_global_stats]). A single
-    atomic store — never torn — but destructive: a concurrent {!incr}
-    landing between the caller's read and this store is overwritten.
-    Use {!exchange_counter} when no increment may be lost. *)
-
-val exchange_counter : counter -> int -> int
-(** [exchange_counter c n] atomically stores [n] and returns the
-    previous value; the lose-nothing variant of {!set_counter} for
-    drain-style resets. *)
+(** A single atomic store — never torn — but destructive: a concurrent
+    {!incr} landing between the caller's read and this store is
+    overwritten. *)
 
 (** {2 Gauges} *)
 
@@ -92,6 +86,3 @@ val to_prometheus : unit -> string
     [_bucket{le="+Inf"}], [_sum] and [_count]. The [+Inf] bucket and
     [_count] are derived from one bucket snapshot, so they always
     agree even when a scrape races live observations. *)
-
-val reset_all : unit -> unit
-(** Zero every metric (bench isolation between experiments). *)

@@ -31,7 +31,7 @@ let pp_report ppf r =
   Format.fprintf ppf "@]"
 
 let run ?mode trans ~metamodels ~models =
-  let started = Sat.Telemetry.now () in
+  let started = Obs.Clock.now () in
   match
     Obs.Trace.with_span ~name:"typecheck" (fun () ->
         Typecheck.check trans ~metamodels)
@@ -76,7 +76,7 @@ let run ?mode trans ~metamodels ~models =
           {
             consistent = List.for_all (fun v -> v.v_holds) verdicts;
             verdicts;
-            elapsed = Sat.Telemetry.now () -. started;
+            elapsed = Obs.Clock.now () -. started;
           }
       with
       | Semantics.Compile_error msg -> Error msg

@@ -17,8 +17,8 @@ type t = {
   mutable fixed_atoms : Mdl.Ident.Set.t;
       (* atoms named by any formula seen by this finder: never permutable *)
   mutable sbp : sbp_state option;
-  (* telemetry *)
-  solve_span : Sat.Telemetry.span;
+  (* telemetry; only the domain that owns the finder writes them *)
+  mutable solve_s : float;
   mutable n_sat : int;
   mutable n_unsat : int;
   mutable n_blocked : int;
@@ -31,7 +31,7 @@ let make trans =
     last_assumed = [];
     fixed_atoms = Mdl.Ident.Set.empty;
     sbp = None;
-    solve_span = Sat.Telemetry.span ();
+    solve_s = 0.0;
     n_sat = 0;
     n_unsat = 0;
     n_blocked = 0;
@@ -128,9 +128,12 @@ let solve ?(assumptions = []) t =
      solves preserves the solver's trail-reuse fast path. *)
   let assumptions = sbp_assumptions t @ assumptions in
   t.last_assumed <- assumptions;
+  let t0 = Obs.Clock.now () in
   match
-    Sat.Telemetry.timed t.solve_span (fun () ->
-        Sat.Solver.solve ~assumptions (solver t))
+    (* an interrupted solve keeps the time it burned *)
+    Fun.protect
+      ~finally:(fun () -> t.solve_s <- t.solve_s +. Obs.Clock.since t0)
+      (fun () -> Sat.Solver.solve ~assumptions (solver t))
   with
   | Sat.Solver.Unsat ->
     t.last <- None;
@@ -228,5 +231,5 @@ let stats t =
     sat = t.n_sat;
     unsat = t.n_unsat;
     blocked = t.n_blocked;
-    solve_time = Sat.Telemetry.seconds t.solve_span;
+    solve_time = t.solve_s;
   }

@@ -2,8 +2,8 @@
    interface for the construction; the shapes here stay deliberately
    simple (universes in this stack are tens of atoms, tuplesets
    hundreds of tuples), so the quadratic greedy classing is far from
-   any hot path — E12 measures the analysis at well under a
-   millisecond. *)
+   any hot path — on E12's symmetric menus the analysis takes well
+   under a millisecond ([relog.symmetry.analysis_s]). *)
 
 module TS = Rel.Tupleset
 

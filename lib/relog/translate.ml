@@ -68,8 +68,10 @@ type t = {
      process-wide relog.memo_hits/misses counters when it ends *)
   mutable hits : int;
   mutable misses : int;
-  (* telemetry: wall time spent translating, formulas translated *)
-  translate_span : Sat.Telemetry.span;
+  (* telemetry: wall time spent translating, and entry points run.
+     Only the domain that owns the translator writes them. *)
+  mutable translate_s : float;
+  mutable translate_events : int;
 }
 
 let create ?solver ?store bnds =
@@ -89,7 +91,8 @@ let create ?solver ?store bnds =
     f_nodes = Id_tbl.create 512;
     hits = 0;
     misses = 0;
-    translate_span = Sat.Telemetry.span ();
+    translate_s = 0.0;
+    translate_events = 0;
   }
 
 let solver t = t.sat
@@ -465,19 +468,20 @@ let rebind t bnds' =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-(* Per-translation figures accumulate in [translate_span] (reported by
-   [stats]); the registry histogram aggregates the same work
-   process-wide for [Obs.Metrics.dump]. *)
+(* Per-translation figures accumulate in [translate_s] and
+   [translate_events] (reported by [stats]); the registry histogram
+   aggregates the same work process-wide for [Obs.Metrics.dump]. *)
 let h_translate = Obs.Metrics.histogram "relog.translate_s"
 let m_relations = Obs.Metrics.counter "relog.relations_materialized"
 let m_formulas = Obs.Metrics.counter "relog.formulas_translated"
 
 let timed t f =
-  let t0 = Sat.Telemetry.now () in
+  let t0 = Obs.Clock.now () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Sat.Telemetry.now () -. t0 in
-      Sat.Telemetry.record t.translate_span dt;
+      let dt = Obs.Clock.since t0 in
+      t.translate_s <- t.translate_s +. dt;
+      t.translate_events <- t.translate_events + 1;
       Obs.Metrics.observe h_translate dt)
     f
 
@@ -573,8 +577,8 @@ let stats t =
     vars = Sat.Solver.nb_vars t.sat;
     clauses = Sat.Solver.nb_clauses t.sat;
     relations = Rel_tbl.length t.rel_matrices;
-    formulas = Sat.Telemetry.events t.translate_span;
-    translate_time = Sat.Telemetry.seconds t.translate_span;
+    formulas = t.translate_events;
+    translate_time = t.translate_s;
   }
 
 let pp_stats ppf st =

@@ -914,8 +914,7 @@ let pick_branch_var s =
    callers that create many solvers (bench experiments, enumeration
    loops) can still measure total search effort by snapshot/diff.
    Registered in the Obs.Metrics registry (lock-free counters under
-   the hood), so one [Obs.Metrics.dump] covers the solver too;
-   [global_stats]/[reset_global_stats] keep their exact semantics. *)
+   the hood), so one [Obs.Metrics.dump] covers the solver too. *)
 let g_decisions = Obs.Metrics.counter "sat.decisions"
 let g_propagations = Obs.Metrics.counter "sat.propagations"
 let g_conflicts = Obs.Metrics.counter "sat.conflicts"
@@ -1085,7 +1084,7 @@ let solve_inner ~assumptions s =
   end
 
 let solve ?(assumptions = []) s =
-  let t0 = Telemetry.now () in
+  let t0 = Obs.Clock.now () in
   let d0 = s.n_decisions
   and p0 = s.n_propagations
   and c0 = s.n_conflicts
@@ -1098,7 +1097,7 @@ let solve ?(assumptions = []) s =
      effort spent before the interrupt still counts. *)
   Fun.protect
     ~finally:(fun () ->
-      let dt = Telemetry.now () -. t0 in
+      let dt = Obs.Clock.now () -. t0 in
       s.n_solves <- s.n_solves + 1;
       s.solve_time <- s.solve_time +. dt;
       Obs.Metrics.add g_decisions (s.n_decisions - d0);
@@ -1200,18 +1199,6 @@ let global_stats () =
     solves = Obs.Metrics.counter_value g_solves;
     solve_time = Obs.Metrics.histogram_sum g_solve_time;
   }
-
-let reset_global_stats () =
-  Obs.Metrics.set_counter g_decisions 0;
-  Obs.Metrics.set_counter g_propagations 0;
-  Obs.Metrics.set_counter g_conflicts 0;
-  Obs.Metrics.set_counter g_restarts 0;
-  Obs.Metrics.set_counter g_reduces 0;
-  Obs.Metrics.set_counter g_learnt 0;
-  Obs.Metrics.set_counter g_solves 0;
-  Obs.Metrics.set_counter g_phase_flips 0;
-  Obs.Metrics.set_counter g_minimized 0;
-  Obs.Metrics.reset_histogram g_solve_time
 
 let pp_stats ppf st =
   Format.fprintf ppf

@@ -156,6 +156,4 @@ val global_stats : unit -> stats
     this before/after a workload to measure total search effort even
     when many solvers are created internally. *)
 
-val reset_global_stats : unit -> unit
-
 val pp_stats : Format.formatter -> stats -> unit

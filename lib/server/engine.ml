@@ -53,8 +53,8 @@ type entry_state =
 
 type pending_req = {
   p_req : P.req;
-  p_enq : float;  (** enqueue wall time, for the latency histograms *)
-  mutable p_deq : float;  (** dequeue wall time; [p_enq] until popped *)
+  p_enq : float;  (** enqueue time ({!Obs.Clock}), for the latency histograms *)
+  mutable p_deq : float;  (** dequeue time; [p_enq] until popped *)
   p_reply : P.resp -> unit;
   mutable p_answered : bool;  (** set once its reply is sent *)
 }
@@ -108,7 +108,7 @@ let jobs t = Parallel.Pool.jobs t.pool
 let refresh_gauges t =
   let live = ref 0 and cold = ref 0 and depth = ref 0 in
   let depth_max = ref 0 and age_max = ref 0. in
-  let now = Unix.gettimeofday () in
+  let now = Obs.Clock.now () in
   Hashtbl.iter
     (fun _ e ->
       (match e.e_state with
@@ -190,7 +190,7 @@ let stats_json t =
 let sessions_json t =
   Mutex.lock t.mu;
   refresh_gauges t;
-  let now = Unix.gettimeofday () in
+  let now = Obs.Clock.now () in
   let rows =
     Hashtbl.fold
       (fun name e acc ->
@@ -236,13 +236,15 @@ let request_log t = t.reqlog
 
 (* Every reply — queued or answered inline at submit time — funnels
    through here exactly once, so [served] and the request log agree
-   with the frame count by construction (E11 asserts reqlog records ==
-   frames served). Timing split: [enq -> deq] is queue wait, [deq ->
+   with the frame count by construction (the server tests assert
+   reqlog records == frames served). Timing split: [enq -> deq] is queue wait, [deq ->
    reply] is service; inline replies never queued, so their [deq] is
-   their [enq] and the wait is zero. *)
+   their [enq] and the wait is zero. Durations come from the monotonic
+   {!Obs.Clock}, so a wall-clock step cannot corrupt them; only the
+   log record's [ts] is epoch time. *)
 let finish t ~(req : P.req) ~enq ~deq reply result =
   let verb = P.verb_of_request req.q_req in
-  let now = Unix.gettimeofday () in
+  let now = Obs.Clock.now () in
   let queue_wait = Float.max 0. (deq -. enq) in
   let service = Float.max 0. (now -. deq) in
   let total = Float.max 0. (now -. enq) in
@@ -533,7 +535,7 @@ let handle_edits t e prs =
 (* mu held: pop this turn's work — one request, or every consecutive
    leading apply_edits frame (the coalescing window). *)
 let pop_batch e =
-  let deq = Unix.gettimeofday () in
+  let deq = Obs.Clock.now () in
   let popped =
     match Queue.peek_opt e.e_queue with
     | None -> []
@@ -606,7 +608,7 @@ let schedule t e = ignore (Parallel.Pool.submit t.pool (fun _tok -> run_turns t 
 
 let submit t (req : P.req) reply =
   Metrics.incr m_requests;
-  let enq = Unix.gettimeofday () in
+  let enq = Obs.Clock.now () in
   match req.q_req with
   | P.Stats ->
     reply_inline t reply req enq (Ok (P.Stats_snapshot (stats_json t)))

@@ -16,9 +16,9 @@
 
     A log without a path is a pure counter sink: the engine still
     funnels every reply through it, so [count] == frames served holds
-    (and is asserted by E11) whether or not records hit disk. Writes
-    are serialized by an internal mutex — pool workers reply
-    concurrently. *)
+    (and is asserted by the server tests) whether or not records hit
+    disk. Writes are serialized by an internal mutex — pool workers
+    reply concurrently. *)
 
 type t
 

@@ -7,7 +7,8 @@
    slack_budget) computes. On top of that: blame sets, the
    translation cache (rebuild triggers and cache hits), commit
    round-trips, and the warm path's strict cost advantage over
-   from-scratch — the property experiment E9 measures. *)
+   from-scratch — experiment E9's property (EXPERIMENTS.md), checked
+   here on E9's own replay. *)
 
 module S = Incr.Session
 module Rp = Incr.Replay
@@ -242,6 +243,61 @@ let test_blame_names_facts () =
 (* ------------------------------------------------------------------ *)
 (* Repair equivalence                                                  *)
 
+let feature = Ident.make "Feature"
+let name_attr = Ident.make "name"
+let mand_attr = Ident.make "mandatory"
+
+let add_feature ~id name =
+  [
+    Edit.Add_object { id; cls = feature };
+    Edit.Set_attr
+      { id; attr = name_attr; before = []; after = [ Mdl.Value.Str name ] };
+  ]
+
+let set_mandatory id v =
+  Edit.Set_attr
+    {
+      id;
+      attr = mand_attr;
+      before = [ Mdl.Value.Bool (not v) ];
+      after = [ Mdl.Value.Bool v ];
+    }
+
+(* The E9/E10 base state: ten features, three mandatory, and two
+   configurations that agree exactly on the mandatory core. Both truth
+   values and every feature name occur in it, so flipping one flag
+   never forces a re-encode. [ten_feature_fm flips] toggles the flags
+   of [flips] and keeps the pool's object order, so one flip diffs to
+   one Set_attr edit. *)
+let ten_pool = Featuremodel.Gen.feature_names 10
+let ten_mandatory = [ "F1"; "F2"; "F3" ]
+
+let ten_feature_fm flips =
+  F.feature_model ~name:"fm"
+    (List.map
+       (fun n ->
+         let m = List.mem n ten_mandatory in
+         (n, if List.mem n flips then not m else m))
+       ten_pool)
+
+let ten_feature_cfs =
+  [
+    F.configuration ~name:"cf1" (ten_mandatory @ [ "F4" ]);
+    F.configuration ~name:"cf2" (ten_mandatory @ [ "F5" ]);
+  ]
+
+(* E10's repair loop: each step edits the session, rerepairs against a
+   fresh enforce_all, and commits the first repair, so the next step
+   edits a consistent state. Configuration objects are positional
+   (mandatory core first); feature-model objects follow the pool. *)
+let e10_chain =
+  [
+    ("cf2 drops F1", [ (Ident.make "cf2", [ Edit.Delete_object { id = 0 } ]) ]);
+    ("F6 made mandatory", [ (Ident.make "fm", [ set_mandatory 5 true ]) ]);
+    ("cf1 selects unknown G1", [ (Ident.make "cf1", add_feature ~id:9 "G1") ]);
+    ("cf2 drops F2", [ (Ident.make "cf2", [ Edit.Delete_object { id = 1 } ]) ]);
+  ]
+
 let test_repair_walk () =
   let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
   let sess = open_exn ~cfs ~fm [ "cf1"; "cf2" ] in
@@ -278,7 +334,23 @@ let test_repair_walk () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let rep = check_agrees ~ctx:"after commit" sess in
-  Alcotest.(check bool) "committed repair is consistent" true rep.S.consistent
+  Alcotest.(check bool) "committed repair is consistent" true rep.S.consistent;
+  let sess = open_exn ~cfs:ten_feature_cfs ~fm:(ten_feature_fm []) [ "cf1"; "cf2" ] in
+  List.iter
+    (fun (label, batch) ->
+      (match S.apply_edits sess batch with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" label e);
+      (match (repair_agrees ~ctx:label sess).S.outcome with
+      | S.Repaired (r :: _) -> (
+        match S.commit sess r with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: commit: %s" label e)
+      | _ -> Alcotest.failf "%s: expected a repair menu" label);
+      let rep = check_agrees ~ctx:(label ^ ", committed") sess in
+      Alcotest.(check bool) (label ^ ": committed repair is consistent") true
+        rep.S.consistent)
+    e10_chain
 
 let test_scenarios_repair_equivalence () =
   (* every paper scenario, every restorable and non-restorable target
@@ -299,16 +371,6 @@ let test_scenarios_repair_equivalence () =
 
 (* ------------------------------------------------------------------ *)
 (* The translation cache                                               *)
-
-let feature = Ident.make "Feature"
-let name_attr = Ident.make "name"
-
-let add_feature ~id name =
-  [
-    Edit.Add_object { id; cls = feature };
-    Edit.Set_attr
-      { id; attr = name_attr; before = []; after = [ Mdl.Value.Str name ] };
-  ]
 
 let test_translation_cache_hit () =
   (* headroom 0: every unknown object id forces a re-encode, so
@@ -373,10 +435,65 @@ let fm_block features =
   ^ Mdl.Serialize.model_to_string (F.feature_model ~name:"fm" features)
   ^ "\n"
 
+(* Replay [steps] against a from-scratch baseline: identical verdicts,
+   and the warm path costs strictly fewer conflicts+propagations and no
+   more translation wall at every step, and strictly less translation
+   wall over the replay. A single-edit step must stay fully warm. *)
+let check_replay ~base steps =
+  let records =
+    match
+      Rp.run ~transformation:trans ~metamodels ~models:base
+        ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ])
+        steps
+    with
+    | Ok rs -> rs
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (r : Rp.step_record) ->
+      Alcotest.(check bool)
+        (r.Rp.sr_label ^ ": verdicts match") true r.Rp.sr_verdicts_match;
+      Alcotest.(check bool)
+        (r.Rp.sr_label ^ ": scratch pays translation")
+        true r.Rp.sr_scratch.S.translated;
+      Alcotest.(check bool)
+        (r.Rp.sr_label ^ ": warm path translates no longer than scratch")
+        true
+        (r.Rp.sr_session.S.translate_s <= r.Rp.sr_scratch.S.translate_s);
+      if r.Rp.sr_edits = 1 then begin
+        Alcotest.(check bool)
+          (r.Rp.sr_label ^ ": warm path stays warm")
+          false
+          (r.Rp.sr_rebuilt || r.Rp.sr_session.S.translated);
+        Alcotest.(check bool)
+          (r.Rp.sr_label ^ ": warm path spends no translation wall")
+          true
+          (r.Rp.sr_session.S.translate_s = 0.
+          && r.Rp.sr_scratch.S.translate_s > 0.)
+      end;
+      let warm =
+        r.Rp.sr_session.S.conflicts + r.Rp.sr_session.S.propagations
+      in
+      let cold =
+        r.Rp.sr_scratch.S.conflicts + r.Rp.sr_scratch.S.propagations
+      in
+      if warm >= cold then
+        Alcotest.failf "%s: warm %d >= scratch %d conflicts+propagations"
+          r.Rp.sr_label warm cold)
+    records;
+  let translate_s side =
+    List.fold_left (fun acc r -> acc +. (side r).S.translate_s) 0. records
+  in
+  let warm_tr = translate_s (fun r -> r.Rp.sr_session)
+  and cold_tr = translate_s (fun r -> r.Rp.sr_scratch) in
+  if warm_tr >= cold_tr then
+    Alcotest.failf "warm translation %.6fs >= scratch %.6fs over the replay"
+      warm_tr cold_tr;
+  records
+
 let test_warm_beats_scratch () =
-  (* single-attribute flips on the feature model, replayed against a
-     from-scratch baseline: identical verdicts, and the warm path must
-     cost strictly fewer conflicts+propagations at every step *)
+  (* single-attribute flips on the feature model, parsed from a replay
+     script *)
   let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
   let base = F.bind ~cfs ~fm in
   let script =
@@ -398,43 +515,30 @@ let test_warm_beats_scratch () =
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check int) "five steps" 5 (List.length steps);
-  let records =
-    match
-      Rp.run ~transformation:trans ~metamodels ~models:base
-        ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ])
-        steps
-    with
-    | Ok rs -> rs
-    | Error e -> Alcotest.fail e
-  in
   List.iter
     (fun (r : Rp.step_record) ->
-      Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": one edit") true (r.Rp.sr_edits = 1);
-      Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": verdicts match") true r.Rp.sr_verdicts_match;
-      Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": warm path stays warm")
-        false
-        (r.Rp.sr_rebuilt || r.Rp.sr_session.S.translated);
-      Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": scratch pays translation")
-        true r.Rp.sr_scratch.S.translated;
-      Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": warm path spends no translation wall")
-        true
-        (r.Rp.sr_session.S.translate_s = 0.
-        && r.Rp.sr_scratch.S.translate_s > 0.);
-      let warm =
-        r.Rp.sr_session.S.conflicts + r.Rp.sr_session.S.propagations
-      in
-      let cold =
-        r.Rp.sr_scratch.S.conflicts + r.Rp.sr_scratch.S.propagations
-      in
-      if warm >= cold then
-        Alcotest.failf "%s: warm %d >= scratch %d conflicts+propagations"
-          r.Rp.sr_label warm cold)
-    records
+      Alcotest.(check bool) (r.Rp.sr_label ^ ": one edit") true (r.Rp.sr_edits = 1))
+    (check_replay ~base steps);
+  (* E9's ten-feature replay: flips there and back, then a bulk
+     rewrite of every flag, where almost no assumption prefix
+     survives *)
+  let base = F.bind ~cfs:ten_feature_cfs ~fm:(ten_feature_fm []) in
+  let fm_key = Ident.make "fm" in
+  let steps =
+    Rp.steps_of_snapshots ~base
+      (List.concat_map
+         (fun f ->
+           [
+             ("flip " ^ f ^ " mandatory", [ (fm_key, ten_feature_fm [ f ]) ]);
+             ("flip " ^ f ^ " back", [ (fm_key, ten_feature_fm []) ]);
+           ])
+         [ "F4"; "F10"; "F5" ]
+      @ [ ("bulk flip all", [ (fm_key, ten_feature_fm ten_pool) ]) ])
+  in
+  match List.rev (check_replay ~base steps) with
+  | bulk :: _ ->
+    Alcotest.(check int) "bulk flip rewrites every flag" 10 bulk.Rp.sr_edits
+  | [] -> Alcotest.fail "empty replay"
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

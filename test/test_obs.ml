@@ -530,9 +530,7 @@ let test_clock_monotonic () =
   let a = Obs.Clock.now () in
   let b = Obs.Clock.now () in
   Alcotest.(check bool) "positive" true (a > 0.);
-  Alcotest.(check bool) "monotonic" true (b >= a);
-  Alcotest.(check bool) "telemetry shim agrees" true
-    (Sat.Telemetry.now () -. Obs.Clock.now () < 1.0)
+  Alcotest.(check bool) "monotonic" true (b >= a)
 
 let suite =
   [

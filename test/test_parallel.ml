@@ -392,8 +392,8 @@ let test_enforce_all_adaptive_shards () =
     Sc.all
 
 let test_portfolio_wins_counted () =
-  (* The BENCH_2..4 mystery: both portfolio win counters were zero
-     because no caller ever raced (jobs defaulted to 1, which degrades
+  (* Both portfolio win counters once sat at zero in every recorded
+     run because no caller ever raced (jobs defaulted to 1, which degrades
      Portfolio to the ladder). Assert the accounting works when a race
      does run: every race increments [portfolio_races], and a race
      that repairs successfully credits exactly one lane. *)

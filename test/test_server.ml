@@ -527,6 +527,92 @@ let test_interleaved_requests_serialize () =
   Alcotest.(check bool) "second recheck sees the restore" true c2;
   E.shutdown eng
 
+(* An editor firing saves: three apply_edits frames and a recheck,
+   submitted from inside the open reply so that they queue behind the
+   session's busy turn. The engine must fold the three saves into one
+   batch, the recheck must see the last save, and every frame must be
+   served and logged exactly once. The saves' verdicts differ pairwise
+   (MF broken, consistent, OF broken), so a recheck that ran before
+   the last save shows. *)
+let test_edits_coalesce_behind_busy_turn () =
+  let coalesced () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "server.edits_coalesced")
+  in
+  let saves =
+    [
+      ([ "A" ], [], base_fm);
+      ([ "A" ], [ "A" ], base_fm);
+      ([ "A"; "B" ], [ "A" ], [ ("A", true) ]);
+    ]
+  in
+  let control (cf1, cf2, fm) =
+    let rep = recheck_exn (hydrate_exn (spec (models_text ~cf1 ~cf2 ~fm))) in
+    ( rep.S.consistent,
+      List.map
+        (fun (v : S.verdict) -> (Ident.name v.S.v_relation, v.S.v_holds))
+        rep.S.verdicts )
+  in
+  let expected = control (List.nth saves 2) in
+  List.iter
+    (fun st ->
+      Alcotest.(check bool) "fixture: the last save is distinguishable" true
+        (control st <> expected))
+    [ List.nth saves 0; List.nth saves 1 ];
+  List.iter
+    (fun jobs ->
+      let reqlog = Server.Reqlog.create () in
+      let eng =
+        E.create ~jobs ~max_live:4
+          ~snapshot_dir:(tmpdir (Printf.sprintf "coalesce%d" jobs))
+          ~reqlog ()
+      in
+      (* the callbacks only record: an exception raised inside a reply
+         callback would escape the engine's accounting *)
+      let replies = Array.init 5 (fun _ -> Atomic.make None) in
+      let submitted = Atomic.make 0 in
+      let submit req on_reply =
+        let i = Atomic.fetch_and_add submitted 1 in
+        E.submit eng
+          { P.q_id = Atomic.fetch_and_add next_id 1; q_session = "s"; q_req = req }
+          (fun r ->
+            Atomic.set replies.(i) (Some r);
+            on_reply ())
+      in
+      let c0 = coalesced () in
+      submit (P.Open (base_spec ())) (fun () ->
+          List.iter
+            (fun (cf1, cf2, fm) ->
+              submit (P.Apply_edits { models = models_text ~cf1 ~cf2 ~fm }) ignore)
+            saves;
+          submit (P.Recheck { blame = false }) ignore);
+      E.drain eng;
+      E.shutdown eng;
+      let ctx = Printf.sprintf "jobs %d" jobs in
+      let reply i =
+        match Atomic.get replies.(i) with
+        | Some r -> r
+        | None -> Alcotest.failf "%s: frame %d never answered" ctx i
+      in
+      ignore (ok (ctx ^ " open") (reply 0));
+      List.iter
+        (fun i ->
+          match ok (ctx ^ " apply_edits") (reply i) with
+          | P.Applied _ -> ()
+          | _ -> Alcotest.failf "%s: expected Applied" ctx)
+        [ 1; 2; 3 ];
+      Alcotest.(check int) (ctx ^ ": three saves coalesced into one batch") 2
+        (coalesced () - c0);
+      let consistent, verdicts = checked (ctx ^ " recheck") (reply 4) in
+      Alcotest.(check bool) (ctx ^ ": recheck sees the last save") true
+        (( consistent,
+           List.map (fun (w : P.verdict) -> (w.P.w_relation, w.P.w_holds)) verdicts )
+        = expected);
+      Alcotest.(check int) (ctx ^ ": frames served") (Atomic.get submitted)
+        (E.frames_served eng);
+      Alcotest.(check int) (ctx ^ ": one log record per frame") (Atomic.get submitted)
+        (Server.Reqlog.count reqlog))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine: LRU cap far below the client count                          *)
 
@@ -961,4 +1047,6 @@ let suite =
       test_snapshot_save_failures_clean_up;
     Alcotest.test_case "failed eviction saves are counted" `Quick
       test_eviction_save_errors_counted;
+    Alcotest.test_case "edits coalesce behind a busy turn" `Quick
+      test_edits_coalesce_behind_busy_turn;
   ]

@@ -250,40 +250,8 @@ let fingerprint outcomes =
        outcomes)
 
 let dedup_discards = Obs.Metrics.counter "echo.repair.dedup_discards"
-
-let test_menu_isomorphic_and_search_drops () =
-  (* satellite property c: with SBPs on the menu collapses to one
-     canonical repair per isomorphism class (6 = 3! variants without),
-     the reachable distances are unchanged, the search does strictly
-     fewer solves, and dedup never discards MORE than without SBPs *)
-  let run sbp =
-    let before = Obs.Metrics.counter_value dedup_discards in
-    let solves0 = (Sat.Solver.global_stats ()).Sat.Solver.solves in
-    match symmetric_workload ~sbp ~jobs:1 () with
-    | Error e -> Alcotest.fail e
-    | Ok outcomes ->
-      ( fingerprint outcomes,
-        List.length outcomes,
-        Obs.Metrics.counter_value dedup_discards - before,
-        (Sat.Solver.global_stats ()).Sat.Solver.solves - solves0 )
-  in
-  let fp_on, menu_on, discards_on, solves_on = run true in
-  let fp_off, menu_off, discards_off, solves_off = run false in
-  Alcotest.(check (list (pair int int)))
-    "same repair menu modulo isomorphism" fp_off fp_on;
-  Alcotest.(check bool)
-    (Printf.sprintf "isomorphic variants collapse (%d on vs %d off)" menu_on
-       menu_off)
-    true (menu_on < menu_off);
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer solves with SBPs on (%d on vs %d off)" solves_on
-       solves_off)
-    true (solves_on < solves_off);
-  Alcotest.(check bool)
-    (Printf.sprintf "dedup discards never grow (%d on vs %d off)" discards_on
-       discards_off)
-    true
-    (discards_on <= discards_off)
+let sbp_clauses = Obs.Metrics.counter "relog.symmetry.sbp_clauses"
+let sbp_orbits = Obs.Metrics.counter "relog.symmetry.orbits"
 
 (* Pretend the box has n cores so the parallel schedule is genuinely
    concurrent even on 1-core CI runners (same idiom as
@@ -295,6 +263,60 @@ let with_workers n f =
     ~finally:(fun () ->
       Unix.putenv "MDQVTR_WORKERS" (Option.value prev ~default:""))
     f
+
+let test_menu_isomorphic_and_search_drops () =
+  (* satellite property c: with SBPs on the menu collapses to one
+     canonical repair per isomorphism class, the reachable distances
+     are unchanged, the search does strictly fewer solves, the pass
+     finds orbits and emits clauses, and dedup never discards MORE
+     than without SBPs. The cases are E12's: sym3 and sym4 at jobs 1,
+     and cube4, sym4 enumerated as eagerly split cubes on 4 workers. *)
+  let case name ~features ~slack ~jobs ?split_after () =
+    let run sbp =
+      let counters () =
+        ( Obs.Metrics.counter_value dedup_discards,
+          Obs.Metrics.counter_value sbp_clauses,
+          Obs.Metrics.counter_value sbp_orbits,
+          (Sat.Solver.global_stats ()).Sat.Solver.solves )
+      in
+      let d0, c0, o0, s0 = counters () in
+      let work () = symmetric_workload ~slack ~features ?split_after ~sbp ~jobs () in
+      match if jobs > 1 then with_workers jobs work else work () with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok outcomes ->
+        let d1, c1, o1, s1 = counters () in
+        (fingerprint outcomes, List.length outcomes, d1 - d0, c1 - c0, o1 - o0, s1 - s0)
+    in
+    let fp_on, menu_on, discards_on, clauses_on, orbits_on, solves_on = run true in
+    let fp_off, menu_off, discards_off, _, _, solves_off = run false in
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": same repair menu modulo isomorphism") fp_off fp_on;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: isomorphic variants collapse (%d on vs %d off)" name
+         menu_on menu_off)
+      true
+      (1 <= menu_on && menu_on < menu_off);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: fewer solves with SBPs on (%d on vs %d off)" name
+         solves_on solves_off)
+      true (solves_on < solves_off);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: orbits found (%d) and SBP clauses emitted (%d)" name
+         orbits_on clauses_on)
+      true
+      (orbits_on > 0 && clauses_on > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: dedup discards never grow (%d on vs %d off)" name
+         discards_on discards_off)
+      true
+      (discards_on <= discards_off);
+    (menu_on, menu_off)
+  in
+  Alcotest.(check (pair int int))
+    "sym3: 3! variants collapse to one" (1, 6)
+    (case "sym3" ~features:3 ~slack:4 ~jobs:1 ());
+  ignore (case "sym4" ~features:4 ~slack:5 ~jobs:1 ());
+  ignore (case "cube4" ~features:4 ~slack:5 ~jobs:4 ~split_after:0.0 ())
 
 let test_jobs_invariance_under_sbp () =
   (* Repair.run_all is documented jobs-invariant; that must survive

@@ -86,10 +86,15 @@ let test_backend_parity () =
     Sc.all
 
 let test_global_counters_monotone () =
+  let solve_time_h = Obs.Metrics.histogram "sat.solve_time_s" in
+  let observed0 = Obs.Metrics.histogram_count solve_time_h in
   let before = S.global_stats () in
   let _ = repair_stats Sc.new_mandatory_feature [ "fm" ] in
   let after = S.global_stats () in
   Alcotest.(check bool) "solves grew" true (after.S.solves > before.S.solves);
+  Alcotest.(check bool) "every solve lands in sat.solve_time_s" true
+    (Obs.Metrics.histogram_count solve_time_h - observed0
+    >= after.S.solves - before.S.solves);
   Alcotest.(check bool) "decisions monotone" true
     (after.S.decisions >= before.S.decisions);
   Alcotest.(check bool) "propagations monotone" true
