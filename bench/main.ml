@@ -594,6 +594,18 @@ let bechamel_suite () =
   let lowered = Relog.Translate.create bounds6 in
   ignore (Relog.Translate.formula_lit lowered consistency6);
   let snapshot6 = six_feature_snapshot () in
+  let models6 = six_feature_models () in
+  let first_recheck ~headroom =
+    match
+      Incr.Session.open_session ~headroom ~transformation:trans2 ~metamodels:F.metamodels
+        ~models:models6
+        ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ])
+        ()
+    with
+    | Ok sess -> Incr.Session.recheck sess
+    | Error e -> failwith e
+  in
+  let cycle = ref 0 in
   let tests =
     Test.make_grouped ~name:"mdqvtr"
       [
@@ -647,6 +659,9 @@ let bechamel_suite () =
           (Staged.stage (fun () -> Relog.Hc.of_ast (Relog.Hc.store ()) consistency6));
         Test.make ~name:"translate-memo-lower"
           (Staged.stage (fun () -> Relog.Translate.formula_lit lowered consistency6));
+        (* Parsing and opening only: the check stage is translated
+           lazily, at the first recheck, which the two rows below
+           include. *)
         Test.make ~name:"snapshot-hydrate"
           (Staged.stage (fun () ->
                match Server.Snapshot.of_string snapshot6 with
@@ -654,6 +669,19 @@ let bechamel_suite () =
                  Server.Snapshot.hydrate ~extra_values:snap.Server.Snapshot.values
                    snap.Server.Snapshot.spec
                | Error e -> failwith e));
+        (* Open the six-feature session and run its first recheck: one
+           shape every run, so its check stage comes from a
+           translation template after the first run. *)
+        Test.make ~name:"session-first-recheck-hit"
+          (Staged.stage (fun () -> first_recheck ~headroom:6));
+        (* The same, over 33 headrooms (7..39) in turn: one more shape
+           than the template table holds, so every run translates, as
+           a never-repeated shape does. Its universes are larger than
+           the hit row's (headroom 6). *)
+        Test.make ~name:"session-first-recheck-miss"
+          (Staged.stage (fun () ->
+               incr cycle;
+               first_recheck ~headroom:(7 + (!cycle mod 33))));
         Test.make ~name:"e2-exhaustive-check-144"
           (Staged.stage (fun () ->
                List.for_all

@@ -213,8 +213,9 @@ let run_enforce trans_file mm_file models_file targets standard backend
    request-handling core `qvtr serve` exposes over a socket — so the
    CLI and the wire protocol cannot drift: every step is an
    apply_edits + recheck request against a persistent "main" session,
-   compared with an open + recheck + close of a from-scratch session
-   over the same post-edit models. *)
+   compared with an open + recheck + close of a fresh session over the
+   same post-edit models, whose check stage is a translation-template
+   clone once its shape has been seen. *)
 
 module SP = Server.Protocol
 
@@ -881,7 +882,7 @@ let headroom_arg =
 let session_cmd =
   let doc =
     "replay an edit script on a long-lived incremental session, comparing \
-     every re-check against a from-scratch run"
+     every re-check against the first re-check of a fresh session"
   in
   Cmd.v
     (Cmd.info "session" ~doc)

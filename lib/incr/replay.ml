@@ -131,8 +131,9 @@ let run ?mode ?slack_budget ?headroom ~transformation ~metamodels ~models
       let rebuilds0 = Session.rebuilds sess in
       let* () = Session.apply_edits sess st.s_batch in
       let* warm = Session.recheck sess in
-      (* the from-scratch baseline: a cold session over the same
-         post-edit models, paying translation plus cold solves *)
+      (* the baseline: a fresh session over the same post-edit models,
+         paying cold solves and its check stage (a template clone once
+         the shape has been seen) *)
       let* scratch_sess = open_fresh (Session.models sess) in
       let* scratch = Session.recheck scratch_sess in
       let record =

@@ -19,11 +19,13 @@
     trace.
 
     {!run} replays the steps twice per step: on the long-lived session
-    ([apply_edits] + [recheck], the warm path) and on a session opened
-    from scratch over the same post-edit models (paying translation
-    and cold solves — the work every [qvtr check] invocation does
-    today). Both report {!Session.step_stats}; test_incr's "warm
-    recheck beats from-scratch (E9)" asserts on them. *)
+    ([apply_edits] + [recheck], the warm path) and on a fresh session
+    over the same post-edit models (paying cold solves and its check
+    stage — a clone of the translation template of its shape when
+    that shape was seen before in the process, which after the first
+    step it usually was; a full translation otherwise). Both report
+    {!Session.step_stats}; test_incr's "warm recheck beats
+    from-scratch (E9)" asserts on them. *)
 
 type step = {
   s_label : string;
@@ -39,7 +41,7 @@ type step_record = {
   sr_verdicts_match : bool;
       (** per-direction verdicts of warm and scratch recheck agree *)
   sr_session : Session.step_stats;  (** warm [recheck] *)
-  sr_scratch : Session.step_stats;  (** from-scratch open + [recheck] *)
+  sr_scratch : Session.step_stats;  (** fresh open + [recheck] *)
 }
 
 val steps_of_snapshots :
@@ -83,6 +85,6 @@ val run :
   step list ->
   (step_record list, string) result
 (** Replay the steps. The session's first [recheck] (building its
-    translation) happens before step 1 and is not recorded — records
-    compare steady-state warm rechecks against full from-scratch
-    rechecks on identical models. *)
+    check stage) happens before step 1 and is not recorded — records
+    compare steady-state warm rechecks against the first recheck of a
+    fresh session on identical models. *)

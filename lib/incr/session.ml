@@ -146,6 +146,10 @@ type t = {
   mutable rebuild_pending : bool;
   mutable nrebuilds : int;
   mutable translations : int;
+  mutable template_s : float;
+      (* wall spent taking the check stage from a template, building
+         the template first on a miss: translation this session did
+         not do on its own finder *)
 }
 
 let models t = t.cur
@@ -196,6 +200,8 @@ let solver_totals t =
   | None -> zero_stats
 
 let translate_seconds t =
+  t.template_s
+  +.
   match t.fd with
   | Some fd ->
     (Relog.Translate.stats (Relog.Finder.translation fd))
@@ -398,6 +404,7 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
         rebuild_pending = false;
         nrebuilds = 0;
         translations = 0;
+        template_s = 0.0;
       }
     in
     Hashtbl.add t.cache (fingerprint t) gen;
@@ -482,17 +489,151 @@ let finder_cache_event ~hit which =
     (if hit then "session.cache_hit" else "session.cache_miss")
     ~args:(fun () -> [ ("cache", Obs.Json.String which) ])
 
-(* The one long-lived finder. Created lazily over the current
-   generation's bounds; every later generation reaches it through
-   {!Relog.Finder.rebind} in [ensure_generation]. *)
-let ensure_finder t =
-  match t.fd with
-  | Some fd -> fd
-  | None ->
-    let fd = Relog.Finder.create t.gen.g_bounds in
-    t.fd <- Some fd;
-    fd
+(* ------------------------------------------------------------------ *)
+(* Translation templates                                               *)
 
+(* The check stage — every relation materialized, one guard per top
+   formula — reads nothing but the bounds and those formulas, and the
+   translation keys everything by universe index: primaries by
+   (relation, index tuple), memos by hash-consed node id, and formula
+   atoms are resolved to indices while lowering. Sessions of one shape
+   get one index layout whatever their object ids ({!Qvtr.Encode}
+   orders atoms by parameter, object id, slack, then value), so a
+   check stage translated once serves them all. A template is such a
+   finder, never solved and never written once shared; a session takes
+   a {!Relog.Finder.clone} of it over its own bounds (same indices,
+   its own atom names), which is exactly the translation it would
+   have built itself. The process-wide table keeps the [template_cap]
+   most recently used templates. *)
+let template_cap = 32
+
+type template = {
+  tp_finder : Relog.Finder.t;
+  tp_guards : Sat.Lit.t list;  (* one per top formula, in order *)
+  mutable tp_used : int;  (* LRU stamp *)
+}
+
+let templates : (string, template) Hashtbl.t = Hashtbl.create 64
+let templates_mu = Mutex.create ()
+let templates_clock = ref 0
+let m_template_hits = Obs.Metrics.counter "incr.template_hits"
+let m_template_misses = Obs.Metrics.counter "incr.template_misses"
+let g_templates = Obs.Metrics.gauge "incr.templates"
+
+(* Everything the check stage reads, spelled out and compared byte for
+   byte (a digest collision would hand a session another tenant's
+   encoding): the universe size, every bound as index tuples, the
+   index of each atom the formulas name, and the formulas themselves
+   (marshalled without sharing, so equal formulas give equal bytes).
+   Atom names outside the formulas are left out: they reach no
+   circuit. *)
+let template_key bounds formulas =
+  let b = Buffer.create 4096 in
+  let add_int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  let add_name id =
+    add_int (String.length (Ident.name id));
+    Buffer.add_string b (Ident.name id)
+  in
+  let add_tuples ts =
+    add_int (Relog.Rel.Tupleset.cardinal ts);
+    Relog.Rel.Tupleset.fold
+      (fun tuple () ->
+        add_int (Array.length tuple);
+        Array.iter add_int tuple)
+      ts ()
+  in
+  let u = Relog.Bounds.universe bounds in
+  add_int (Relog.Rel.Universe.size u);
+  List.iter
+    (fun r ->
+      let lower, upper = Option.get (Relog.Bounds.get bounds r) in
+      add_name r;
+      add_tuples lower;
+      add_tuples upper)
+    (Relog.Bounds.relations bounds);
+  let atoms =
+    List.fold_left
+      (fun acc f -> Ident.Set.union acc (Relog.Ast.free_atoms f))
+      Ident.Set.empty formulas
+  in
+  Ident.Set.iter
+    (fun a ->
+      add_name a;
+      add_int
+        (match Relog.Rel.Universe.index u a with
+        | i -> i
+        | exception Not_found -> -1))
+    atoms;
+  Buffer.add_string b (Marshal.to_string formulas [ Marshal.No_sharing ]);
+  Buffer.contents b
+
+let with_templates f =
+  Mutex.lock templates_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock templates_mu) f
+
+let touch tp =
+  incr templates_clock;
+  tp.tp_used <- !templates_clock
+
+let find_template key =
+  with_templates (fun () ->
+      let found = Hashtbl.find_opt templates key in
+      Option.iter touch found;
+      found)
+
+(* The first template inserted under a key wins: a racing build of the
+   same key is dropped, and both sessions clone the survivor. *)
+let insert_template key tp =
+  with_templates (fun () ->
+      match Hashtbl.find_opt templates key with
+      | Some first ->
+        touch first;
+        first
+      | None ->
+        if Hashtbl.length templates >= template_cap then begin
+          let lru =
+            Hashtbl.fold
+              (fun k tp acc ->
+                match acc with
+                | Some (_, used) when used <= tp.tp_used -> acc
+                | _ -> Some (k, tp.tp_used))
+              templates None
+          in
+          Option.iter (fun (k, _) -> Hashtbl.remove templates k) lru
+        end;
+        touch tp;
+        Hashtbl.replace templates key tp;
+        Obs.Metrics.set_gauge g_templates
+          (float_of_int (Hashtbl.length templates));
+        tp)
+
+(* A finder with the check stage of [formulas] over [bounds], and its
+   guards: a clone of the template of that key, built (outside the
+   lock) and inserted first on a miss. *)
+let check_stage bounds formulas =
+  let key = template_key bounds formulas in
+  let tp =
+    match find_template key with
+    | Some tp ->
+      Obs.Metrics.incr m_template_hits;
+      finder_cache_event ~hit:true "template";
+      tp
+    | None ->
+      Obs.Metrics.incr m_template_misses;
+      finder_cache_event ~hit:false "template";
+      let fd = Relog.Finder.create bounds in
+      let guards = List.map (Relog.Finder.guard fd) formulas in
+      insert_template key { tp_finder = fd; tp_guards = guards; tp_used = 0 }
+  in
+  (Relog.Finder.clone ~bounds tp.tp_finder, tp.tp_guards)
+
+(* The one long-lived finder is created with the first check stage,
+   from a template, over the current generation's bounds; every later
+   generation reaches it through {!Relog.Finder.rebind} in
+   [ensure_generation] and guards its formulas on it directly. *)
 let ensure_check t =
   let g = t.gen in
   match g.g_check with
@@ -502,12 +643,20 @@ let ensure_check t =
   | None ->
     finder_cache_event ~hit:false "check_finder";
     t.translations <- t.translations + 1;
-    let cf = ensure_finder t in
     let dirs = Qvtr.Semantics.top_formulas g.g_sem in
+    let formulas = List.map (fun (_, _, f) -> f) dirs in
+    let cf, guards =
+      match t.fd with
+      | Some fd -> (fd, List.map (Relog.Finder.guard fd) formulas)
+      | None ->
+        let t0 = Obs.Clock.now () in
+        let fd, guards = check_stage g.g_bounds formulas in
+        t.template_s <- t.template_s +. Obs.Clock.since t0;
+        t.fd <- Some fd;
+        (fd, guards)
+    in
     let dirs =
-      List.map
-        (fun (r, d, f) -> (r.Qvtr.Ast.r_name, d, Relog.Finder.guard cf f))
-        dirs
+      List.map2 (fun (r, d, _) gd -> (r.Qvtr.Ast.r_name, d, gd)) dirs guards
     in
     let cprims = collect_prims (Relog.Finder.translation cf) in
     let cvar_fact = Hashtbl.create (Array.length cprims) in

@@ -25,6 +25,18 @@
     bounds, and a per-call scope literal that retracts the call's
     blocking clauses afterwards.
 
+    The check stage (every relation materialized, one guard per top
+    formula) depends only on the bounds and the top formulas, and the
+    translation keys everything by universe index, so sessions of
+    equal shape share it whatever their object ids: the first
+    [recheck]/[rerepair] takes a {!Relog.Finder.clone} of a
+    process-wide, never-solved {e translation template} of its shape
+    (the [template_cap] = 32 most recently used are kept), building
+    and inserting the template first on a miss. The clone reads the
+    session's own bounds and shares the template's tables until its
+    first write. [incr.template_hits], [incr.template_misses] and the
+    [incr.templates] gauge count them.
+
     A re-encode (new value, slack exhaustion) does {e delta
     retranslation}: the new universe extends the old one
     prefix-compatibly, the finder is {!Relog.Finder.rebind}-ed, and
@@ -131,9 +143,17 @@ val open_session :
     the general lex-leader SBPs of {!Relog.Symmetry} are unsound here
     and the chains are the symmetry breaking sessions get —
     [~symmetry:false] (the server's [--no-sbp]) drops even those,
-    enumerating every slack-permutation variant. Solvers
-    are built lazily: the first [recheck]/[rerepair] pays the
-    translation. *)
+    enumerating every slack-permutation variant. Opening translates
+    nothing: the first [recheck]/[rerepair] builds the check stage,
+    as a clone of the translation template of the session's shape —
+    a solver clone where another session of that shape already built
+    one, a full translation (kept as the template) otherwise. Either
+    way that call reports [translated = true], with the clone or
+    translation wall in [translate_s]; the first [rerepair] or
+    re-encode after a clone also pays the copy of the shared
+    translation tables. The server's [open] verb and its snapshot
+    revival both open sessions here, so a revived session costs a
+    clone once its shape is in the table. *)
 
 val models : t -> (Mdl.Ident.t * Mdl.Model.t) list
 (** The current (post-edit) models. *)

@@ -114,6 +114,13 @@ let rebind t bnds =
   if changed > 0 then Option.iter (fun st -> ignore (emit_sbp t st)) t.sbp;
   changed
 
+let clone ~bounds t =
+  {
+    (make (Translate.clone ~bounds t.trans)) with
+    fixed_atoms = t.fixed_atoms;
+    sbp = Option.map (fun st -> { st with sbp_guard = st.sbp_guard }) t.sbp;
+  }
+
 let translation t = t.trans
 let clone_solver t = Sat.Solver.clone (solver t)
 let interrupt t = Sat.Solver.interrupt (solver t)

@@ -72,6 +72,16 @@ val rebind : t -> Bounds.t -> int
     variables, so the Tseitin cache resolves it to the same literal
     without new clauses. *)
 
+val clone : bounds:Bounds.t -> t -> t
+(** [clone ~bounds t]: a finder over {!Translate.clone} of [t]'s
+    translation, read through [bounds] (same relations, index tuples
+    and universe size as [t]'s, every atom a routed formula names at
+    the same index). Guard literals [t] returned mean the same in the
+    clone. The clone keeps [t]'s fixed atoms and symmetry guard, forgets
+    its last model and starts with zeroed telemetry. [t] is only
+    read; it must never be solved or written again, since the clone
+    shares its translation tables until its own first write. *)
+
 val translation : t -> Translate.t
 val solver : t -> Sat.Solver.t
 

@@ -85,6 +85,17 @@ let store () =
     sem = Hashtbl.create 256;
   }
 
+(* Nodes are immutable, so a copy shares them; only the intern and
+   simplification tables are duplicated. *)
+let copy_store st =
+  {
+    next = st.next;
+    e_tbl = Hashtbl.copy st.e_tbl;
+    f_tbl = Hashtbl.copy st.f_tbl;
+    sfm = Hashtbl.copy st.sfm;
+    sem = Hashtbl.copy st.sem;
+  }
+
 let simp_formula_memo st = st.sfm
 let simp_expr_memo st = st.sem
 let nodes st = st.next

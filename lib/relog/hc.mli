@@ -24,6 +24,11 @@ val store : unit -> store
     long-lived store per long-lived {!Translate.t} is the intended
     shape, a throwaway store per call is fine for one-shot use. *)
 
+val copy_store : store -> store
+(** An independent store holding the same nodes under the same ids:
+    interning into the copy never touches the original. Reads the
+    original only. *)
+
 type expr = private {
   e_id : int;  (** unique within the store *)
   e_view : expr_view;

@@ -45,25 +45,31 @@ end)
    instead of once per occurrence per quantifier grounding.
    [e_nodes]/[f_nodes] keep the node of every memoized id so [rebind]
    can invalidate exactly the entries whose relations (or universe
-   dependence) an edit touched. *)
+   dependence) an edit touched.
+
+   A [clone] shares every table with the context it was cloned from
+   ([shared]) and copies them all at its first write ([unshare]): the
+   builder, Tseitin cache, store, primaries, matrices and memos are
+   only read until then. *)
 type t = {
-  builder : C.builder;
+  mutable builder : C.builder;
   sat : Sat.Solver.t;
-  tseitin : Sat.Tseitin.ctx;
-  store : Hc.store;
+  mutable tseitin : Sat.Tseitin.ctx;
+  mutable store : Hc.store;
   mutable bnds : Bounds.t;
   (* (relation, tuple) -> primary variable. Persistent across
      [rebind]: re-bounding a relation reuses the variable of every
      (relation, tuple) pair it has ever allocated, so re-lowered
      formulas rebuild physically identical circuits and Tseitin adds
      no clauses for unchanged parts. *)
-  primaries : (Ident.t * Rel.Tuple.t, Sat.Lit.var) Hashtbl.t;
+  mutable primaries : (Ident.t * Rel.Tuple.t, Sat.Lit.var) Hashtbl.t;
   (* memoized relation matrices, current bounds only *)
-  rel_matrices : matrix Rel_tbl.t;
-  e_memo : matrix Memo.t;
-  f_memo : C.t Memo.t;
-  e_nodes : Hc.expr Id_tbl.t;
-  f_nodes : Hc.formula Id_tbl.t;
+  mutable rel_matrices : matrix Rel_tbl.t;
+  mutable e_memo : matrix Memo.t;
+  mutable f_memo : C.t Memo.t;
+  mutable e_nodes : Hc.expr Id_tbl.t;
+  mutable f_nodes : Hc.formula Id_tbl.t;
+  mutable shared : bool;  (* the tables above belong to another context *)
   (* memo lookups of the current translation call, added to the
      process-wide relog.memo_hits/misses counters when it ends *)
   mutable hits : int;
@@ -89,6 +95,7 @@ let create ?solver ?store bnds =
     f_memo = Memo.create 1024;
     e_nodes = Id_tbl.create 512;
     f_nodes = Id_tbl.create 512;
+    shared = false;
     hits = 0;
     misses = 0;
     translate_s = 0.0;
@@ -97,7 +104,42 @@ let create ?solver ?store bnds =
 
 let solver t = t.sat
 let bounds t = t.bnds
-let store t = t.store
+
+(* The original must never be written again (see the interface): both
+   contexts read its tables until the clone's first write. *)
+let clone ~bounds t =
+  Obs.Trace.with_span ~name:"translate.clone" (fun () ->
+      {
+        t with
+        sat = Sat.Solver.clone t.sat;
+        bnds = bounds;
+        shared = true;
+        hits = 0;
+        misses = 0;
+        translate_s = 0.0;
+        translate_events = 0;
+      })
+
+(* The deferred half of [clone]; its wall counts as translation. *)
+let unshare t =
+  if t.shared then
+    Obs.Trace.with_span ~name:"translate.unshare" (fun () ->
+        let t0 = Obs.Clock.now () in
+        t.builder <- C.copy_builder t.builder;
+        t.tseitin <- Sat.Tseitin.copy t.tseitin t.sat;
+        t.store <- Hc.copy_store t.store;
+        t.primaries <- Hashtbl.copy t.primaries;
+        t.rel_matrices <- Rel_tbl.copy t.rel_matrices;
+        t.e_memo <- Memo.copy t.e_memo;
+        t.f_memo <- Memo.copy t.f_memo;
+        t.e_nodes <- Id_tbl.copy t.e_nodes;
+        t.f_nodes <- Id_tbl.copy t.f_nodes;
+        t.shared <- false;
+        t.translate_s <- t.translate_s +. Obs.Clock.since t0)
+
+let store t =
+  unshare t;
+  t.store
 
 let matrix_of_rel t r =
   match Rel_tbl.find_opt t.rel_matrices r with
@@ -425,6 +467,7 @@ and quantify t env decls body ~universal =
    cleared); (c) the universe size for Univ/Iden/(R)Closure nodes —
    invalidated via the precomputed [e_univ]/[f_univ] flag. *)
 let rebind t bnds' =
+  unshare t;
   let old = t.bnds in
   if not (Bounds.universe_compatible old bnds') then begin
     (* Unrelated universes: atom indices changed meaning; nothing
@@ -504,6 +547,7 @@ let lower t f =
           formula t Ident.Map.empty hf))
 
 let assert_formula t f =
+  unshare t;
   Obs.Metrics.incr m_formulas;
   Obs.Trace.with_span ~name:"translate.formula" (fun () ->
       timed t (fun () ->
@@ -512,6 +556,7 @@ let assert_formula t f =
               Sat.Tseitin.assert_true t.tseitin node)))
 
 let formula_lit t f =
+  unshare t;
   Obs.Metrics.incr m_formulas;
   Obs.Trace.with_span ~name:"translate.formula" (fun () ->
       timed t (fun () ->
@@ -522,6 +567,7 @@ let formula_lit t f =
 let primary_var t r tuple = Hashtbl.find_opt t.primaries (r, tuple)
 
 let materialize t r =
+  unshare t;
   Obs.Metrics.incr m_relations;
   Obs.Trace.with_span ~name:"translate.materialize"
     ~args:(fun () -> [ ("relation", Obs.Json.String (Ident.name r)) ])

@@ -31,6 +31,21 @@ val solver : t -> Sat.Solver.t
 val bounds : t -> Bounds.t
 val store : t -> Hc.store
 
+val clone : bounds:Bounds.t -> t -> t
+(** [clone ~bounds t]: a context over {!Sat.Solver.clone} of [t]'s
+    solver that starts out as exactly the translation [t] holds, read
+    through [bounds] in place of [t]'s own. [bounds] must bind the
+    same relations to the same index tuples over a universe of the
+    same size, and every atom a translated formula names must keep its
+    index: then only atom names differ, and nothing index-keyed does.
+    The clone shares [t]'s tables (builder, Tseitin cache, store,
+    primaries, matrices, memos) until its first {!assert_formula},
+    {!formula_lit}, {!materialize}, {!rebind} or {!store}, which
+    copies them; the copy's wall counts in the clone's
+    [translate_time]. [t] is only read, so several domains may clone
+    it at once — provided nothing ever writes to [t] again. Counters
+    and translation time start at zero. *)
+
 exception Unsupported of string
 (** Raised on ill-formed input: unbound relation names, arity abuse,
     unbound variables, or atoms outside the universe. *)

@@ -11,10 +11,53 @@ type kind =
   | Jsonl
   | Admin
 
+(* ------------------------------------------------------------------ *)
+(* Framing                                                             *)
+
+let max_frame_bytes = 64 * 1024 * 1024
+let max_request_line_bytes = 8 * 1024
+
+(* The unterminated tail of the stream: its chunks newest first, so a
+   read appends in O(1) and a line is assembled once, when its newline
+   arrives. *)
+type partial = {
+  parts : string list;
+  len : int;
+}
+
+let empty = { parts = []; len = 0 }
+
+(* Split [chunk] into the lines it completes. Only the new bytes are
+   scanned for a newline, and each byte is copied once more, into its
+   line: framing a stream is linear in its length. Lines completed
+   before an oversized one are still returned. *)
+let frames ~limit pending chunk =
+  let n = String.length chunk in
+  let rec go acc pending start =
+    match String.index_from_opt chunk start '\n' with
+    | None ->
+      let len = pending.len + (n - start) in
+      if len > limit then (List.rev acc, Error len)
+      else
+        ( List.rev acc,
+          Ok
+            (if start = n then pending
+             else { parts = String.sub chunk start (n - start) :: pending.parts; len }) )
+    | Some i ->
+      let len = pending.len + (i - start) in
+      if len > limit then (List.rev acc, Error len)
+      else
+        let line =
+          String.concat "" (List.rev (String.sub chunk start (i - start) :: pending.parts))
+        in
+        go (line :: acc) empty (i + 1)
+  in
+  go [] pending 0
+
 type conn = {
   fd : Unix.file_descr;
   kind : kind;
-  buf : Buffer.t;  (** bytes read, not yet framed into lines *)
+  mutable pending : partial;  (** bytes read, not yet framed into lines *)
   wmu : Mutex.t;  (** serializes reply writes from pool workers *)
   proto_errors : int ref;  (** malformed frames on this connection *)
   mutable alive : bool;
@@ -72,20 +115,29 @@ let feed ~engine ~proto_errors ~send line =
       Engine.submit engine req (fun resp ->
           send (P.response_to_string ~verb resp))
 
-let handle_line ~engine conn line =
-  feed ~engine ~proto_errors:conn.proto_errors ~send:(send conn) line
-
-(* Split off every complete line in the connection buffer. *)
-let drain_lines ~engine conn =
-  let data = Buffer.contents conn.buf in
-  match String.rindex_opt data '\n' with
-  | None -> ()
-  | Some last ->
-    Buffer.clear conn.buf;
-    Buffer.add_string conn.buf
-      (String.sub data (last + 1) (String.length data - last - 1));
-    String.sub data 0 last |> String.split_on_char '\n'
-    |> List.iter (handle_line ~engine conn)
+(* A frame over [limit] ends the connection: one error reply naming
+   the limit, counted like any malformed frame. [None] means close. *)
+let receive ?(limit = max_frame_bytes) ~engine ~proto_errors ~send pending chunk =
+  let lines, rest = frames ~limit pending chunk in
+  List.iter (feed ~engine ~proto_errors ~send) lines;
+  match rest with
+  | Ok pending -> Some pending
+  | Error len ->
+    Obs.Metrics.incr m_errors;
+    Obs.Metrics.incr m_proto;
+    incr proto_errors;
+    send
+      (P.response_to_string ~verb:"error"
+         {
+           P.s_id = -1;
+           s_result =
+             Error
+               (Printf.sprintf
+                  "frame of at least %d bytes exceeds the %d-byte limit; closing \
+                   (protocol error %d on this connection)"
+                  len limit !proto_errors);
+         });
+    None
 
 (* ------------------------------------------------------------------ *)
 (* Admin plane: minimal HTTP/1.0, GET only, one response then close.  *)
@@ -125,19 +177,29 @@ let admin_response ~engine request_line =
       "malformed request line\n"
 
 (* An admin connection is done as soon as we have the request line;
-   HTTP/1.0 clients send headers after it but we never need them. *)
-let admin_step ~engine conn =
-  let data = Buffer.contents conn.buf in
-  match String.index_opt data '\n' with
-  | None -> ()
-  | Some eol ->
-    let line = String.sub data 0 eol in
-    Mutex.lock conn.wmu;
-    (try if conn.alive then write_all conn.fd (admin_response ~engine line)
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    conn.alive <- false;
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    Mutex.unlock conn.wmu
+   HTTP/1.0 clients send headers after it but we never need them. A
+   request line over [max_request_line_bytes] gets a 400. *)
+let admin_step ~engine conn chunk =
+  let reply =
+    match frames ~limit:max_request_line_bytes conn.pending chunk with
+    | line :: _, _ -> Some (admin_response ~engine line)
+    | [], Ok pending ->
+      conn.pending <- pending;
+      None
+    | [], Error _ ->
+      Some
+        (http_response ~status:"400 Bad Request" ~content_type:"text/plain"
+           (Printf.sprintf "request line exceeds %d bytes\n" max_request_line_bytes))
+  in
+  Option.iter
+    (fun reply ->
+      Mutex.lock conn.wmu;
+      (try if conn.alive then write_all conn.fd reply
+       with Unix.Unix_error _ | Sys_error _ -> ());
+      conn.alive <- false;
+      (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+      Mutex.unlock conn.wmu)
+    reply
 
 (* ------------------------------------------------------------------ *)
 
@@ -177,7 +239,7 @@ let serve ?(ready = fun () -> ()) ?admin ~engine addr =
           {
             fd = client;
             kind;
-            buf = Buffer.create 4096;
+            pending = empty;
             wmu = Mutex.create ();
             proto_errors = ref 0;
             alive = true;
@@ -215,10 +277,16 @@ let serve ?(ready = fun () -> ()) ?admin ~engine addr =
               match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
               | 0 -> close_conn conn
               | n -> (
-                Buffer.add_subbytes conn.buf chunk 0 n;
+                let data = Bytes.sub_string chunk 0 n in
                 match conn.kind with
-                | Jsonl -> drain_lines ~engine conn
-                | Admin -> admin_step ~engine conn)
+                | Jsonl -> (
+                  match
+                    receive ~engine ~proto_errors:conn.proto_errors ~send:(send conn)
+                      conn.pending data
+                  with
+                  | Some pending -> conn.pending <- pending
+                  | None -> close_conn conn)
+                | Admin -> admin_step ~engine conn data)
               | exception Unix.Unix_error _ -> close_conn conn))
         readable;
       loop ()

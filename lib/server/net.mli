@@ -11,7 +11,10 @@
     [{"id":<recovered id or -1>,"ok":false,"error":...}] — the
     connection stays up, the [server.protocol_errors] counter is
     bumped, and the error message carries this connection's running
-    tally of malformed frames.
+    tally of malformed frames. A frame longer than {!max_frame_bytes}
+    (a client that never sends a newline) is counted the same way and
+    answered with one error naming the limit, then the connection is
+    closed.
 
     The admin plane ([?admin] port, loopback only) speaks minimal
     HTTP/1.0, GET only, one request per connection:
@@ -19,6 +22,9 @@
       text exposition format ([text/plain; version=0.0.4]);
     - [GET /healthz] — [200 ok] while the loop is serving;
     - [GET /sessions] — {!Engine.sessions_json} as JSON.
+
+    A request line longer than {!max_request_line_bytes} gets [400]
+    and the connection is closed.
 
     Replies are written by whichever pool worker finished the request,
     serialized per connection with a write lock; the accept/read loop
@@ -43,6 +49,39 @@ val serve :
     per-connection I/O errors just drop that connection. *)
 
 (** {2 Exposed for tests} *)
+
+val max_frame_bytes : int
+(** 64 MiB: the longest JSONL frame, newline excluded. *)
+
+val max_request_line_bytes : int
+(** 8 KiB: the longest admin-plane request line. *)
+
+type partial
+(** The bytes of a stream after its last newline. *)
+
+val empty : partial
+
+val frames : limit:int -> partial -> string -> string list * (partial, int) result
+(** [frames ~limit pending chunk]: the lines (newline dropped) that
+    [chunk] completes, in order, and then the new unterminated tail —
+    or [Error n] when the next line, complete or not, already holds
+    [n > limit] bytes (the lines before it are still returned). Only
+    [chunk] is scanned, and each byte is copied into its line once,
+    so framing is linear in the stream. *)
+
+val receive :
+  ?limit:int ->
+  engine:Engine.t ->
+  proto_errors:int ref ->
+  send:(string -> unit) ->
+  partial ->
+  string ->
+  partial option
+(** One read of a JSONL connection: {!frames} ([limit] defaults to
+    {!max_frame_bytes}), then {!feed} of every completed line.
+    [Some tail] keeps the connection; [None] after an oversized frame,
+    which is counted as a protocol error and answered with one error
+    naming the limit — the caller then closes the connection. *)
 
 val feed :
   engine:Engine.t ->

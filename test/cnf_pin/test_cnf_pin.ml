@@ -275,6 +275,16 @@ let clone_directions () =
   let c = Sat.Solver.clone solver in
   search_of c (solve_directions c states guards)
 
+(* (f) A clone of (b)'s check solver taken before any solve, re-solving
+   (b). A session that clones a never-solved template searches like one
+   that translated for itself only because of this: the clone must give
+   (b)'s exact counters and answers. *)
+let clone_before_solve () =
+  let enc, states, finder, guards = check_finder () in
+  let c = Sat.Solver.clone (Relog.Finder.solver finder) in
+  let states = List.map (fun m -> check_pins enc m finder) states in
+  search_of c (solve_directions c states guards)
+
 (* (c) Pigeonhole 8 -> 7: thousands of conflicts and several learnt
    database reductions. *)
 let pigeonhole () =
@@ -334,6 +344,9 @@ let () =
           search_case "clone of the check solver, re-solving" clone_directions
             { decisions = 5654; propagations = 28969; conflicts = 8; restarts = 0; reduces = 0;
               learnt = 14; answers = "3e2ecfee84a1f9ac10027e00fe2403d6" };
+          search_case "clone of the check solver before any solve" clone_before_solve
+            { decisions = 5494; propagations = 29428; conflicts = 6; restarts = 0; reduces = 0;
+              learnt = 6; answers = "3e2ecfee84a1f9ac10027e00fe2403d6" };
           search_case "clone of the E8 solver after enumeration" clone_e8
             { decisions = 312; propagations = 19804; conflicts = 95; restarts = 0; reduces = 0;
               learnt = 159; answers = "92b09651dca25b96bb655d6cb072d954" };

@@ -5,7 +5,8 @@
    exactly what a from-scratch run (Qvtr.Check / Echo.Engine over the
    current models, with the universe aligned via value_universe and
    slack_budget) computes. On top of that: blame sets, the
-   translation cache (rebuild triggers and cache hits), commit
+   translation cache (rebuild triggers and cache hits), translation
+   templates (shared only between equal translations), commit
    round-trips, and the warm path's strict cost advantage over
    from-scratch — experiment E9's property (EXPERIMENTS.md), checked
    here on E9's own replay. *)
@@ -32,9 +33,9 @@ let jobs =
 let metamodels = F.metamodels
 let trans = F.transformation ~k:2
 
-let open_exn ?slack_budget ?headroom ~cfs ~fm targets =
+let open_exn ?mode ?slack_budget ?headroom ~cfs ~fm targets =
   match
-    S.open_session ?slack_budget ?headroom ~transformation:trans ~metamodels
+    S.open_session ?mode ?slack_budget ?headroom ~transformation:trans ~metamodels
       ~models:(F.bind ~cfs ~fm) ~targets:(Echo.Target.of_list targets) ()
   with
   | Ok s -> s
@@ -66,10 +67,10 @@ let edit_to sess ~cfs ~fm =
 (* ------------------------------------------------------------------ *)
 (* Equivalence helpers                                                 *)
 
-let check_agrees ~ctx sess =
+let check_agrees ?mode ?(spec = trans) ~ctx sess =
   let rep = recheck_exn sess in
   let scratch =
-    Qvtr.Check.run_exn trans ~metamodels ~models:(S.models sess)
+    Qvtr.Check.run_exn ?mode spec ~metamodels ~models:(S.models sess)
   in
   Alcotest.(check bool)
     (ctx ^ ": consistency agrees with Check.run")
@@ -425,6 +426,257 @@ let test_translation_cache_hit () =
     > deltas0)
 
 (* ------------------------------------------------------------------ *)
+(* Translation templates                                               *)
+
+let template_hits () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "incr.template_hits")
+
+let template_misses () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "incr.template_misses")
+
+(* [f ()]'s change of the template hit and miss counters. *)
+let template_delta f =
+  let h0 = template_hits () and m0 = template_misses () in
+  let x = f () in
+  (x, template_hits () - h0, template_misses () - m0)
+
+(* A configuration whose features carry the given object ids. *)
+let configuration_with_ids ~name features =
+  List.fold_left
+    (fun m (id, n) ->
+      let m = Model.add_object_with_id m ~id ~cls:feature in
+      Model.set_attr1 m id name_attr (Mdl.Value.Str n))
+    (Model.empty ~name F.cf_metamodel)
+    features
+
+(* A spec whose formula names the atom of the literal "X". *)
+let literal_spec =
+  Qvtr.Parser.parse_exn
+    {|transformation Literal(cf1 : CF, fm : FM) {
+  top relation CoreX {
+    domain cf1 s : Feature { name = "X" };
+    domain fm f : Feature { name = "X", mandatory = true };
+    dependencies { cf1 -> fm; }
+  }
+}|}
+
+let open_literal ~cf1 ~fm =
+  match
+    S.open_session ~transformation:literal_spec ~metamodels
+      ~models:
+        [
+          (Ident.make "cf1", F.configuration ~name:"cf1" cf1);
+          (Ident.make "fm", F.feature_model ~name:"fm" fm);
+        ]
+      ~targets:(Echo.Target.of_list [ "cf1" ])
+      ()
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* [second] opened after [first] has its check stage must translate
+   afresh: one miss, no hit, and verdicts that agree with Check.run. *)
+let must_miss ?mode ctx ~first ~second =
+  ignore (recheck_exn (first ()));
+  let rep, hits, misses =
+    template_delta (fun () -> check_agrees ?mode ~ctx (second ()))
+  in
+  Alcotest.(check (pair int int)) (ctx ^ ": no hit, one miss") (0, 1) (hits, misses);
+  rep
+
+let test_templates () =
+  (* (a) Hit: the same shape under other object ids clones the first
+     session's template, and still answers with its own atoms. *)
+  let fm = F.feature_model ~name:"fm" [ ("A", false); ("B", true) ] in
+  let cf2 = F.configuration ~name:"cf2" [ "B" ] in
+  let open_ids cf1 =
+    match
+      S.open_session ~transformation:trans ~metamodels
+        ~models:(F.bind ~cfs:[ cf1; cf2 ] ~fm)
+        ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ])
+        ()
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  ignore (recheck_exn (open_ids (F.configuration ~name:"cf1" [ "A"; "C" ])));
+  let sess = open_ids (configuration_with_ids ~name:"cf1" [ (4, "A"); (7, "C") ]) in
+  let rep, hits, misses = template_delta (fun () -> check_agrees ~ctx:"hit" sess) in
+  Alcotest.(check (pair int int)) "hit: one hit, no miss" (1, 0) (hits, misses);
+  Alcotest.(check bool) "hit: a clone still counts as translation" true
+    rep.S.check_stats.S.translated;
+  Alcotest.(check bool) "hit: state is inconsistent" false rep.S.consistent;
+  let cf1_atoms =
+    List.concat_map
+      (fun (v : S.verdict) ->
+        List.concat_map
+          (fun (f : S.fact) ->
+            List.filter_map
+              (fun a ->
+                let a = Ident.name a in
+                let object_atom =
+                  String.length a > 4
+                  && String.sub a 0 4 = "cf1#"
+                  && a.[4] >= '0' && a.[4] <= '9'
+                in
+                if object_atom then Some a else None)
+              (Array.to_list f.S.f_atoms))
+          v.S.v_blame)
+      (recheck_exn ~blame:true sess).S.verdicts
+  in
+  Alcotest.(check bool) "hit: blame names cf1's objects" true (cf1_atoms <> []);
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Printf.sprintf "hit: blame atom %s is the session's own" a)
+        true
+        (a = "cf1#4" || a = "cf1#7"))
+    cf1_atoms;
+  ignore (repair_agrees ~ctx:"hit" sess);
+  (* the clone reads the session's own universe, so a re-encode stays
+     a delta retranslation *)
+  let deltas () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "relog.delta_retranslations")
+  in
+  let d0 = deltas () in
+  (match
+     S.apply_edits sess
+       [
+         ( Ident.make "cf1",
+           [
+             Edit.Set_attr
+               {
+                 id = 4;
+                 attr = name_attr;
+                 before = [ Mdl.Value.Str "A" ];
+                 after = [ Mdl.Value.Str "Q" ];
+               };
+           ] );
+       ]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  ignore (check_agrees ~ctx:"hit, new value" sess);
+  Alcotest.(check int) "hit: the new value re-encoded" 1 (S.rebuilds sess);
+  Alcotest.(check bool) "hit: the re-encode is a delta retranslation" true (deltas () > d0);
+  (* (b) Must miss: equal bounds under other formulas, another
+     headroom, another object count, a named atom at another index. *)
+  let cfs, fm = state ~cf1:[ "T1"; "T2" ] ~cf2:[ "T1" ] ~fm:[ ("T1", true); ("T2", false) ] in
+  ignore
+    (must_miss ~mode:Qvtr.Semantics.Standard "Standard after Extended"
+       ~first:(fun () -> open_exn ~cfs ~fm [ "cf1"; "cf2" ])
+       ~second:(fun () -> open_exn ~mode:Qvtr.Semantics.Standard ~cfs ~fm [ "cf1"; "cf2" ]));
+  ignore
+    (must_miss "headroom 9 after 6"
+       ~first:(fun () -> open_exn ~cfs ~fm [ "cf1"; "cf2" ])
+       ~second:(fun () -> open_exn ~headroom:9 ~cfs ~fm [ "cf1"; "cf2" ]));
+  let fm3 = [ ("T1", true); ("T2", false); ("T3", false) ] in
+  ignore
+    (must_miss "object counts swapped"
+       ~first:(fun () ->
+         let cfs, fm = state ~cf1:[ "T1"; "T2"; "T3" ] ~cf2:[ "T1"; "T2" ] ~fm:fm3 in
+         open_exn ~cfs ~fm [ "cf1"; "cf2" ])
+       ~second:(fun () ->
+         let cfs, fm = state ~cf1:[ "T1"; "T2" ] ~cf2:[ "T1"; "T2"; "T3" ] ~fm:fm3 in
+         open_exn ~cfs ~fm [ "cf1"; "cf2" ]));
+  (* "X" is the third string atom of the first universe and the first
+     of the second; both hold three strings, so the bounds are equal. *)
+  ignore (recheck_exn (open_literal ~cf1:[ "A"; "B" ] ~fm:[ ("A", false); ("B", true) ]));
+  let lit = open_literal ~cf1:[ "X"; "Y" ] ~fm:[ ("X", false); ("Z", true) ] in
+  let rep, hits, misses =
+    template_delta (fun () -> check_agrees ~spec:literal_spec ~ctx:"literal" lit)
+  in
+  Alcotest.(check (pair int int)) "literal at another index: no hit, one miss" (0, 1)
+    (hits, misses);
+  Alcotest.(check bool) "literal: X is selected but optional" false rep.S.consistent;
+  (* (c) Bound: 33 shapes keep 32 templates, and the least recently
+     used one is gone. *)
+  let cfs, fm = state ~cf1:[ "Lru" ] ~cf2:[ "Lru" ] ~fm:[ ("Lru", true) ] in
+  let lru_shape headroom () = recheck_exn (open_exn ~headroom ~cfs ~fm [ "cf1"; "cf2" ]) in
+  for h = 0 to 32 do
+    ignore (lru_shape h ())
+  done;
+  Alcotest.(check (float 0.)) "33 shapes keep 32 templates" 32.
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge "incr.templates"));
+  let _, hits, misses = template_delta (lru_shape 32) in
+  Alcotest.(check (pair int int)) "the most recent shape hits" (1, 0) (hits, misses);
+  let _, hits, misses = template_delta (lru_shape 0) in
+  Alcotest.(check (pair int int)) "the least recent shape misses again" (0, 1) (hits, misses);
+  (* (d) Race: sessions of one new shape opened and rechecked at once
+     on two workers, racing the first insertion and each other's
+     solves. *)
+  let models =
+    [
+      F.feature_model ~name:"fm" [ ("R1", true); ("R2", false); ("R3", true) ];
+      F.configuration ~name:"cf1" [ "R1"; "R2" ];
+      F.configuration ~name:"cf2" [ "R1"; "R3" ];
+    ]
+  in
+  let expected =
+    Qvtr.Check.run_exn trans ~metamodels
+      ~models:(List.map (fun m -> (Model.name m, m)) models)
+  in
+  let spec =
+    {
+      Server.Protocol.o_transformation = F.source ~k:2;
+      o_metamodels =
+        Mdl.Serialize.metamodel_to_string F.fm_metamodel
+        ^ "\n"
+        ^ Mdl.Serialize.metamodel_to_string F.cf_metamodel;
+      o_models = String.concat "\n" (List.map Mdl.Serialize.model_to_string models);
+      o_targets = [ "cf1"; "cf2" ];
+      o_standard = false;
+      o_slack = 2;
+      o_headroom = 6;
+    }
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mdqvtr-test-templates-%d" (Unix.getpid ()))
+  in
+  let eng = Server.Engine.create ~jobs:2 ~max_live:8 ~snapshot_dir:dir () in
+  let mu = Mutex.create () in
+  let replies = ref [] in
+  let sessions = List.init 8 (Printf.sprintf "race%d") in
+  let _, _, misses =
+    template_delta (fun () ->
+        List.iteri
+          (fun i s ->
+            List.iteri
+              (fun j req ->
+                Server.Engine.submit eng
+                  { Server.Protocol.q_id = (10 * i) + j; q_session = s; q_req = req }
+                  (fun resp ->
+                    Mutex.lock mu;
+                    replies := (s, resp) :: !replies;
+                    Mutex.unlock mu))
+              [
+                Server.Protocol.Open spec;
+                Server.Protocol.Recheck { blame = true };
+                Server.Protocol.Recheck { blame = true };
+              ])
+          sessions;
+        Server.Engine.drain eng)
+  in
+  Server.Engine.shutdown eng;
+  Alcotest.(check bool) "race: at least one miss" true (misses >= 1);
+  Alcotest.(check int) "race: every frame answered" 24 (List.length !replies);
+  List.iter
+    (fun (s, (resp : Server.Protocol.resp)) ->
+      match resp.Server.Protocol.s_result with
+      | Error e -> Alcotest.failf "race: %s: %s" s e
+      | Ok (Server.Protocol.Opened _) -> ()
+      | Ok (Server.Protocol.Checked { consistent; verdicts; _ }) ->
+        Alcotest.(check bool) (s ^ ": consistency") expected.Qvtr.Check.consistent consistent;
+        Alcotest.(check (list bool))
+          (s ^ ": verdicts")
+          (List.map (fun (v : Qvtr.Check.verdict) -> v.Qvtr.Check.v_holds)
+             expected.Qvtr.Check.verdicts)
+          (List.map (fun (v : Server.Protocol.verdict) -> v.Server.Protocol.w_holds) verdicts)
+      | Ok _ -> Alcotest.failf "race: %s: unexpected payload" s)
+    !replies
+
+(* ------------------------------------------------------------------ *)
 (* Warm vs from-scratch cost (the E9 property)                         *)
 
 let fm_block features =
@@ -642,6 +894,8 @@ let suite =
       test_scenarios_repair_equivalence;
     Alcotest.test_case "translation cache revives generations" `Quick
       test_translation_cache_hit;
+    Alcotest.test_case "translation templates share only equal translations" `Quick
+      test_templates;
     Alcotest.test_case "warm recheck beats from-scratch (E9)" `Quick
       test_warm_beats_scratch;
     Alcotest.test_case "replay script parsing" `Quick test_replay_parse_errors;

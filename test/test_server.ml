@@ -933,6 +933,73 @@ let test_net_feed_protocol_errors () =
     check_contains "the valid stats frame is answered" ~sub:"\"ok\":true" r3
   | _ -> Alcotest.fail "expected exactly three replies")
 
+(* Framing without a socket: chunk boundaries anywhere, several frames
+   per chunk, a linear cost, and a cap that closes the connection. *)
+let test_net_framing () =
+  let module N = Server.Net in
+  let frames ~limit pending chunk =
+    match N.frames ~limit pending chunk with
+    | lines, Ok pending -> (lines, pending)
+    | _, Error n -> Alcotest.failf "unexpected oversized frame (%d bytes)" n
+  in
+  let feed_all ~limit chunks =
+    List.fold_left
+      (fun (pending, acc) chunk ->
+        let lines, pending = frames ~limit pending chunk in
+        (pending, acc @ lines))
+      (N.empty, []) chunks
+  in
+  let frame = {|{"id":7,"session":"","verb":"stats"}|} in
+  let _, lines =
+    feed_all ~limit:64
+      (List.init (String.length frame + 1) (fun i ->
+           if i < String.length frame then String.make 1 frame.[i] else "\n"))
+  in
+  Alcotest.(check (list string)) "a frame fed a byte at a time" [ frame ] lines;
+  let lines, pending = frames ~limit:64 N.empty "a\nbb\n\nccc\ndd" in
+  Alcotest.(check (list string)) "several frames in one chunk" [ "a"; "bb"; ""; "ccc" ] lines;
+  let lines, _ = frames ~limit:64 pending "d\n" in
+  Alcotest.(check (list string)) "the tail joins the next chunk" [ "ddd" ] lines;
+  let _, lines = feed_all ~limit:4 [ "ab"; "cd\n" ] in
+  Alcotest.(check (list string)) "a frame at the limit passes" [ "abcd" ] lines;
+  let oversized = function [], Error n -> n | _ -> 0 in
+  Alcotest.(check int) "a complete frame over the limit" 5
+    (oversized (N.frames ~limit:4 N.empty "abcde\n"));
+  let _, pending = frames ~limit:4 N.empty "abc" in
+  Alcotest.(check int) "an unterminated frame over the limit" 5
+    (oversized (N.frames ~limit:4 pending "de"));
+  (* 4 MiB in 64 KiB reads: each byte is copied a bounded number of
+     times (re-copying the pending tail per read would be ~128 MiB) *)
+  let chunk = String.make 65536 'x' in
+  let a0 = Gc.allocated_bytes () in
+  let _, lines = feed_all ~limit:N.max_frame_bytes (List.init 64 (fun _ -> chunk) @ [ "\n" ]) in
+  let allocated = Gc.allocated_bytes () -. a0 in
+  Alcotest.(check (list int)) "one 4 MiB frame" [ 64 * 65536 ] (List.map String.length lines);
+  if allocated > 4. *. float_of_int (64 * 65536) then
+    Alcotest.failf "framing 4 MiB allocated %.0f bytes" allocated;
+  (* an oversized frame: one error naming the limit, counted, close *)
+  let proto0 = Obs.Metrics.counter_value (Obs.Metrics.counter "server.protocol_errors") in
+  let eng = E.create ~jobs:1 ~max_live:4 ~snapshot_dir:(tmpdir "framing") () in
+  let replies = ref [] in
+  let proto_errors = ref 0 in
+  let kept =
+    N.receive ~limit:64 ~engine:eng ~proto_errors
+      ~send:(fun l -> replies := l :: !replies)
+      N.empty
+      (frame ^ "\n" ^ String.make 100 'x')
+  in
+  E.drain eng;
+  E.shutdown eng;
+  Alcotest.(check bool) "an oversized frame closes the connection" true (kept = None);
+  Alcotest.(check int) "counted on the connection" 1 !proto_errors;
+  Alcotest.(check int) "counted in server.protocol_errors" 1
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "server.protocol_errors") - proto0);
+  match List.rev !replies with
+  | [ stats; error ] ->
+    check_contains "the frame before it is answered" ~sub:"\"ok\":true" stats;
+    check_contains "one error naming the limit" ~sub:"64-byte limit" error
+  | rs -> Alcotest.failf "expected two replies, got %d" (List.length rs)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot save failures                                              *)
 
@@ -1043,6 +1110,7 @@ let suite =
       test_sessions_json;
     Alcotest.test_case "net feed counts protocol errors" `Quick
       test_net_feed_protocol_errors;
+    Alcotest.test_case "net framing is linear and bounded" `Quick test_net_framing;
     Alcotest.test_case "failed snapshot saves clean up" `Quick
       test_snapshot_save_failures_clean_up;
     Alcotest.test_case "failed eviction saves are counted" `Quick
