@@ -8,9 +8,6 @@
    <seconds>` line, timed after a Gc.compact so that it does not pay
    for a heap an earlier experiment grew.
 
-   `--jobs N` sets the parallelism of the enforcement runs in E6, E7
-   and E8 (default 1); the other experiments ignore it.
-
    The paper (an EDBT'14 workshop paper) has one figure (Figure 1, the
    CF/FM metamodels) and no measurement tables; its "evaluation" is a
    set of semantic claims. Each claim is reified here as a numbered
@@ -194,7 +191,7 @@ let shapes =
     ("CF1 -> FMxCF", [ "fm"; "cf2" ]);
   ]
 
-let e6 ~jobs =
+let e6 () =
   section "E6" "enforcement shapes: who can restore consistency (3)";
   let trans = F.transformation ~k:2 in
   Format.printf "  %-26s" "scenario";
@@ -207,7 +204,7 @@ let e6 ~jobs =
         (fun (_, targets) ->
           let cell =
             match
-              Echo.Engine.enforce ~jobs trans ~metamodels:F.metamodels
+              Echo.Engine.enforce trans ~metamodels:F.metamodels
                 ~models:(F.bind ~cfs:s.S.cfs ~fm:s.S.fm)
                 ~targets:(Echo.Target.of_list targets)
             with
@@ -242,7 +239,7 @@ let e6 ~jobs =
 (* ------------------------------------------------------------------ *)
 (* E7: §3 — least change, backend agreement                            *)
 
-let e7 ~jobs =
+let e7 () =
   section "E7" "least-change optimality and backend agreement (3)";
   let trans = F.transformation ~k:2 in
   let rng = G.rng 42 in
@@ -259,7 +256,7 @@ let e7 ~jobs =
         incr cases;
         let run backend =
           match
-            Echo.Engine.enforce ~backend ~jobs trans ~metamodels:F.metamodels
+            Echo.Engine.enforce ~backend trans ~metamodels:F.metamodels
               ~models:(F.bind ~cfs ~fm)
               ~targets:(Echo.Target.of_list [ "cf1"; "cf2"; "fm" ])
           with
@@ -290,11 +287,8 @@ let e7 ~jobs =
   done;
   Format.printf "  backends agree on the optimum: %d/%d cases@." !agreements !cases;
   (* A deep repair: m new mandatory features force a distance-4m
-     optimum. This is the regime the speculative distance ladder
-     targets — one high-level UNSAT retires [jobs] levels at once —
-     so the iterative column shrinks as jobs grows while the
-     (inherently sequential) MaxSAT descent is the jobs-invariant
-     reference it must still agree with. *)
+     optimum, so the ladder climbs 4m + 1 rungs while the MaxSAT
+     descent takes a few weighted steps; both must agree. *)
   let deep_m = 3 in
   let pool = G.feature_names 4 in
   let cfs = [ F.configuration ~name:"cf1" pool; F.configuration ~name:"cf2" pool ] in
@@ -306,7 +300,7 @@ let e7 ~jobs =
   let run backend =
     let r, dt =
       time_it (fun () ->
-          Echo.Engine.enforce ~backend ~jobs ~slack_objects:deep_m trans
+          Echo.Engine.enforce ~backend ~slack_objects:deep_m trans
             ~metamodels:F.metamodels ~models:(F.bind ~cfs ~fm)
             ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ]))
     in
@@ -329,7 +323,7 @@ let e7 ~jobs =
 (* ------------------------------------------------------------------ *)
 (* E8: scaling                                                         *)
 
-let e8 ~jobs =
+let e8 () =
   section "E8" "scaling: checkonly and enforcement wall time";
   let trans = F.transformation ~k:2 in
   Format.printf "  checkonly (direct evaluation), k = 2:@.";
@@ -371,7 +365,7 @@ let e8 ~jobs =
       let run backend =
         let _, dt =
           time_it (fun () ->
-              Echo.Engine.enforce ~backend ~jobs trans ~metamodels:F.metamodels
+              Echo.Engine.enforce ~backend trans ~metamodels:F.metamodels
                 ~models:(F.bind ~cfs ~fm)
                 ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ]))
         in
@@ -380,14 +374,9 @@ let e8 ~jobs =
       Format.printf "  %10d | %12.1f | %12.1f@." n (run Echo.Engine.Iterative)
         (run Echo.Engine.Maxsat))
     [ 2; 4; 6; 8 ];
-  (* Deep repairs (distance 4m): the speculative ladder's home turf.
-     With jobs levels probed per window, one high UNSAT replaces a run
-     of cheap low-level UNSATs, and solver-call count drops from
-     d* + 1 towards d*/jobs — the per-jobs walls of this table are
-     the speedup the BENCH records track. *)
+  (* Deep repairs (distance 4m): the ladder takes d* + 1 solver calls. *)
   Format.printf
-    "  deep repair (m new mandatory features, 4-feature pool, iterative, jobs=%d):@."
-    jobs;
+    "  deep repair (m new mandatory features, 4-feature pool, iterative):@.";
   Format.printf "  %10s | %10s | %10s | %12s@." "m" "distance" "solves" "iter (ms)";
   List.iter
     (fun m ->
@@ -402,7 +391,7 @@ let e8 ~jobs =
       in
       let r, dt =
         time_it (fun () ->
-            Echo.Engine.enforce ~jobs ~slack_objects:(max 2 m) trans
+            Echo.Engine.enforce ~slack_objects:(max 2 m) trans
               ~metamodels:F.metamodels ~models:(F.bind ~cfs ~fm)
               ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ]))
       in
@@ -715,31 +704,19 @@ let bechamel_suite () =
 
 let () =
   let experiments =
-    [ ("e1", fun ~jobs:_ -> e1 ());
-      ("e2", fun ~jobs:_ -> e2 ());
-      ("e3", fun ~jobs:_ -> e3 ());
-      ("e4", fun ~jobs:_ -> e4 ());
-      ("e5", fun ~jobs:_ -> e5 ());
-      ("e6", e6);
-      ("e7", e7);
-      ("e8", e8) ]
+    [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
+      ("e7", e7); ("e8", e8) ]
   in
   let usage () =
-    Format.eprintf "usage: main.exe [e1..e8 ...|bench] [--jobs N]@.";
+    Format.eprintf "usage: main.exe [e1..e8 ...|bench]@.";
     exit 2
   in
-  let rec parse jobs ids = function
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 -> parse j ids rest
-      | _ -> usage ())
-    | id :: rest -> parse jobs (String.lowercase_ascii id :: ids) rest
-    | [] -> (jobs, List.rev ids)
+  let ids =
+    List.map String.lowercase_ascii (List.tl (Array.to_list Sys.argv))
   in
-  let jobs, ids = parse 1 [] (List.tl (Array.to_list Sys.argv)) in
   let run (id, f) =
     Gc.compact ();
-    let (), wall = time_it (fun () -> f ~jobs) in
+    let (), wall = time_it f in
     Format.printf "wall %s %.6f@." id wall
   in
   match ids with

@@ -93,18 +93,14 @@ let pp_stats_block stats r =
     pp_metrics stats
   end
 
-(* --jobs 0/auto resolves at dispatch time; library defaults stay
-   serial (jobs = 1) so embedders opt into parallelism explicitly. *)
-let resolve_jobs n = if n <= 0 then Parallel.Pool.default_jobs () else n
-
-let run_enforce_all trans_file mm_file models_file targets standard slack jobs
-    sbp stats =
+let run_enforce_all trans_file mm_file models_file targets standard slack sbp
+    stats =
   match
     let* trans, metamodels, models =
       load_inputs ~trans_file ~mm_file ~models_file
     in
     Echo.Engine.enforce_all ~mode:(mode_of_standard standard)
-      ~slack_objects:slack ~jobs ~sbp trans ~metamodels ~models
+      ~slack_objects:slack ~sbp trans ~metamodels ~models
       ~targets:(Echo.Target.of_list targets)
   with
   | Error msg ->
@@ -139,13 +135,19 @@ let run_enforce_all trans_file mm_file models_file targets standard slack jobs
     end
 
 let run_enforce trans_file mm_file models_file targets standard backend
-    slack jobs all no_lint no_sbp stats out_file trace =
+    slack all no_lint no_sbp stats out_file trace =
+  if all && backend = "maxsat" then begin
+    (* the enumeration is a distance ladder; MaxSAT has no menu *)
+    Format.eprintf "error: --all enumerates with the iterative backend; it \
+                    cannot be combined with --backend maxsat@.";
+    2
+  end
+  else
   with_trace trace @@ fun () ->
-  let jobs = resolve_jobs jobs in
   let sbp = not no_sbp in
   if all then
-    run_enforce_all trans_file mm_file models_file targets standard slack jobs
-      sbp stats
+    run_enforce_all trans_file mm_file models_file targets standard slack sbp
+      stats
   else
   match
     let* trans, metamodels, models =
@@ -155,12 +157,11 @@ let run_enforce trans_file mm_file models_file targets standard backend
     let backend =
       match backend with
       | "maxsat" -> Echo.Engine.Maxsat
-      | "portfolio" -> Echo.Engine.Portfolio
       | _ -> Echo.Engine.Iterative
     in
     let* outcome =
       Echo.Engine.enforce ~backend ~mode:(mode_of_standard standard)
-        ~slack_objects:slack ~jobs ~sbp trans ~metamodels ~models
+        ~slack_objects:slack ~sbp trans ~metamodels ~models
         ~targets:(Echo.Target.of_list targets)
     in
     Ok outcome
@@ -405,8 +406,10 @@ let run_serve socket tcp admin_tcp jobs max_live snapshot_dir slow_ms
     let reqlog =
       Option.map (fun p -> Server.Reqlog.create ~path:p ()) reqlog_path
     in
+    (* -j 0 (the default) sizes the pool from the available cores *)
+    let jobs = if jobs <= 0 then Parallel.Pool.default_jobs () else jobs in
     let engine =
-      Server.Engine.create ~jobs:(resolve_jobs jobs) ~max_live ~snapshot_dir
+      Server.Engine.create ~jobs ~max_live ~snapshot_dir
         ?slow_ms ?reqlog ~symmetry:(not no_sbp) ()
     in
     (* the sampler keeps scrape-visible gauges fresh between requests:
@@ -805,27 +808,23 @@ let backend_arg =
   Arg.(
     value
     & opt
-        (enum
-           [ ("iterative", "iterative");
-             ("maxsat", "maxsat");
-             ("portfolio", "portfolio") ])
+        (enum [ ("iterative", "iterative"); ("maxsat", "maxsat") ])
         "iterative"
     & info [ "backend" ]
         ~doc:
-          "Repair backend: iterative (Echo), maxsat, or portfolio (race both \
-           on worker domains; needs --jobs >= 2).")
+          "Repair backend: iterative (Echo's distance ladder) or maxsat \
+           (one weighted MaxSAT optimisation). $(b,--all) needs the \
+           iterative backend.")
 
 let jobs_arg =
   Arg.(
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Parallelism budget: the iterative backend probes N distance levels \
-           speculatively on worker domains; the portfolio races its lanes. \
-           The repair distance is identical for every N. N = 0 (the default) \
-           auto-sizes from the available cores \
-           (Domain.recommended_domain_count); an explicit N is always \
-           honoured as given.")
+          "Size of the session worker pool: up to N sessions are served at \
+           once, each request on one domain. N = 0 (the default) auto-sizes \
+           from the available cores (Domain.recommended_domain_count); an \
+           explicit N is always honoured as given.")
 
 let slack_arg =
   Arg.(
@@ -850,7 +849,7 @@ let enforce_cmd =
     (Cmd.info "enforce" ~doc)
     Term.(
       const run_enforce $ trans_arg $ mm_arg $ models_arg $ targets_arg
-      $ standard_arg $ backend_arg $ slack_arg $ jobs_arg $ all_arg
+      $ standard_arg $ backend_arg $ slack_arg $ all_arg
       $ no_lint_arg $ no_sbp_arg $ stats_arg $ out_arg $ trace_arg)
 
 let edits_arg =

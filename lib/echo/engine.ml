@@ -1,7 +1,6 @@
 type backend =
   | Iterative
   | Maxsat
-  | Portfolio
 
 type enforce_result = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
@@ -19,99 +18,15 @@ type enforce_outcome =
 
 let check = Qvtr.Check.run
 
-let backend_name = function
-  | Iterative -> "iterative"
-  | Maxsat -> "maxsat"
-  | Portfolio -> "portfolio"
+let backend_name = function Iterative -> "iterative" | Maxsat -> "maxsat"
 
 let m_enforcements = Obs.Metrics.counter "echo.engine.enforcements"
 
-(* Portfolio accounting. The win counters only move when a race
-   actually runs: [enforce ~backend:Portfolio] degrades to the plain
-   ladder when [jobs < 2] (and in nested parallel regions), and no
-   bench or test drove a real race for several releases — which made
-   the two win counters sit at zero and look like broken
-   accounting. [portfolio_races] separates the two failure modes for
-   good: races = 0 means nobody raced; races > 0 with zero wins means
-   both lanes failed. *)
-let m_portfolio_races = Obs.Metrics.counter "echo.engine.portfolio_races"
-let m_iterative_wins = Obs.Metrics.counter "echo.engine.portfolio_iterative_wins"
-let m_maxsat_wins = Obs.Metrics.counter "echo.engine.portfolio_maxsat_wins"
-
-(* Race the iterative ladder against the MaxSAT descent on two pool
-   lanes; the first usable outcome wins and the loser is cancelled
-   (its solver interrupted). Both backends compute the same minimal
-   distance, so the result is deterministic even though the winning
-   lane is not. Both futures are awaited before returning — no work
-   leaks past the call. *)
-let race_portfolio ?max_distance space =
-  Obs.Trace.with_span ~name:"portfolio" (fun () ->
-  Obs.Metrics.incr m_portfolio_races;
-  let pool = Parallel.Pool.global ~jobs:2 in
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let published = ref [] in  (* (lane, result) in completion order *)
-  let publish tag r =
-    Mutex.lock mu;
-    published := !published @ [ (tag, r) ];
-    Condition.signal cond;
-    Mutex.unlock mu
-  in
-  let submit tag lane =
-    Parallel.Pool.submit pool (fun token ->
-        let r =
-          Obs.Trace.with_span ~name:("portfolio." ^ backend_name tag) (fun () ->
-              try lane token with e -> Error (Printexc.to_string e))
-        in
-        publish tag r)
-  in
-  let fi =
-    submit Iterative (fun token -> Repair.run ?max_distance ~jobs:1 ~token space)
-  in
-  let fm = submit Maxsat (fun token -> Maxsat_repair.run ~token space) in
-  (* First usable outcome wins; if a lane fails, wait out the other. *)
-  let winner =
-    Mutex.lock mu;
-    let rec wait () =
-      match List.find_opt (fun (_, r) -> Result.is_ok r) !published with
-      | Some w -> w
-      | None ->
-        if List.length !published >= 2 then List.hd !published
-        else begin
-          Condition.wait cond mu;
-          wait ()
-        end
-    in
-    let w = wait () in
-    Mutex.unlock mu;
-    w
-  in
-  Obs.Trace.instant "portfolio.winner"
-    ~args:(fun () -> [ ("lane", Obs.Json.String (backend_name (fst winner))) ]);
-  (match winner with
-  | Iterative, Ok _ -> Obs.Metrics.incr m_iterative_wins
-  | Maxsat, Ok _ -> Obs.Metrics.incr m_maxsat_wins
-  | _ -> ());
-  Obs.Trace.instant "portfolio.cancel_loser";
-  Parallel.Pool.cancel fi;
-  Parallel.Pool.cancel fm;
-  ignore (Parallel.Pool.result fi);
-  ignore (Parallel.Pool.result fm);
-  match winner with
-  | tag, Ok outcome -> Ok (outcome, tag)
-  | _, Error e -> Error e)
-
 let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
-    ?model_weights ?max_distance ?(jobs = 1) ?sbp transformation ~metamodels
-    ~models ~targets =
-  if jobs < 1 then invalid_arg "Engine.enforce: jobs must be >= 1";
+    ?model_weights ?sbp transformation ~metamodels ~models ~targets =
   Obs.Metrics.incr m_enforcements;
   Obs.Trace.with_span ~name:"enforce"
-    ~args:(fun () ->
-      [
-        ("backend", Obs.Json.String (backend_name backend));
-        ("jobs", Obs.Json.Int jobs);
-      ])
+    ~args:(fun () -> [ ("backend", Obs.Json.String (backend_name backend)) ])
   @@ fun () ->
   let ( let* ) = Result.bind in
   let* report =
@@ -125,19 +40,10 @@ let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
           Space.build ?mode ?slack_objects ?extra_values ?model_weights ?sbp
             ~transformation ~metamodels ~models ~targets ())
     in
-    let* outcome, winner =
+    let* outcome =
       match backend with
-      | Iterative ->
-        Result.map (fun o -> (o, Iterative)) (Repair.run ?max_distance ~jobs space)
-      | Maxsat -> Result.map (fun o -> (o, Maxsat)) (Maxsat_repair.run ~jobs space)
-      | Portfolio ->
-        if jobs < 2 || Parallel.Pool.in_worker () then
-          (* A portfolio needs two lanes of its own; degrade to the
-             ladder when the budget is one job or when already running
-             inside a pool worker (racing from a nested region would
-             oversubscribe — and can stall behind — the outer one). *)
-          Result.map (fun o -> (o, Iterative)) (Repair.run ?max_distance ~jobs space)
-        else race_portfolio ?max_distance space
+      | Iterative -> Repair.run space
+      | Maxsat -> Maxsat_repair.run space
     in
     match outcome with
     | Repair.Cannot_restore -> Ok Cannot_restore
@@ -149,18 +55,14 @@ let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
              relational_distance = r.Repair.relational_distance;
              edit_distance = r.Repair.edit_distance;
              iterations = r.Repair.iterations;
-             backend = winner;
+             backend;
              stats = r.Repair.stats;
            })
 
 let enforce_all ?(limit = 16) ?mode ?slack_objects ?extra_values ?model_weights
-    ?max_distance ?(jobs = 1) ?split_after ?sbp transformation ~metamodels
-    ~models ~targets =
-  if jobs < 1 then invalid_arg "Engine.enforce_all: jobs must be >= 1";
+    ?sbp transformation ~metamodels ~models ~targets =
   Obs.Metrics.incr m_enforcements;
-  Obs.Trace.with_span ~name:"enforce_all"
-    ~args:(fun () -> [ ("jobs", Obs.Json.Int jobs) ])
-  @@ fun () ->
+  Obs.Trace.with_span ~name:"enforce_all" @@ fun () ->
   let ( let* ) = Result.bind in
   let* report =
     Obs.Trace.with_span ~name:"check" (fun () ->
@@ -173,7 +75,7 @@ let enforce_all ?(limit = 16) ?mode ?slack_objects ?extra_values ?model_weights
           Space.build ?mode ?slack_objects ?extra_values ?model_weights ?sbp
             ~transformation ~metamodels ~models ~targets ())
     in
-    let* repairs = Repair.run_all ?max_distance ~limit ~jobs ?split_after space in
+    let* repairs = Repair.run_all ~limit space in
     match repairs with
     | [] -> Ok [ Cannot_restore ]
     | rs ->

@@ -9,11 +9,6 @@
 type backend =
   | Iterative  (** increasing-distance search (Echo FASE'13) *)
   | Maxsat  (** weighted partial MaxSAT (FASE'14 extension) *)
-  | Portfolio
-      (** race both backends on worker domains, first usable outcome
-          wins and the loser is cancelled; requires [jobs >= 2]
-          (degrades to {!Iterative} otherwise). The
-          {!enforce_result.backend} field reports the winning lane. *)
 
 type enforce_result = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
@@ -47,8 +42,6 @@ val enforce :
   ?slack_objects:int ->
   ?extra_values:Mdl.Value.t list ->
   ?model_weights:(Mdl.Ident.t * int) list ->
-  ?max_distance:int ->
-  ?jobs:int ->
   ?sbp:bool ->
   Qvtr.Ast.transformation ->
   metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
@@ -59,12 +52,6 @@ val enforce :
     available per target model (default 2); [extra_values] widens the
     value universe available to repairs; [model_weights] prioritises
     models in the aggregated distance.
-
-    [jobs] (default 1) is the parallelism budget: the iterative
-    backend probes that many distance levels speculatively
-    ({!Repair.run}); the portfolio uses it to race lanes. The
-    relational distance of the result is identical for every [jobs]
-    value.
 
     [sbp] (default [true]) enables the bounds-level symmetry analysis
     and lex-leader symmetry-breaking predicates ({!Space.build});
@@ -77,9 +64,6 @@ val enforce_all :
   ?slack_objects:int ->
   ?extra_values:Mdl.Value.t list ->
   ?model_weights:(Mdl.Ident.t * int) list ->
-  ?max_distance:int ->
-  ?jobs:int ->
-  ?split_after:float ->
   ?sbp:bool ->
   Qvtr.Ast.transformation ->
   metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
@@ -87,14 +71,11 @@ val enforce_all :
   targets:Target.t ->
   (enforce_outcome list, string) result
 (** All distinct minimal repairs (iterative backend), up to [limit]
-    (default 16), in the canonical order of {!Repair.run_all}
-    (jobs-invariant): a singleton [Already_consistent] or
-    [Cannot_restore], or one [Enforced] per repair — the menu a
-    multidirectional Echo UI would offer the user (paper §4).
-    [jobs >= 2] shards the enumeration across worker domains with
-    adaptive cube splitting ([split_after] is the per-cube wall-time
-    budget before an overweight cube is split; see
-    {!Repair.run_all}). *)
+    (default 16), in the canonical order of {!Repair.run_all}: a
+    singleton [Already_consistent] or [Cannot_restore], or one
+    [Enforced] per repair — the menu a multidirectional Echo UI would
+    offer the user (paper §4). [Error] when the models are
+    inconsistent and [limit < 1]. *)
 
 type diagnosis = {
   d_relation : Mdl.Ident.t;

@@ -1,15 +1,9 @@
 type outcome = Repair.outcome
 
-let run ?(jobs = 1) ?token space =
-  if jobs < 1 then invalid_arg "Maxsat_repair.run: jobs must be >= 1";
+let run space =
   try
     let started = Obs.Clock.now () in
     let maxsat = Sat.Maxsat.create () in
-    Option.iter
-      (fun tok ->
-        Parallel.Pool.on_cancel tok (fun () ->
-            Sat.Solver.interrupt (Sat.Maxsat.solver maxsat)))
-      token;
     let trans =
       Relog.Translate.create ~solver:(Sat.Maxsat.solver maxsat) (Space.bounds space)
     in
@@ -48,18 +42,11 @@ let run ?(jobs = 1) ?token space =
       let counts = Sat.Maxsat.clause_counts maxsat in
       let solver_stats = Sat.Solver.stats (Sat.Maxsat.solver maxsat) in
       {
-        (* The MaxSAT descent is inherently sequential (each bound
-           depends on the previous model), so [jobs] is recorded but
-           adds no workers here; parallelism arrives via the backend
-           portfolio racing this against the iterative ladder. *)
         Telemetry.backend = "maxsat";
-        jobs;
         translation = Relog.Translate.stats trans;
         solver = solver_stats;
         solver_calls = solver_stats.Sat.Solver.solves;
-        (* Sequential descent on one domain: summed effort = elapsed. *)
-        solve_time_cpu = solver_stats.Sat.Solver.solve_time;
-        solve_time_wall = solver_stats.Sat.Solver.solve_time;
+        solve_time = solver_stats.Sat.Solver.solve_time;
         distance_levels = [];
         blocked_nonconformant = !blocked;
         cardinality_inputs = total_weight;
@@ -112,7 +99,7 @@ let run ?(jobs = 1) ?token space =
           Sat.Maxsat.add_hard maxsat clause;
           solve ())
     in
-    (try solve () with Sat.Solver.Interrupted -> Error "interrupted")
+    solve ()
   with
   | Relog.Translate.Unsupported msg -> Error msg
   | Invalid_argument msg -> Error msg

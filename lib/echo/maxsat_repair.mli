@@ -10,14 +10,6 @@
 
 type outcome = Repair.outcome
 
-val run :
-  ?jobs:int ->
-  ?token:Parallel.Pool.token ->
-  Space.t ->
-  (outcome, string) result
-(** The SAT-driven descent is inherently sequential, so [jobs]
-    (default 1) is only recorded in the telemetry; parallel speedups
-    for this backend come from the {!Engine} portfolio, which races it
-    against the iterative ladder and cancels the loser via [token]
-    (cancellation interrupts the underlying solver and yields
-    [Error "interrupted"]). *)
+val run : Space.t -> (outcome, string) result
+(** One minimal repair by a SAT-driven descent on the weighted
+    objective; [Error] on translation or decode failures. *)

@@ -6,7 +6,8 @@
     assumptions [distance ≤ k] for k = 0, 1, 2, ... The first
     satisfiable bound yields a minimal repair; exhausting the total
     weight proves the target set cannot restore consistency (the
-    situation §3 warns about for single-target updates). *)
+    situation §3 warns about for single-target updates). The ladder is
+    serial: one solver, one rung at a time. *)
 
 type success = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
@@ -26,69 +27,21 @@ type outcome =
       (** no consistent instance exists within the bounded space for
           this target set *)
 
-val run :
-  ?max_distance:int ->
-  ?jobs:int ->
-  ?token:Parallel.Pool.token ->
-  Space.t ->
-  (outcome, string) result
-(** [max_distance] caps the search (default: total weight of the
-    space's change literals) — the cap also k-bounds the totalizer
-    encoding. [Error] on internal decode failures.
+val run : Space.t -> (outcome, string) result
+(** One minimal repair. The ladder climbs to the total weight of the
+    space's change literals (the totalizer's input count) before it
+    answers [Cannot_restore]. [Error] on translation or decode
+    failures. With several equally-minimal repairs the witness is
+    whichever the solver finds first; {!run_all} enumerates all of
+    them. *)
 
-    [jobs] (default 1) parallelises the distance ladder: a window of
-    levels above the proven floor is probed speculatively on worker
-    domains, each on a {!Sat.Solver.clone} of the shared encoding.
-    Both the worker count and the window width are [jobs] capped by
-    the hardware core count (override: [MDQVTR_WORKERS]) — a probe
-    that cannot overlap any other work in wall-clock is pure cost, it
-    skips the incremental warm-up consecutive levels share.
-    The committed relational distance is the exact minimum for every
-    [jobs] value — minimality is decided by level, not arrival order;
-    an UNSAT probe at level [l] retires all levels [<= l] at once.
-    With several equally-minimal repairs the particular witness model
-    may depend on the schedule; {!run_all} enumerates the full
-    jobs-invariant set.
-
-    [token] supports cooperative cancellation (backend portfolio):
-    when cancelled, solvers are interrupted and the result is
-    [Error "interrupted"]. *)
-
-val run_all :
-  ?max_distance:int ->
-  ?limit:int ->
-  ?jobs:int ->
-  ?split_after:float ->
-  ?token:Parallel.Pool.token ->
-  Space.t ->
-  (success list, string) result
+val run_all : ?limit:int -> Space.t -> (success list, string) result
 (** All distinct minimal repairs (every consistent instance at the
     optimal distance), up to [limit] (default 16), in a canonical
     deterministic order (sorted on the serialized repair, independent
-    of discovery order and of [jobs]). The empty list means
-    consistency cannot be restored. This realises the workflow the
+    of discovery order). The empty list means consistency cannot be
+    restored. [Error] when [limit < 1]. This realises the workflow the
     paper's §4 sketches for the multidirectional Echo: "when
     inconsistencies are found, [users] select which models are to be
     updated" — and here, also which of the equally-minimal repairs to
-    take.
-
-    With [jobs >= 2] the minimal distance is found by the parallel
-    ladder of {!run} and the enumeration is sharded across workers by
-    disjoint sign-pattern cubes over the first change literals, with
-    purely clone-local blocking clauses, merged through the hash-set
-    dedup. The sharding is adaptive: the per-cube cost is measured as
-    cubes run, and a cube that has held its worker for more than
-    [split_after] wall seconds (default 25ms) while another worker is
-    starved is split in two — half goes back to the shared queue —
-    so skewed initial partitions rebalance instead of serialising the
-    tail. Splitting never changes the returned set (a split cube's
-    halves cover exactly the cube). The returned set equals the
-    serial one whenever the number of distinct minimal repairs is at
-    most [limit] (each shard applies [limit] locally before the
-    global cap, so an overfull result may select a different — still
-    canonical-least — subset).
-
-    Both [run] and [run_all] degrade [jobs] to 1 when called from
-    inside a pool worker (a nested parallel region — e.g. the
-    portfolio's iterative lane) rather than oversubscribe the cores
-    the enclosing region already owns. *)
+    take. *)

@@ -2,12 +2,10 @@
 
 type t = {
   backend : string;
-  jobs : int;
   translation : Relog.Translate.stats;
   solver : Sat.Solver.stats;
   solver_calls : int;
-  solve_time_cpu : float;
-  solve_time_wall : float;
+  solve_time : float;
   distance_levels : (int * int) list;
   blocked_nonconformant : int;
   cardinality_inputs : int;
@@ -21,7 +19,6 @@ type t = {
 let pp ppf t =
   let tr = t.translation in
   Format.fprintf ppf "@[<v>backend: %s" t.backend;
-  if t.jobs > 1 then Format.fprintf ppf " (jobs: %d)" t.jobs;
   Format.fprintf ppf
     "@,translation: %d vars (%d primary), %d clauses, %d relations, %.3f ms"
     tr.Relog.Translate.vars tr.Relog.Translate.primary_vars
@@ -33,10 +30,8 @@ let pp ppf t =
   if t.cardinality_saved_vars > 0 || t.cardinality_saved_clauses > 0 then
     Format.fprintf ppf " (cap saved %d vars, %d clauses)"
       t.cardinality_saved_vars t.cardinality_saved_clauses;
-  Format.fprintf ppf "@,solve: %d calls, %.3f ms cpu, %.3f ms wall"
-    t.solver_calls
-    (t.solve_time_cpu *. 1000.)
-    (t.solve_time_wall *. 1000.);
+  Format.fprintf ppf "@,solve: %d calls, %.3f ms" t.solver_calls
+    (t.solve_time *. 1000.);
   if t.distance_levels <> [] then begin
     Format.fprintf ppf "@,distance iterations:";
     List.iter

@@ -9,18 +9,10 @@
 
 type t = {
   backend : string;  (** ["iterative"] or ["maxsat"] *)
-  jobs : int;  (** requested parallelism of the run (1 = serial) *)
   translation : Relog.Translate.stats;
   solver : Sat.Solver.stats;
-      (** for parallel runs: counters summed over all worker clones *)
   solver_calls : int;  (** SAT [solve] calls made by the repair loop *)
-  solve_time_cpu : float;
-      (** seconds of solver effort summed over workers — for parallel
-          runs this exceeds elapsed time (it is the aggregate cost,
-          not the latency) *)
-  solve_time_wall : float;
-      (** elapsed seconds of the solving phase, span-measured on the
-          submitting domain; equals [solve_time_cpu] for serial runs *)
+  solve_time : float;  (** seconds spent inside the solver *)
   distance_levels : (int * int) list;
       (** iterative backend: [(distance bound, solver calls at that
           bound)] in search order; empty for the MaxSAT backend *)

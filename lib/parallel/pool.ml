@@ -1,61 +1,14 @@
-exception Cancelled
-
-type token = {
-  flag : bool Atomic.t;
-  tmu : Mutex.t;
-  mutable hooks : (unit -> unit) list;
-  mutable fired : bool;
-}
-
-let make_token () =
-  { flag = Atomic.make false; tmu = Mutex.create (); hooks = []; fired = false }
-
-let cancelled tok = Atomic.get tok.flag
-
-let run_hooks tok =
-  let hooks =
-    Mutex.lock tok.tmu;
-    if tok.fired then (
-      Mutex.unlock tok.tmu;
-      [])
-    else begin
-      tok.fired <- true;
-      let hs = tok.hooks in
-      tok.hooks <- [];
-      Mutex.unlock tok.tmu;
-      hs
-    end
-  in
-  List.iter (fun h -> try h () with _ -> ()) hooks
-
-let cancel_token tok =
-  Atomic.set tok.flag true;
-  run_hooks tok
-
-let on_cancel tok hook =
-  Mutex.lock tok.tmu;
-  if tok.fired then (
-    Mutex.unlock tok.tmu;
-    (try hook () with _ -> ()))
-  else begin
-    tok.hooks <- hook :: tok.hooks;
-    Mutex.unlock tok.tmu
-  end
-
 type 'a state = Pending | Done of 'a | Failed of exn
 
 type 'a future = {
   fmu : Mutex.t;
   fcond : Condition.t;
   mutable st : 'a state;
-  ftok : token;
 }
 
 let resolve fut st =
   Mutex.lock fut.fmu;
-  (match fut.st with
-  | Pending -> fut.st <- st
-  | Done _ | Failed _ -> ());
+  fut.st <- st;
   Condition.broadcast fut.fcond;
   Mutex.unlock fut.fmu
 
@@ -75,12 +28,10 @@ let result fut =
 
 let await fut = match result fut with Ok v -> v | Error e -> raise e
 
-let cancel fut = cancel_token fut.ftok
-
 (* Each task carries the trace context of its submitter so spans opened
    inside the task attach to the submitting span even though they run
    (and render) on the worker's own domain track. *)
-type task = Task : (token -> 'a) * 'a future * Obs.Trace.context -> task
+type task = Task : (unit -> 'a) * 'a future * Obs.Trace.context -> task
 
 type t = {
   njobs : int;
@@ -94,21 +45,10 @@ type t = {
 let default_jobs () = Domain.recommended_domain_count ()
 let jobs t = t.njobs
 
-(* Worker domains mark themselves so the layers above can detect a
-   nested parallel region: an enforcement call issued from inside a
-   pool task (a portfolio lane, a ladder probe) must not fan out again
-   — the extra domains would only oversubscribe the cores the outer
-   region already owns, and nested blocking waits on the same global
-   pool can stall behind their own parent. *)
-let worker_flag = Domain.DLS.new_key (fun () -> false)
-let in_worker () = Domain.DLS.get worker_flag
-
 let run_task (Task (fn, fut, ctx)) =
-  if cancelled fut.ftok then resolve fut (Failed Cancelled)
-  else
-    match Obs.Trace.with_context ctx (fun () -> fn fut.ftok) with
-    | v -> resolve fut (Done v)
-    | exception e -> resolve fut (Failed e)
+  match Obs.Trace.with_context ctx fn with
+  | v -> resolve fut (Done v)
+  | exception e -> resolve fut (Failed e)
 
 let worker t =
   let rec loop () =
@@ -144,17 +84,11 @@ let create ~jobs =
     }
   in
   if jobs > 1 then
-    t.domains <-
-      List.init jobs (fun _ ->
-          Domain.spawn (fun () ->
-              Domain.DLS.set worker_flag true;
-              worker t));
+    t.domains <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let submit t fn =
-  let fut =
-    { fmu = Mutex.create (); fcond = Condition.create (); st = Pending; ftok = make_token () }
-  in
+  let fut = { fmu = Mutex.create (); fcond = Condition.create (); st = Pending } in
   let ctx = Obs.Trace.current () in
   if t.njobs = 1 then begin
     if t.closed then invalid_arg "Pool.submit: pool is shut down";
@@ -172,11 +106,6 @@ let submit t fn =
   end;
   fut
 
-let map_list t fn xs =
-  let futs = List.map (fun x -> submit t (fun tok -> fn tok x)) xs in
-  let results = List.map result futs in
-  List.map (function Ok v -> v | Error e -> raise e) results
-
 let shutdown t =
   Mutex.lock t.mu;
   let ds = t.domains in
@@ -185,39 +114,3 @@ let shutdown t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mu;
   List.iter Domain.join ds
-
-let with_pool ~jobs fn =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> fn t)
-
-(* Process-global pool, grown on demand and reused across enforcement
-   calls so repeated [Repair.run ~jobs] invocations don't each pay a
-   domain spawn. Guarded by a mutex: concurrent growers are rare and
-   cheap to serialise. *)
-let global_mu = Mutex.create ()
-let global_pool = ref None
-let exit_hooked = ref false
-
-let global ~jobs =
-  if jobs < 1 then invalid_arg "Pool.global: jobs must be >= 1";
-  Mutex.lock global_mu;
-  let pool =
-    match !global_pool with
-    | Some p when p.njobs >= jobs -> p
-    | prev ->
-      (match prev with Some p -> shutdown p | None -> ());
-      let p = create ~jobs in
-      global_pool := Some p;
-      if not !exit_hooked then begin
-        exit_hooked := true;
-        at_exit (fun () ->
-            Mutex.lock global_mu;
-            let p = !global_pool in
-            global_pool := None;
-            Mutex.unlock global_mu;
-            match p with Some p -> shutdown p | None -> ())
-      end;
-      p
-  in
-  Mutex.unlock global_mu;
-  pool

@@ -122,9 +122,6 @@ let clone ~bounds t =
   }
 
 let translation t = t.trans
-let clone_solver t = Sat.Solver.clone (solver t)
-let interrupt t = Sat.Solver.interrupt (solver t)
-let decode_with t value_of = Translate.decode_with t.trans value_of
 
 type outcome =
   | Sat of Instance.t

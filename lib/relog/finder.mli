@@ -55,12 +55,6 @@ val add_symmetry :
     instance's target relations so the least-change distance is
     orbit-invariant. Returns the number of SBP clauses asserted. *)
 
-val sbp_assumptions : t -> Sat.Lit.t list
-(** The active SBP guard, as an assumption list ([[]] when
-    {!add_symmetry} was never called). {!solve} prepends it
-    automatically; callers solving a {!clone_solver} directly must
-    pass it themselves. *)
-
 val rebind : t -> Bounds.t -> int
 (** {!Translate.rebind} plus re-materialization of every relation
     bound in the new bounds; forgets the last model (its primary
@@ -84,21 +78,6 @@ val clone : bounds:Bounds.t -> t -> t
 
 val translation : t -> Translate.t
 val solver : t -> Sat.Solver.t
-
-val clone_solver : t -> Sat.Solver.t
-(** {!Sat.Solver.clone} of the backend solver: an independent solver
-    over the same encoding (same variable numbering, so the
-    translation's primary-variable maps decode its models). Worker
-    domains each take a clone and solve concurrently; the translation
-    itself is only read after {!prepare}, which is safe. *)
-
-val interrupt : t -> unit
-(** {!Sat.Solver.interrupt} on the backend solver (not on clones). *)
-
-val decode_with : t -> (Sat.Lit.var -> bool) -> Instance.t
-(** Decode an instance from an explicit model valuation — typically
-    [Sat.Solver.value clone] for a clone obtained from
-    {!clone_solver}. Read-only on the finder, safe from any domain. *)
 
 type outcome =
   | Sat of Instance.t

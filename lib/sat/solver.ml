@@ -387,10 +387,10 @@ exception Interrupted
    clause, or -1 when every clause is satisfied or unit-propagated.
 
    The cooperative stop flag is polled here too, between propagation
-   waves (every 64 trail positions): a cube-enumeration or portfolio
-   loser whose solve is deep inside one long propagation run must
-   still stop within a bounded number of enqueues, not only at the
-   next decision boundary. The check sits before the wave's watch
+   waves (every 64 trail positions): a solve that is deep inside one
+   long propagation run when it is interrupted must still stop within
+   a bounded number of enqueues, not only at the next decision
+   boundary. The check sits before the wave's watch
    lists are touched, so an [Interrupted] raised here leaves every
    watch list consistent (the pending literal simply stays queued);
    the flag itself is left set — [solve] owns consuming it. *)

@@ -67,8 +67,8 @@ val interrupt : t -> unit
     immediately. Cheap (one atomic store). The flag is polled at
     every CDCL decision boundary {e and} inside long propagation
     waves (every 64 trail positions), so cancellation latency is
-    bounded by a few dozen clause visits — a portfolio loser or a
-    retired ladder probe stops promptly even mid-propagation. *)
+    bounded by a few dozen clause visits — a solve cut off by a
+    deadline stops promptly even mid-propagation. *)
 
 val clone : t -> t
 (** An independent snapshot of the solver: problem clauses, learnt

@@ -285,13 +285,36 @@ let test_enforce_all_limit () =
   let trans = F.transformation ~k:2 in
   let cfs = [ F.configuration ~name:"cf1" [ "A" ]; F.configuration ~name:"cf2" [ "A" ] ] in
   let fm = F.feature_model ~name:"fm" [ ("A", false) ] in
-  match
-    Echo.Engine.enforce_all ~limit:2 trans ~metamodels:F.metamodels
-      ~models:(F.bind ~cfs ~fm)
-      ~targets:(Echo.Target.of_list [ "cf1"; "cf2"; "fm" ])
-  with
+  (match
+     Echo.Engine.enforce_all ~limit:2 trans ~metamodels:F.metamodels
+       ~models:(F.bind ~cfs ~fm)
+       ~targets:(Echo.Target.of_list [ "cf1"; "cf2"; "fm" ])
+   with
   | Ok outcomes -> Alcotest.(check int) "limit respected" 2 (List.length outcomes)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* A limit below 1 is an argument error, not a false Cannot_restore:
+     the same request repairs at distance 4 with limit 1. *)
+  let s = Featuremodel.Scenarios.new_mandatory_feature in
+  let run limit =
+    Echo.Engine.enforce_all ~limit trans ~metamodels:F.metamodels
+      ~models:
+        (F.bind ~cfs:s.Featuremodel.Scenarios.cfs ~fm:s.Featuremodel.Scenarios.fm)
+      ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ])
+  in
+  (match run 1 with
+  | Ok [ Echo.Engine.Enforced r ] ->
+    Alcotest.(check int) "limit 1: distance" 4 r.Echo.Engine.relational_distance
+  | Ok _ -> Alcotest.fail "limit 1: expected one repair"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun limit ->
+      match run limit with
+      | Error _ -> ()
+      | Ok outcomes ->
+        Alcotest.failf "limit %d: expected an error, got %s" limit
+          (String.concat "; "
+             (List.map (Format.asprintf "%a" Echo.Engine.pp_outcome) outcomes)))
+    [ 0; -1 ]
 
 let test_enforce_all_symmetry_dedup () =
   (* object creation draws from interchangeable slack atoms; symmetry

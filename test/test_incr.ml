@@ -20,16 +20,6 @@ module Edit = Mdl.Edit
 module Model = Mdl.Model
 module Ident = Mdl.Ident
 
-(* CI runs the suite at several MDQVTR_JOBS values; jobs only feeds
-   the from-scratch engine runs — sessions themselves are serial. *)
-let jobs =
-  match Sys.getenv_opt "MDQVTR_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 2)
-  | None -> 2
-
 let metamodels = F.metamodels
 let trans = F.transformation ~k:2
 
@@ -112,7 +102,7 @@ let repair_agrees ~ctx sess =
   let rep = rerepair_exn ~limit:64 sess in
   let outcomes =
     match
-      Eng.enforce_all ~limit:64 ~jobs ~slack_objects:(S.slack_budget sess)
+      Eng.enforce_all ~limit:64 ~slack_objects:(S.slack_budget sess)
         ~extra_values:(S.value_universe sess) trans ~metamodels
         ~models:(S.models sess) ~targets:(S.targets sess)
     with

@@ -394,7 +394,7 @@ let test_pool_handoff () =
   T.with_span ~name:"submit" (fun () ->
       futures :=
         List.init 4 (fun _ ->
-            Parallel.Pool.submit pool (fun _ ->
+            Parallel.Pool.submit pool (fun () ->
                 T.with_span ~name:"child" (fun () -> Domain.cpu_relax ()))));
   List.iter
     (fun f ->

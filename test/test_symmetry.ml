@@ -226,14 +226,14 @@ let test_sbp_preserves_least_change =
    feature lands on which atom is a pure symmetry. Without SBPs the
    legacy chain only orders slack *usage*, so all assignments of
    features to the used atoms survive as distinct menu entries. *)
-let symmetric_workload ?(slack = 4) ?(features = 3) ?split_after ~sbp ~jobs () =
+let symmetric_workload ~slack ~features ~sbp =
   let trans = Fm.transformation ~k:1 in
   let cfs = [ Fm.configuration ~name:"cf1" [] ] in
   let fm =
     Fm.feature_model ~name:"fm"
       (List.init features (fun i -> (Printf.sprintf "F%d" i, true)))
   in
-  Eng.enforce_all ~sbp ~jobs ?split_after ~limit:32 ~slack_objects:slack trans
+  Eng.enforce_all ~sbp ~limit:32 ~slack_objects:slack trans
     ~metamodels
     ~models:(Fm.bind ~cfs ~fm)
     ~targets:(Echo.Target.single "cf1")
@@ -253,25 +253,13 @@ let dedup_discards = Obs.Metrics.counter "echo.repair.dedup_discards"
 let sbp_clauses = Obs.Metrics.counter "relog.symmetry.sbp_clauses"
 let sbp_orbits = Obs.Metrics.counter "relog.symmetry.orbits"
 
-(* Pretend the box has n cores so the parallel schedule is genuinely
-   concurrent even on 1-core CI runners (same idiom as
-   test_parallel.ml). *)
-let with_workers n f =
-  let prev = Sys.getenv_opt "MDQVTR_WORKERS" in
-  Unix.putenv "MDQVTR_WORKERS" (string_of_int n);
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "MDQVTR_WORKERS" (Option.value prev ~default:""))
-    f
-
 let test_menu_isomorphic_and_search_drops () =
   (* satellite property c: with SBPs on the menu collapses to one
      canonical repair per isomorphism class, the reachable distances
      are unchanged, the search does strictly fewer solves, the pass
      finds orbits and emits clauses, and dedup never discards MORE
-     than without SBPs. The cases are E12's: sym3 and sym4 at jobs 1,
-     and cube4, sym4 enumerated as eagerly split cubes on 4 workers. *)
-  let case name ~features ~slack ~jobs ?split_after () =
+     than without SBPs. The cases are E12's sym3 and sym4. *)
+  let case name ~features ~slack =
     let run sbp =
       let counters () =
         ( Obs.Metrics.counter_value dedup_discards,
@@ -280,8 +268,7 @@ let test_menu_isomorphic_and_search_drops () =
           (Sat.Solver.global_stats ()).Sat.Solver.solves )
       in
       let d0, c0, o0, s0 = counters () in
-      let work () = symmetric_workload ~slack ~features ?split_after ~sbp ~jobs () in
-      match if jobs > 1 then with_workers jobs work else work () with
+      match symmetric_workload ~slack ~features ~sbp with
       | Error e -> Alcotest.failf "%s: %s" name e
       | Ok outcomes ->
         let d1, c1, o1, s1 = counters () in
@@ -314,34 +301,8 @@ let test_menu_isomorphic_and_search_drops () =
   in
   Alcotest.(check (pair int int))
     "sym3: 3! variants collapse to one" (1, 6)
-    (case "sym3" ~features:3 ~slack:4 ~jobs:1 ());
-  ignore (case "sym4" ~features:4 ~slack:5 ~jobs:1 ());
-  ignore (case "cube4" ~features:4 ~slack:5 ~jobs:4 ~split_after:0.0 ())
-
-let test_jobs_invariance_under_sbp () =
-  (* Repair.run_all is documented jobs-invariant; that must survive
-     SBPs (the guard assumption rides along into cloned probes and
-     sharded cubes). split_after:0 forces aggressive cube splitting,
-     the schedule most likely to expose a divergence. *)
-  with_workers 4 @@ fun () ->
-  let outcome_key = function
-    | Eng.Enforced r ->
-      `E (r.Eng.relational_distance, r.Eng.edit_distance,
-          List.map
-            (fun (p, m) -> (I.name p, Format.asprintf "%a" Mdl.Model.pp m))
-            r.Eng.repaired)
-    | Eng.Already_consistent -> `C
-    | Eng.Cannot_restore -> `N
-  in
-  let run jobs =
-    let work sbp =
-      match symmetric_workload ~sbp ~jobs ~split_after:0.0 () with
-      | Error e -> Alcotest.fail e
-      | Ok outcomes -> List.map outcome_key outcomes
-    in
-    (work true, work false)
-  in
-  Alcotest.(check bool) "jobs=1 and jobs=4 menus identical" true (run 1 = run 4)
+    (case "sym3" ~features:3 ~slack:4);
+  ignore (case "sym4" ~features:4 ~slack:5)
 
 let suite =
   [
@@ -356,6 +317,4 @@ let suite =
     QCheck_alcotest.to_alcotest test_sbp_preserves_least_change;
     Alcotest.test_case "menu isomorphic, search drops" `Quick
       test_menu_isomorphic_and_search_drops;
-    Alcotest.test_case "jobs invariance under SBPs" `Quick
-      test_jobs_invariance_under_sbp;
   ]

@@ -47,11 +47,8 @@ let test_iterative_stats () =
   Alcotest.(check bool) "cardinality inputs" true
     (st.Echo.Telemetry.cardinality_inputs > 0);
   Alcotest.(check bool) "solve time sane" true
-    (st.Echo.Telemetry.solve_time_cpu >= 0.
-    && st.Echo.Telemetry.solve_time_cpu <= st.Echo.Telemetry.total_time +. 1e-9);
-  (* serial repair: summed effort and elapsed solving time coincide *)
-  Alcotest.(check bool) "wall equals cpu when serial" true
-    (st.Echo.Telemetry.solve_time_wall = st.Echo.Telemetry.solve_time_cpu);
+    (st.Echo.Telemetry.solve_time >= 0.
+    && st.Echo.Telemetry.solve_time <= st.Echo.Telemetry.total_time +. 1e-9);
   Alcotest.(check bool) "translate time sane" true
     (st.Echo.Telemetry.translation.Relog.Translate.translate_time >= 0.)
 
