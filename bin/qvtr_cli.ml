@@ -410,7 +410,7 @@ let run_serve socket tcp admin_tcp jobs max_live snapshot_dir slow_ms
     let jobs = if jobs <= 0 then Parallel.Pool.default_jobs () else jobs in
     let engine =
       Server.Engine.create ~jobs ~max_live ~snapshot_dir
-        ?slow_ms ?reqlog ~symmetry:(not no_sbp) ()
+        ?slow_ms ?reqlog ~sbp:(not no_sbp) ()
     in
     (* the sampler keeps scrape-visible gauges fresh between requests:
        GC stats from Obs.Runtime itself, engine queue/session gauges
@@ -782,12 +782,11 @@ let no_sbp_arg =
     value & flag
     & info [ "no-sbp" ]
         ~doc:
-          "Disable symmetry breaking. For $(b,enforce): skip the bounds-level \
-           orbit analysis and its lex-leader predicates, enumerating every \
-           symmetric variant of each repair (answers and distances are \
-           unchanged; searches are larger and --all menus may contain \
-           isomorphic duplicates). For $(b,serve): drop the guarded \
-           slack-symmetry chains from session repairs.")
+          "Disable symmetry breaking: no lex-leader predicates, so the \
+           search visits every symmetric variant of each repair. Verdicts \
+           and distances are unchanged; searches are larger, and repair \
+           menus ($(b,enforce --all), session $(b,rerepair)) list \
+           isomorphic variants separately.")
 
 let check_cmd =
   let doc = "check consistency of models under a QVT-R transformation" in

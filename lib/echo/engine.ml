@@ -22,47 +22,24 @@ let backend_name = function Iterative -> "iterative" | Maxsat -> "maxsat"
 
 let m_enforcements = Obs.Metrics.counter "echo.engine.enforcements"
 
-let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
-    ?model_weights ?sbp transformation ~metamodels ~models ~targets =
-  Obs.Metrics.incr m_enforcements;
-  Obs.Trace.with_span ~name:"enforce"
-    ~args:(fun () -> [ ("backend", Obs.Json.String (backend_name backend)) ])
-  @@ fun () ->
-  let ( let* ) = Result.bind in
-  let* report =
-    Obs.Trace.with_span ~name:"check" (fun () ->
-        Qvtr.Check.run ?mode transformation ~metamodels ~models)
-  in
-  if report.Qvtr.Check.consistent then Ok Already_consistent
-  else
-    let* space =
-      Obs.Trace.with_span ~name:"space.build" (fun () ->
-          Space.build ?mode ?slack_objects ?extra_values ?model_weights ?sbp
-            ~transformation ~metamodels ~models ~targets ())
-    in
-    let* outcome =
-      match backend with
-      | Iterative -> Repair.run space
-      | Maxsat -> Maxsat_repair.run space
-    in
-    match outcome with
-    | Repair.Cannot_restore -> Ok Cannot_restore
-    | Repair.Repaired r ->
-      Ok
-        (Enforced
-           {
-             repaired = r.Repair.repaired;
-             relational_distance = r.Repair.relational_distance;
-             edit_distance = r.Repair.edit_distance;
-             iterations = r.Repair.iterations;
-             backend;
-             stats = r.Repair.stats;
-           })
+let enforced backend (r : Repair.success) =
+  Enforced
+    {
+      repaired = r.Repair.repaired;
+      relational_distance = r.Repair.relational_distance;
+      edit_distance = r.Repair.edit_distance;
+      iterations = r.Repair.iterations;
+      backend;
+      stats = r.Repair.stats;
+    }
 
-let enforce_all ?(limit = 16) ?mode ?slack_objects ?extra_values ?model_weights
-    ?sbp transformation ~metamodels ~models ~targets =
+(* The path [enforce] and [enforce_all] share: check, build the search
+   space of an inconsistent state, and run [repairs] on it. *)
+let run_enforcement ~name ?args ~backend ~repairs ?mode ?slack_objects
+    ?extra_values ?model_weights ?sbp transformation ~metamodels ~models
+    ~targets =
   Obs.Metrics.incr m_enforcements;
-  Obs.Trace.with_span ~name:"enforce_all" @@ fun () ->
+  Obs.Trace.with_span ~name ?args @@ fun () ->
   let ( let* ) = Result.bind in
   let* report =
     Obs.Trace.with_span ~name:"check" (fun () ->
@@ -75,23 +52,29 @@ let enforce_all ?(limit = 16) ?mode ?slack_objects ?extra_values ?model_weights
           Space.build ?mode ?slack_objects ?extra_values ?model_weights ?sbp
             ~transformation ~metamodels ~models ~targets ())
     in
-    let* repairs = Repair.run_all ~limit space in
-    match repairs with
+    let* found = repairs space in
+    match found with
     | [] -> Ok [ Cannot_restore ]
-    | rs ->
-      Ok
-        (List.map
-           (fun (r : Repair.success) ->
-             Enforced
-               {
-                 repaired = r.Repair.repaired;
-                 relational_distance = r.Repair.relational_distance;
-                 edit_distance = r.Repair.edit_distance;
-                 iterations = r.Repair.iterations;
-                 backend = Iterative;
-                 stats = r.Repair.stats;
-               })
-           rs)
+    | rs -> Ok (List.map (enforced backend) rs)
+
+let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
+    ?model_weights ?sbp transformation ~metamodels ~models ~targets =
+  let repairs space =
+    match backend with
+    | Iterative -> Repair.run_all ~limit:1 space
+    | Maxsat -> Result.map Option.to_list (Maxsat_repair.run space)
+  in
+  Result.map List.hd
+    (run_enforcement ~name:"enforce"
+       ~args:(fun () -> [ ("backend", Obs.Json.String (backend_name backend)) ])
+       ~backend ~repairs ?mode ?slack_objects ?extra_values ?model_weights ?sbp
+       transformation ~metamodels ~models ~targets)
+
+let enforce_all ?(limit = 16) ?mode ?slack_objects ?extra_values ?model_weights
+    ?sbp transformation ~metamodels ~models ~targets =
+  run_enforcement ~name:"enforce_all" ~backend:Iterative
+    ~repairs:(Repair.run_all ~limit) ?mode ?slack_objects ?extra_values
+    ?model_weights ?sbp transformation ~metamodels ~models ~targets
 
 type diagnosis = {
   d_relation : Mdl.Ident.t;
@@ -102,9 +85,8 @@ type diagnosis = {
 let diagnose ?mode ?slack_objects ?extra_values transformation ~metamodels
     ~models ~targets =
   let ( let* ) = Result.bind in
-  (* Diagnosis runs one satisfiability probe per directional formula
-     and never enumerates, so SBPs buy nothing; keep the legacy slack
-     chain so the probes see the same structural formulas as before. *)
+  (* One satisfiability probe per directional formula and no
+     enumeration, so no symmetry is broken. *)
   let* space =
     Space.build ?mode ?slack_objects ?extra_values ~sbp:false ~transformation
       ~metamodels ~models ~targets ()

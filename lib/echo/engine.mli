@@ -49,14 +49,16 @@ val enforce :
   targets:Target.t ->
   (enforce_outcome, string) result
 (** Default backend {!Iterative}; [slack_objects] fresh objects are
-    available per target model (default 2); [extra_values] widens the
+    available per target model (default 2; negative is an [Error]);
+    [extra_values] widens the
     value universe available to repairs; [model_weights] prioritises
     models in the aggregated distance.
 
     [sbp] (default [true]) enables the bounds-level symmetry analysis
-    and lex-leader symmetry-breaking predicates ({!Space.build});
-    [~sbp:false] falls back to the legacy slack chain (the CLI's
-    [--no-sbp]). Either way the minimal distance is unchanged. *)
+    and its lex-leader symmetry-breaking predicates
+    ({!Space.sbp_orbits}); with [~sbp:false] (the CLI's [--no-sbp]) no
+    symmetry is broken. Either way the minimal distance is unchanged.
+    The iterative backend is {!Repair.run_all} with [~limit:1]. *)
 
 val enforce_all :
   ?limit:int ->
@@ -71,7 +73,8 @@ val enforce_all :
   targets:Target.t ->
   (enforce_outcome list, string) result
 (** All distinct minimal repairs (iterative backend), up to [limit]
-    (default 16), in the canonical order of {!Repair.run_all}: a
+    (default 16) distinct ones, in the canonical order of
+    {!Repair.run_all}: a
     singleton [Already_consistent] or [Cannot_restore], or one
     [Enforced] per repair — the menu a multidirectional Echo UI would
     offer the user (paper §4). [Error] when the models are

@@ -1,5 +1,3 @@
-type outcome = Repair.outcome
-
 let run space =
   try
     let started = Obs.Clock.now () in
@@ -12,23 +10,9 @@ let run space =
       (Relog.Bounds.relations (Space.bounds space));
     List.iter (Relog.Translate.assert_formula trans) (Space.formulas space);
     (* Lex-leader SBPs as plain hard clauses: this translation lives
-       for one optimization run, so no guard/retirement is needed. The
-       fixed set also pins every atom the formulas name, mirroring what
-       Finder accumulates on the iterative path. *)
-    if Space.use_sbp space then begin
-      let fixed =
-        List.fold_left
-          (fun acc f -> Mdl.Ident.Set.union acc (Relog.Ast.free_atoms f))
-          (Space.symmetry_fixed space)
-          (Space.formulas space)
-      in
-      let orbits =
-        Relog.Symmetry.orbits ~fixed
-          ~respect:(Space.symmetry_respect space)
-          (Space.bounds space)
-      in
-      ignore (Relog.Symmetry.break trans orbits)
-    end;
+       for one optimization run, so no guard is needed. *)
+    if Space.use_sbp space then
+      ignore (Relog.Symmetry.break trans (Space.sbp_orbits space) : int);
     (* Soft clauses: keep every optional tuple at its original value. *)
     let changes = Space.change_literals space trans in
     List.iter
@@ -68,13 +52,13 @@ let run space =
             ])
           (fun () -> Sat.Maxsat.solve maxsat)
       with
-      | Sat.Maxsat.Hard_unsat -> Ok Repair.Cannot_restore
+      | Sat.Maxsat.Hard_unsat -> Ok None
       | Sat.Maxsat.Optimum _ -> (
         let inst = Relog.Translate.decode_with trans (Sat.Maxsat.value maxsat) in
         match Space.decode_targets space inst with
         | Ok repaired ->
           Ok
-            (Repair.Repaired
+            (Some
                {
                  Repair.repaired;
                  relational_distance = Space.relational_distance space inst;

@@ -8,8 +8,7 @@
     by the model's priority; hard clauses are the consistency and
     structural constraints. *)
 
-type outcome = Repair.outcome
-
-val run : Space.t -> (outcome, string) result
+val run : Space.t -> (Repair.success option, string) result
 (** One minimal repair by a SAT-driven descent on the weighted
-    objective; [Error] on translation or decode failures. *)
+    objective, or [None] when consistency cannot be restored; [Error]
+    on translation or decode failures. *)

@@ -18,14 +18,72 @@ type success = {
   stats : Telemetry.t;
 }
 
-type outcome =
-  | Repaired of success
-  | Cannot_restore
+(* ------------------------------------------------------------------ *)
+(* The ladder                                                          *)
 
-(* Shared setup of the iterative search: finder, totalizer over the
-   change literals, and the telemetry accumulators. *)
+(* Canonical serialization of a repair: the dedup key and the
+   deterministic menu order. *)
+let key models =
+  String.concat "\x00"
+    (List.map
+       (fun (p, m) -> Mdl.Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
+       models)
+
+let ladder ~limit ~total ~solve ~block ~decode ~models =
+  if limit < 1 then invalid_arg "Repair.ladder: limit must be at least 1";
+  (* Every distinct conformant repair at distance k, up to [limit].
+     Rejected and duplicate instances are blocked without counting;
+     the last repair that fills the menu is not blocked, since nothing
+     is solved after it. A key is serialized only when it is compared,
+     so a [~limit:1] run serializes nothing. *)
+  let collect_at k =
+    let seen = Hashtbl.create 16 in
+    let rec go acc n =
+      match solve k with
+      | Relog.Finder.Unsat -> acc
+      | Relog.Finder.Sat inst -> (
+        match decode inst with
+        | Error _ ->
+          block ();
+          go acc n
+        | Ok r ->
+          let id = lazy (key (models r)) in
+          if n > 0 && Hashtbl.mem seen (Lazy.force id) then begin
+            Obs.Metrics.incr m_dedup_discards;
+            block ();
+            go acc n
+          end
+          else if n + 1 >= limit then (id, r) :: acc
+          else begin
+            Hashtbl.add seen (Lazy.force id) ();
+            block ();
+            go ((id, r) :: acc) (n + 1)
+          end)
+    in
+    go [] 0
+  in
+  (* [collect_at k] also sees instances strictly below k, which earlier
+     rungs proved absent, so everything it returns is minimal. *)
+  let rec at_distance k =
+    if k > total then []
+    else
+      match collect_at k with
+      | [] -> at_distance (k + 1)
+      | found ->
+        List.sort (fun (a, _) (b, _) -> String.compare (Lazy.force a) (Lazy.force b)) found
+        |> List.map snd
+  in
+  at_distance 0
+
+(* ------------------------------------------------------------------ *)
+(* One-shot runs                                                       *)
+
+(* Shared setup of the iterative search: finder, symmetry guard,
+   totalizer over the change literals, and the telemetry
+   accumulators. *)
 type search = {
   finder : Relog.Finder.t;
+  sbp_guard : Sat.Lit.t list;  (* assumed first by every solve *)
   card : Sat.Cardinality.t;
   total : int;  (* total weight = totalizer input count = ladder cap *)
   started : float;
@@ -39,14 +97,19 @@ let start space =
     Obs.Trace.with_span ~name:"repair.prepare" (fun () ->
         Relog.Finder.prepare (Space.bounds space) (Space.formulas space))
   in
-  if Space.use_sbp space then
-    ignore
-      (Obs.Trace.with_span ~name:"repair.symmetry" (fun () ->
-           Relog.Finder.add_symmetry
-             ~fixed:(Space.symmetry_fixed space)
-             ~respect:(Space.symmetry_respect space)
-             finder));
   let trans = Relog.Finder.translation finder in
+  (* The lex-leader predicates hang off one guard, assumed first: a
+     stable assumption prefix keeps the solver's trail-reuse fast
+     path. *)
+  let sbp_guard =
+    if not (Space.use_sbp space) then []
+    else
+      Obs.Trace.with_span ~name:"repair.symmetry" (fun () ->
+          let orbits = Space.sbp_orbits space in
+          let g = Sat.Lit.pos (Sat.Solver.new_var (Relog.Finder.solver finder)) in
+          ignore (Relog.Symmetry.break ~guard:g trans orbits : int);
+          [ g ])
+  in
   let changes = Space.change_literals space trans in
   let inputs = List.concat_map (fun (l, w) -> List.init w (fun _ -> l)) changes in
   let card =
@@ -57,6 +120,7 @@ let start space =
   Obs.Metrics.incr m_runs;
   {
     finder;
+    sbp_guard;
     card;
     total = List.length inputs;
     started = Obs.Clock.now ();
@@ -72,7 +136,7 @@ let step sc k =
      (match sc.levels with
      | (k', n) :: rest when k' = k -> (k', n + 1) :: rest
      | levels -> (k, 1) :: levels));
-  let assumptions = Sat.Cardinality.at_most sc.card k in
+  let assumptions = sc.sbp_guard @ Sat.Cardinality.at_most sc.card k in
   Obs.Trace.with_span ~name:"solve"
     ~args:(fun () ->
       [
@@ -81,12 +145,6 @@ let step sc k =
         ("assumptions", Obs.Json.Int (List.length assumptions));
       ])
     (fun () -> Relog.Finder.solve ~assumptions sc.finder)
-
-(* The decoded model failed full conformance (the encoding
-   approximates multiplicity lower bounds > 1). *)
-let note_blocked sc =
-  sc.blocked <- sc.blocked + 1;
-  Obs.Metrics.incr m_blocked
 
 let telemetry sc =
   let fs = Relog.Finder.stats sc.finder in
@@ -108,118 +166,42 @@ let telemetry sc =
     total_time = total;
   }
 
-let success sc space inst repaired =
-  {
-    repaired;
-    relational_distance = Space.relational_distance space inst;
-    edit_distance = Space.edit_distance space repaired;
-    iterations = sc.iterations;
-    stats = telemetry sc;
-  }
-
-(* Translation failures of ill-formed input surface as [Error]. *)
-let guarded f =
-  try f () with
-  | Relog.Translate.Unsupported msg -> Error msg
-  | Invalid_argument msg -> Error msg
-
-let run space =
-  guarded @@ fun () ->
-  let sc = start space in
-  let rec at_distance k =
-    if k > sc.total then Ok Cannot_restore
-    else
-      match step sc k with
-      | Relog.Finder.Unsat -> at_distance (k + 1)
-      | Relog.Finder.Sat inst -> (
-        match Space.decode_targets space inst with
-        | Ok repaired -> Ok (Repaired (success sc space inst repaired))
-        | Error _ ->
-          (* Exclude the non-conformant instance and keep searching at
-             the same distance. *)
-          note_blocked sc;
-          Relog.Finder.block sc.finder;
-          at_distance k)
-  in
-  at_distance 0
-
-(* ------------------------------------------------------------------ *)
-(* Enumeration                                                          *)
-
-(* Canonical serialization of a repair, used both as the dedup key and
-   as the deterministic result order of [run_all]. *)
-let repair_key repaired =
-  String.concat "\x00"
-    (List.map
-       (fun (p, m) -> Mdl.Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
-       repaired)
-
-(* Distinct SAT assignments can decode to identical models (e.g.
-   symmetric uses of slack atoms not covered by the symmetry chain);
-   deduplicate on a canonical serialization of the decoded states,
-   hashed — not pairwise Model.equal over all seen keys. *)
-let dedup repairs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (r : success) ->
-      let key = repair_key r.repaired in
-      if Hashtbl.mem seen key then begin
-        Obs.Metrics.incr m_dedup_discards;
-        false
-      end
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    repairs
-
-(* Deterministic result order, independent of discovery order: sort on
-   the canonical serialization. *)
-let canonical_sort repairs =
-  List.sort
-    (fun (a : success) (b : success) ->
-      String.compare (repair_key a.repaired) (repair_key b.repaired))
-    repairs
-
 let run_all ?(limit = 16) space =
   (* Below 1 the collector would stop before its first solve at every
      rung and climb to a false [Cannot_restore]. *)
   if limit < 1 then
     Error (Printf.sprintf "Repair.run_all: limit must be at least 1 (got %d)" limit)
   else
-    guarded @@ fun () ->
-    let sc = start space in
-    (* Collect every (conformant) instance at distance k; [n] carries
-       the count so the limit check is O(1) per iteration. *)
-    let collect_at k =
-      let rec go acc n =
-        if n >= limit then List.rev acc
-        else
-          match step sc k with
-          | Relog.Finder.Unsat -> List.rev acc
-          | Relog.Finder.Sat inst -> (
-            Relog.Finder.block sc.finder;
+    (* Translation failures of ill-formed input surface as [Error]. *)
+    try
+      let sc = start space in
+      let found =
+        ladder ~limit ~total:sc.total ~solve:(step sc)
+          ~block:(fun () -> Relog.Finder.block sc.finder)
+          ~decode:(fun inst ->
             match Space.decode_targets space inst with
-            | Error _ ->
-              note_blocked sc;
-              go acc n
-            | Ok repaired -> go (success sc space inst repaired :: acc) (n + 1))
+            | Ok repaired -> Ok (inst, repaired, sc.iterations)
+            | Error e ->
+              (* The decoded model failed full conformance (the
+                 encoding approximates multiplicity lower bounds
+                 > 1). *)
+              sc.blocked <- sc.blocked + 1;
+              Obs.Metrics.incr m_blocked;
+              Error e)
+          ~models:(fun (_, repaired, _) -> repaired)
       in
-      go [] 0
-    in
-    let rec at_distance k =
-      if k > sc.total then Ok []
-      else
-        match collect_at k with
-        | [] -> at_distance (k + 1)
-        | repairs ->
-          (* [collect_at] also sees instances strictly below k that
-             earlier iterations proved absent, so everything returned
-             is at the minimal distance. *)
-          let final = telemetry sc in
-          Ok
-            (List.map
-               (fun r -> { r with stats = final })
-               (canonical_sort (dedup repairs)))
-    in
-    at_distance 0
+      let stats = telemetry sc in
+      Ok
+        (List.map
+           (fun (inst, repaired, iterations) ->
+             {
+               repaired;
+               relational_distance = Space.relational_distance space inst;
+               edit_distance = Space.edit_distance space repaired;
+               iterations;
+               stats;
+             })
+           found)
+    with
+    | Relog.Translate.Unsupported msg -> Error msg
+    | Invalid_argument msg -> Error msg

@@ -7,50 +7,47 @@ type t = {
   tgts : Target.t;
   original : Relog.Instance.t;
   bnds : Relog.Bounds.t;
-  fmls : Relog.Ast.formula list;
+  consistency : Relog.Ast.formula;
+  structural : Relog.Ast.formula list;
   weights : int Ident.Map.t;  (* param -> weight *)
   originals : (Ident.t * Mdl.Model.t) list;
-  sbp : bool;  (* general lex-leader SBPs instead of the slack chain *)
+  sbp : bool;
 }
 
-(* Relation names are namespaced "<param>$..."; recover the parameter. *)
-let param_of_rel r =
-  match String.index_opt (Ident.name r) '$' with
-  | None -> None
-  | Some i -> Some (Ident.make (String.sub (Ident.name r) 0 i))
+let param_of_rel = Qvtr.Encode.param_of_rel
 
-let build ?mode ?unroll ?(slack_objects = 2) ?(extra_values = [])
-    ?(model_weights = []) ?(sbp = true) ~transformation ~metamodels ~models
-    ~targets () =
-  let ( let* ) = Result.bind in
+let typecheck ~transformation ~metamodels ~targets =
   let params =
     List.map
       (fun (p : Qvtr.Ast.param) -> p.Qvtr.Ast.par_name)
       transformation.Qvtr.Ast.t_params
   in
-  let* () = Target.validate ~params targets in
-  let* info =
-    match Qvtr.Typecheck.check transformation ~metamodels with
-    | Ok info -> Ok info
-    | Error errs ->
-      Error
-        (String.concat "; "
-           (List.map (fun e -> Format.asprintf "%a" Qvtr.Typecheck.pp_error e) errs))
-  in
+  Result.bind (Target.validate ~params targets) @@ fun () ->
+  match Qvtr.Typecheck.check transformation ~metamodels with
+  | Ok info -> Ok info
+  | Error errs ->
+    Error
+      (String.concat "; "
+         (List.map (fun e -> Format.asprintf "%a" Qvtr.Typecheck.pp_error e) errs))
+
+let build ?mode ?unroll ?(slack_objects = 2) ?(extra_values = [])
+    ?(model_weights = []) ?(sbp = true) ~transformation ~metamodels ~models
+    ~targets () =
+  let ( let* ) = Result.bind in
+  let* info = typecheck ~transformation ~metamodels ~targets in
   let* enc =
     Qvtr.Encode.create ~transformation ~metamodels ~models ~extra_values
       ~slack_objects ()
   in
   try
     let sem = Qvtr.Semantics.create ?mode ?unroll enc info in
+    (* Evaluation order matters beyond this function: compiling these
+       formulas interns identifiers, whose tags order the primary
+       registry's iteration, and with it the CNF. *)
     let consistency = Qvtr.Semantics.consistency_formula sem in
-    (* With the general symmetry pass on, the hand-rolled slack chain
-       is dropped: its formulas name the slack atoms, which would pin
-       them and leave the analysis no orbits. The lex-leader SBPs the
-       repair layer asserts subsume it. *)
     let structural =
       List.concat_map
-        (fun p -> Qvtr.Encode.structural_formulas ~symmetry:(not sbp) enc ~param:p)
+        (fun p -> Qvtr.Encode.structural_formulas enc ~param:p)
         (Ident.Set.elements targets)
     in
     let weights =
@@ -63,7 +60,7 @@ let build ?mode ?unroll ?(slack_objects = 2) ?(extra_values = [])
           in
           if w <= 0 then invalid_arg "Space.build: weights must be positive";
           Ident.Map.add p w acc)
-        Ident.Map.empty params
+        Ident.Map.empty (Qvtr.Encode.params enc)
     in
     Ok
       {
@@ -72,7 +69,8 @@ let build ?mode ?unroll ?(slack_objects = 2) ?(extra_values = [])
         tgts = targets;
         original = Qvtr.Encode.check_instance enc;
         bnds = Qvtr.Encode.bounds enc ~targets;
-        fmls = consistency :: structural;
+        consistency;
+        structural;
         weights;
         originals = models;
         sbp;
@@ -88,20 +86,23 @@ let directional_formulas s =
     (fun (r, d, f) -> (r.Qvtr.Ast.r_name, d, f))
     (Qvtr.Semantics.top_formulas s.sem)
 
-let structural s =
-  List.concat_map
-    (fun p -> Qvtr.Encode.structural_formulas ~symmetry:(not s.sbp) s.enc ~param:p)
-    (Ident.Set.elements s.tgts)
-let targets s = s.tgts
+let structural s = s.structural
+let formulas s = s.consistency :: s.structural
 let use_sbp s = s.sbp
 
-(* Atoms the symmetry analysis may permute: the target models' object
-   atoms (existing and slack). Everything else — value atoms, whose
-   identity is observable in a repair menu ("attr = 5" and "attr = 7"
-   are different repairs, not isomorphic ones), and frozen models'
-   objects — stays fixed. *)
-let symmetry_fixed s =
-  let candidates =
+(* The one-shot symmetry pass. Only the target models' object atoms
+   (existing and slack) may move. Everything else stays fixed: value
+   atoms, whose identity is observable in a repair menu ("attr = 5"
+   and "attr = 7" are different repairs, not isomorphic ones), frozen
+   models' objects, and every atom a formula names. The target
+   relations' original values are respected: without them a
+   permutation could move an instance to one at a different relational
+   distance from the original, and the ladder's "UNSAT at level l"
+   would no longer prove there is no repair at distance l. Frozen
+   relations are exactly bound, so preserving their bounds already
+   preserves them. *)
+let sbp_orbits s =
+  let movable =
     List.fold_left
       (fun acc p ->
         let acc =
@@ -117,31 +118,29 @@ let symmetry_fixed s =
       Ident.Set.empty
       (Ident.Set.elements s.tgts)
   in
-  List.fold_left
-    (fun acc a -> if Ident.Set.mem a candidates then acc else Ident.Set.add a acc)
-    Ident.Set.empty
-    (Relog.Rel.Universe.atoms (Qvtr.Encode.universe s.enc))
+  let fixed =
+    List.fold_left
+      (fun acc a -> if Ident.Set.mem a movable then acc else Ident.Set.add a acc)
+      Ident.Set.empty
+      (Relog.Rel.Universe.atoms (Qvtr.Encode.universe s.enc))
+  in
+  let fixed =
+    List.fold_left
+      (fun acc f -> Ident.Set.union acc (Relog.Ast.free_atoms f))
+      fixed (formulas s)
+  in
+  let respect =
+    List.filter_map
+      (fun r ->
+        match param_of_rel r with
+        | Some p when Ident.Set.mem p s.tgts ->
+          Some (Relog.Instance.get s.original r)
+        | _ -> None)
+      (Relog.Bounds.relations s.bnds)
+  in
+  Relog.Symmetry.orbits ~fixed ~respect s.bnds
 
-(* Tuplesets every permutation must additionally preserve: the target
-   relations' original values. Without them, a permutation could move
-   an instance to one at a different relational distance from the
-   original, and the ladder's "UNSAT at level l" would no longer prove
-   there is no repair at distance l. Frozen relations are exactly
-   bound, so preserving their bounds already preserves them. *)
-let symmetry_respect s =
-  List.filter_map
-    (fun r ->
-      match param_of_rel r with
-      | Some p when Ident.Set.mem p s.tgts ->
-        Some (Relog.Instance.get s.original r)
-      | _ -> None)
-    (Relog.Bounds.relations s.bnds)
-let formulas s = s.fmls
 let bounds s = s.bnds
-let params s =
-  List.map
-    (fun (p : Qvtr.Ast.param) -> p.Qvtr.Ast.par_name)
-    (Qvtr.Encode.transformation s.enc).Qvtr.Ast.t_params
 
 let weight_of_rel s r =
   match param_of_rel r with

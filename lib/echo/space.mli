@@ -29,12 +29,19 @@ val build :
     (default 1 each — the paper's summed aggregation; other weights
     realise the prioritisation it leaves as future work).
 
-    [sbp] (default [true]) selects the general bounds-level symmetry
-    analysis ({!Relog.Symmetry}): the structural formulas omit the
-    hand-rolled slack-symmetry chain (which would pin the slack atoms)
-    and the repair backends instead assert lex-leader predicates for
-    the orbits of {!symmetry_fixed}/{!symmetry_respect}. With [sbp]
-    false the legacy slack chain is kept and no SBPs are emitted. *)
+    [sbp] (default [true]) turns on the one-shot symmetry pass
+    ({!sbp_orbits}); with [sbp] false no symmetry is broken at all.
+    The structural formulas never break symmetry themselves. *)
+
+val typecheck :
+  transformation:Qvtr.Ast.transformation ->
+  metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
+  targets:Target.t ->
+  (Qvtr.Typecheck.info, string) result
+(** The input checks {!build} starts with, and
+    {!Incr.Session.open_session} too: the target set is valid for the
+    transformation's parameters, and the transformation typechecks
+    (all type errors joined into one message). *)
 
 val encoding : t -> Qvtr.Encode.t
 
@@ -48,27 +55,23 @@ val structural : t -> Relog.Ast.formula list
 (** Only the structural (conformance) constraints of the mutable
     models. *)
 
-val targets : t -> Target.t
-
 val use_sbp : t -> bool
-(** Whether this space was built for the general symmetry pass. *)
+(** Whether this space was built with [sbp] on. *)
 
-val symmetry_fixed : t -> Mdl.Ident.Set.t
-(** Atoms the symmetry analysis must not permute: everything except
-    the target models' object and slack atoms. Value atoms in
-    particular are fixed — their identity is observable in the repair
-    menu. *)
-
-val symmetry_respect : t -> Relog.Rel.Tupleset.t list
-(** The original instance's target-relation tuplesets. Permutations
-    respecting them leave the relational distance of every instance
-    unchanged, which keeps the distance ladder sound under SBPs. *)
+val sbp_orbits : t -> Relog.Symmetry.orbit list
+(** The orbits both repair backends break with lex-leader predicates
+    ({!Relog.Symmetry.break}) when {!use_sbp} holds. Only the target
+    models' object and slack atoms may move: value atoms (their
+    identity is observable in a repair menu), frozen models' objects
+    and every atom a formula names stay fixed. The original target
+    tuples are respected, so every permutation keeps the relational
+    distance of every instance, which keeps the distance ladder
+    sound. *)
 
 val formulas : t -> Relog.Ast.formula list
 (** Consistency plus structural constraints. *)
 
 val bounds : t -> Relog.Bounds.t
-val params : t -> Mdl.Ident.t list
 
 val change_literals : t -> Relog.Translate.t -> (Sat.Lit.t * int) list
 (** For a translation over {!bounds}: one (literal, weight) per

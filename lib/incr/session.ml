@@ -80,8 +80,10 @@ type repair_state = {
   ntprims : prim array;  (* primaries of frozen parameters *)
   tprims : tprim array;  (* primaries of target parameters *)
   card : Sat.Cardinality.t;
-  chains : (Ident.t * Sat.Lit.t array) list;
-      (* per target parameter: slack symmetry pair guards, ordinal order *)
+  sbp_pairs : (Ident.t * ((int * int) * Sat.Lit.t) array) list;
+      (* per target parameter, at index k: slack pair (s_k, s_k+1) as
+         atom indices and the guard of its predicate; empty with SBPs
+         off *)
   struct_guards : Sat.Lit.t list;
       (* conformance of the targets, guarded like everything else so
          the one shared finder serves both check and repair *)
@@ -118,13 +120,7 @@ type t = {
   tgts : Echo.Target.t;
   budget : int;
   headroom : int;
-  symmetry : bool;
-      (* assume the guarded slack-symmetry chains on repair solves.
-         The session path pins repairs by assumption, so the general
-         lex-leader SBPs of {!Relog.Symmetry} are unsound here; the
-         per-parameter slack chains are the symmetry breaking sessions
-         get, and [symmetry = false] (the server's --no-sbp) drops
-         even those. *)
+  sbp : bool;  (* lex-leader SBPs over the fresh slack window *)
   mutable gen : generation;
   cache : (string, generation) Hashtbl.t;
   (* The one finder (translation + solver) serving every generation:
@@ -343,28 +339,13 @@ let ensure_generation t =
 (* Opening                                                             *)
 
 let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
-    ?(extra_values = []) ?(symmetry = true) ~transformation ~metamodels
+    ?(extra_values = []) ?(sbp = true) ~transformation ~metamodels
     ~models ~targets () =
   let ( let* ) = Result.bind in
   if slack_budget < 0 || headroom < 0 then
     Error "Session.open_session: slack_budget and headroom must be >= 0"
   else
-    let params =
-      List.map
-        (fun (p : Qvtr.Ast.param) -> p.Qvtr.Ast.par_name)
-        transformation.Qvtr.Ast.t_params
-    in
-    let* () = Echo.Target.validate ~params targets in
-    let* info =
-      match Qvtr.Typecheck.check transformation ~metamodels with
-      | Ok info -> Ok info
-      | Error errs ->
-        Error
-          (String.concat "; "
-             (List.map
-                (fun e -> Format.asprintf "%a" Qvtr.Typecheck.pp_error e)
-                errs))
-    in
+    let* info = Echo.Space.typecheck ~transformation ~metamodels ~targets in
     let seed =
       List.fold_left
         (fun acc v -> Value.Set.add v acc)
@@ -386,7 +367,7 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
         tgts = targets;
         budget = slack_budget;
         headroom;
-        symmetry;
+        sbp;
         gen;
         cache = Hashtbl.create 4;
         fd = None;
@@ -399,7 +380,7 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
             (fun acc v -> Value.Set.add v acc)
             seed
             (Qvtr.Encode.values gen.g_enc);
-        pstates = fresh_pstates params;
+        pstates = fresh_pstates (Qvtr.Encode.params gen.g_enc);
         fact_cache = Ident.Map.empty;
         rebuild_pending = false;
         nrebuilds = 0;
@@ -412,12 +393,6 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
 
 (* ------------------------------------------------------------------ *)
 (* Facts                                                               *)
-
-(* Relation names are namespaced "<param>$..."; recover the owner. *)
-let param_of_rel r =
-  match String.index_opt (Ident.name r) '$' with
-  | None -> None
-  | Some i -> Some (Ident.make (String.sub (Ident.name r) 0 i))
 
 let facts_of t p =
   match Ident.Map.find_opt p t.fact_cache with
@@ -472,7 +447,7 @@ let collect_prims trans =
   let a =
     Relog.Translate.fold_primaries trans
       (fun r tuple v acc ->
-        match param_of_rel r with
+        match Qvtr.Encode.param_of_rel r with
         | Some p -> { p_param = p; p_rel = r; p_tuple = tuple; p_var = v } :: acc
         | None -> acc)
       []
@@ -738,10 +713,32 @@ let recheck ?(blame = false) t =
 (* ------------------------------------------------------------------ *)
 (* The repair finder                                                   *)
 
+(* One lex-leader predicate ({!Relog.Symmetry.break}) per adjacent
+   slack pair (s_k, s_k+1) of each target parameter, each under its
+   own guard; [repair_pins] assumes the pairs that lie in the fresh
+   window. A predicate ranges over the primaries of the bounds it was
+   emitted for, and a re-encode changes them, so every generation
+   emits its own. *)
+let slack_sbps t g rf =
+  Obs.Trace.with_span ~name:"repair.symmetry" @@ fun () ->
+  let trans = Relog.Finder.translation rf in
+  let rec pairs = function
+    | a :: (b :: _ as rest) ->
+      let gd = Sat.Lit.pos (Sat.Solver.new_var (Relog.Finder.solver rf)) in
+      ignore (Relog.Symmetry.break ~guard:gd trans [ [ a; b ] ] : int);
+      ((a, b), gd) :: pairs rest
+    | [ _ ] | [] -> []
+  in
+  List.map
+    (fun p ->
+      let atoms = Qvtr.Encode.slack_atom_names g.g_enc p in
+      (p, Array.of_list (pairs (List.map (Qvtr.Encode.atom_index g.g_enc) atoms))))
+    (Ident.Set.elements t.tgts)
+
 (* The repair apparatus rides on the same finder as the check: the
    direction formulas (consistency) are already guarded there, the
-   target conformance and slack symmetry formulas are guarded here,
-   and every repair solve assumes all of them. Nothing is asserted
+   target conformance formulas and the slack SBPs are guarded here,
+   and every repair solve assumes them. Nothing is asserted
    unconditionally, so check and repair coexist in one solver and the
    whole translation is shared. *)
 let ensure_repair t =
@@ -757,25 +754,14 @@ let ensure_repair t =
     finder_cache_event ~hit:false "repair_finder";
     t.translations <- t.translations + 1;
     let rf = cs.cf in
-    let tgt_list = Ident.Set.elements t.tgts in
-    let chains =
-      List.map
-        (fun p ->
-          ( p,
-            if not t.symmetry then [||]
-            else
-              Array.of_list
-                (List.map (Relog.Finder.guard rf)
-                   (Qvtr.Encode.slack_symmetry_formulas g.g_enc ~param:p)) ))
-        tgt_list
-    in
     let struct_guards =
       List.concat_map
         (fun p ->
           List.map (Relog.Finder.guard rf)
-            (Qvtr.Encode.structural_formulas ~symmetry:false g.g_enc ~param:p))
-        tgt_list
+            (Qvtr.Encode.structural_formulas g.g_enc ~param:p))
+        (Ident.Set.elements t.tgts)
     in
+    let sbp_pairs = if t.sbp then slack_sbps t g rf else [] in
     let solver = Relog.Finder.solver rf in
     let prims = cs.cprims in
     let ntprims =
@@ -820,7 +806,7 @@ let ensure_repair t =
           Sat.Cardinality.build solver
             (List.map (fun tp -> Sat.Lit.pos tp.t_diff) (Array.to_list tprims)))
     in
-    let r = { rf; ntprims; tprims; card; chains; struct_guards } in
+    let r = { rf; ntprims; tprims; card; sbp_pairs; struct_guards } in
     g.g_repair <- Some r;
     r
 
@@ -849,6 +835,22 @@ let dead_atoms t p =
     (Qvtr.Encode.slack_atom_names enc p);
   tbl
 
+(* The slack pairs a repair solve assumes, by the window rule: pair k,
+   (s_k, s_k+1), only while both atoms are fresh. Beyond the window
+   the pins hold every atom unused, and the predicate's first clause
+   reads "s_k used => s_k+1 used", so a pair reaching past it would
+   forbid a live atom; a consumed atom carries its object's facts (or
+   is held unused once the object is deleted), so a pair touching it
+   is no symmetry. *)
+let assumed_pairs t rs =
+  List.concat_map
+    (fun (p, pairs) ->
+      let n = (pstate_of t p).nconsumed in
+      List.filteri
+        (fun k _ -> n <= k && k + 1 < n + t.budget)
+        (Array.to_list pairs))
+    rs.sbp_pairs
+
 let repair_pins t rs =
   let dead =
     List.fold_left
@@ -857,20 +859,10 @@ let repair_pins t rs =
       (Ident.Set.elements t.tgts)
   in
   (* Assembled back to front so the final list runs: frozen-model
-     pins, target reference/dead pins, chain guards — a stable order,
-     so the whole list is a reusable trail prefix across the ladder. *)
-  let acc =
-    List.concat_map
-      (fun (p, guards) ->
-        (* Symmetry applies to the unconsumed window only: consumed
-           atoms are ordinary objects now and must be deletable
-           independently. *)
-        let n = (pstate_of t p).nconsumed in
-        let out = ref [] in
-        Array.iteri (fun k gd -> if k >= n then out := gd :: !out) guards;
-        List.rev !out)
-      rs.chains
-  in
+     pins, target reference/dead pins, slack SBP guards — a stable
+     order, so the whole list is a reusable trail prefix across the
+     ladder. *)
+  let acc = List.map snd (assumed_pairs t rs) in
   let acc =
     Array.fold_right
       (fun tp acc ->
@@ -889,6 +881,38 @@ let repair_pins t rs =
        else Sat.Lit.neg_of pr.p_var)
       :: acc)
     rs.ntprims acc
+
+type sbp_view = {
+  sv_bounds : Relog.Bounds.t;
+  sv_pinned : Relog.Rel.Tupleset.t list;
+  sv_pairs : (int * int) list;
+  sv_formulas : Relog.Ast.formula list;
+}
+
+let sbp_view t =
+  Result.bind (ensure_generation t) @@ fun () ->
+  match ensure_repair t with
+  | exception Invalid_argument msg -> Error msg
+  | rs ->
+    let enc = t.gen.g_enc in
+    let tgts = Ident.Set.elements t.tgts in
+    let pinned p =
+      let tuples tbl =
+        Relog.Rel.Tupleset.of_list (List.of_seq (Hashtbl.to_seq_keys tbl))
+      in
+      let dead = Hashtbl.create 8 in
+      Hashtbl.iter (fun i () -> Hashtbl.replace dead [| i |] ()) (dead_atoms t p);
+      tuples dead :: Ident.Map.fold (fun _ tbl acc -> tuples tbl :: acc) (facts_of t p) []
+    in
+    Ok
+      {
+        sv_bounds = t.gen.g_bounds;
+        sv_pinned = List.concat_map pinned tgts;
+        sv_pairs = List.map fst (assumed_pairs t rs);
+        sv_formulas =
+          List.map (fun (_, _, f) -> f) (Qvtr.Semantics.top_formulas t.gen.g_sem)
+          @ List.concat_map (fun p -> Qvtr.Encode.structural_formulas enc ~param:p) tgts;
+      }
 
 let consistent_now cs pins =
   let solver = Relog.Finder.solver cs.cf in
@@ -947,26 +971,6 @@ let decode_repair t inst ~distance =
         r_edit_distance = edit;
       }
 
-let repair_key reps =
-  String.concat "\x00"
-    (List.map
-       (fun (p, m) -> Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
-       reps)
-
-let dedup_sort reps =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun r ->
-      let key = repair_key r.r_models in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    reps
-  |> List.sort (fun a b ->
-         String.compare (repair_key a.r_models) (repair_key b.r_models))
-
 let m_rerepairs = Obs.Metrics.counter "incr.rerepairs"
 
 let rerepair_upto ~limit t =
@@ -985,54 +989,43 @@ let rerepair_upto ~limit t =
     else begin
       let rs = ensure_repair t in
       (* Stable assumption order for trail reuse across the ladder:
-         fact/reference pins and chain guards, then the guarded
+         fact/reference pins and SBP guards, then the guarded
          constraint set (conformance + all directions). *)
       let dir_guards = List.map (fun (_, _, gd) -> gd) cs.dirs in
       let base = repair_pins t rs @ rs.struct_guards @ dir_guards in
+      (* Blocks are scoped to this call: dropping [scope] afterwards
+         retracts them. *)
       let scope = Relog.Finder.new_scope rs.rf in
       let solver = Relog.Finder.solver rs.rf in
-      let total = Sat.Cardinality.count rs.card in
-      (* Enumerate conformant instances at distance k; non-conformant
-         ones are blocked (scoped to this call) without counting. *)
-      let collect_at k =
-        let rec go acc n =
-          if n >= limit then acc
-          else
-            let assumptions = base @ Sat.Cardinality.at_most rs.card k @ [ scope ] in
-            match
-              Obs.Trace.with_span ~name:"solve"
-                ~args:(fun () ->
-                  [
-                    ("backend", Obs.Json.String "session.repair");
-                    ("distance", Obs.Json.Int k);
-                    ("assumptions", Obs.Json.Int (List.length assumptions));
-                  ])
-                (fun () -> Relog.Finder.solve ~assumptions rs.rf)
-            with
-            | Relog.Finder.Unsat -> acc
-            | Relog.Finder.Sat inst -> (
-              let distance =
-                Array.fold_left
-                  (fun d tp ->
-                    if Sat.Solver.value solver tp.t_diff then d + 1 else d)
-                  0 rs.tprims
-              in
-              let decoded = decode_repair t inst ~distance in
-              Relog.Finder.block ~scope rs.rf;
-              match decoded with
-              | Error _ -> go acc n
-              | Ok rep -> go (rep :: acc) (n + 1))
+      let solve k =
+        let assumptions = base @ Sat.Cardinality.at_most rs.card k @ [ scope ] in
+        Obs.Trace.with_span ~name:"solve"
+          ~args:(fun () ->
+            [
+              ("backend", Obs.Json.String "session.repair");
+              ("distance", Obs.Json.Int k);
+              ("assumptions", Obs.Json.Int (List.length assumptions));
+            ])
+          (fun () -> Relog.Finder.solve ~assumptions rs.rf)
+      in
+      let decode inst =
+        let distance =
+          Array.fold_left
+            (fun d tp -> if Sat.Solver.value solver tp.t_diff then d + 1 else d)
+            0 rs.tprims
         in
-        go [] 0
+        decode_repair t inst ~distance
       in
-      let rec at_distance k =
-        if k > total then Cannot_restore
-        else
-          match collect_at k with
-          | [] -> at_distance (k + 1)
-          | reps -> Repaired (dedup_sort reps)
+      let outcome =
+        match
+          Echo.Repair.ladder ~limit ~total:(Sat.Cardinality.count rs.card) ~solve
+            ~block:(fun () -> Relog.Finder.block ~scope rs.rf)
+            ~decode
+            ~models:(fun r -> r.r_models)
+        with
+        | [] -> Cannot_restore
+        | reps -> Repaired reps
       in
-      let outcome = at_distance 0 in
       Ok { outcome; repair_stats = finish t snap }
     end
   with Invalid_argument msg -> Error msg

@@ -10,20 +10,31 @@
     activity, saved phases).
 
     One finder (translation + solver) serves the whole session.
-    Every formula — the top directional checks, the targets'
-    structural conformance, the slack symmetry chains — is translated
-    to a guard literal over one shared, memoized lowering
-    ({!Relog.Translate}); [recheck] solves once per direction under
-    the fact pins plus that direction's guard, and on violation the
-    solver's unsat core — minimized with {!Sat.Solver.minimize_core}
-    — names the {e blame set} of model facts. [rerepair] reuses the
-    very same translation: it defines one reference/difference
-    variable pair per target primary (the difference variables feed a
-    totalizer) and runs the least-change distance ladder purely
+    Every formula — the top directional checks and the targets'
+    structural conformance — is translated to a guard literal over one
+    shared, memoized lowering ({!Relog.Translate}); [recheck] solves
+    once per direction under the fact pins plus that direction's
+    guard, and on violation the solver's unsat core — minimized with
+    {!Sat.Solver.minimize_core} — names the {e blame set} of model
+    facts. [rerepair] reuses the very same translation: it defines one
+    reference/difference variable pair per target primary (the
+    difference variables feed a totalizer) and climbs
+    {!Echo.Repair.ladder}, the ladder one-shot runs climb, purely
     through assumptions: fact pins for frozen models, reference pins
-    for targets, the conformance and direction guards, cardinality
-    bounds, and a per-call scope literal that retracts the call's
-    blocking clauses afterwards.
+    for targets, the conformance and direction guards, the slack
+    symmetry guards, cardinality bounds, and a per-call scope literal
+    that retracts the call's blocking clauses afterwards.
+
+    Symmetry is broken with the lex-leader predicates one-shot runs
+    use ({!Relog.Symmetry.break}), one per adjacent slack pair
+    [(s_k, s_k+1)] of each target parameter and generation, each under
+    its own guard. A repair solve assumes pair [k] only while both
+    atoms are fresh ([consumed <= k < consumed + slack_budget - 1]).
+    Beyond that window the pins hold every atom unused, and the
+    predicate's first clause reads "s_k used implies s_k+1 used", so a
+    pair reaching past it would forbid a live atom; a consumed atom
+    carries its object's facts, so a pair touching it is no
+    symmetry.
 
     The check stage (every relation materialized, one guard per top
     formula) depends only on the bounds and the top formulas, and the
@@ -108,9 +119,9 @@ type repair_outcome =
   | Already_consistent
   | Cannot_restore
   | Repaired of repair list
-      (** all minimal repairs (up to the limit), deduplicated and in
-          canonical order — the same menu {!Echo.Engine.enforce_all}
-          computes from scratch *)
+      (** all distinct minimal repairs (up to the limit), in canonical
+          order — the same menu {!Echo.Engine.enforce_all} computes
+          from scratch with the same [sbp] *)
 
 type repair_report = {
   outcome : repair_outcome;
@@ -123,7 +134,7 @@ val open_session :
   ?slack_budget:int ->
   ?headroom:int ->
   ?extra_values:Mdl.Value.t list ->
-  ?symmetry:bool ->
+  ?sbp:bool ->
   transformation:Qvtr.Ast.transformation ->
   metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
   models:(Mdl.Ident.t * Mdl.Model.t) list ->
@@ -138,16 +149,15 @@ val open_session :
     mention — the revival path of a durable session snapshot passes
     the evicted session's {!value_universe} here, so a resurrected
     session searches exactly the space the evicted one did.
-    [symmetry] (default true) assumes the guarded slack-symmetry
-    chains on repair solves; sessions pin repairs by assumption, so
-    the general lex-leader SBPs of {!Relog.Symmetry} are unsound here
-    and the chains are the symmetry breaking sessions get —
-    [~symmetry:false] (the server's [--no-sbp]) drops even those,
-    enumerating every slack-permutation variant. Opening translates
-    nothing: the first [recheck]/[rerepair] builds the check stage,
-    as a clone of the translation template of the session's shape —
-    a solver clone where another session of that shape already built
-    one, a full translation (kept as the template) otherwise. Either
+    [sbp] (default true) breaks the fresh slack window's symmetry as
+    described above, so a menu collapses isomorphic variants as a
+    one-shot run's does; with [~sbp:false] (the server's [--no-sbp])
+    no symmetry is broken and the menu lists every variant. Opening
+    translates nothing: the first [recheck]/[rerepair] builds the
+    check stage, as a clone of the translation template of the
+    session's shape — a solver clone where another session of that
+    shape already built one, a full translation (kept as the template)
+    otherwise. Either
     way that call reports [translated = true], with the clone or
     translation wall in [translate_s]; the first [rerepair] or
     re-encode after a clone also pays the copy of the shared
@@ -191,12 +201,32 @@ val recheck : ?blame:bool -> t -> (check_report, string) result
 val rerepair : ?limit:int -> t -> (repair_report, string) result
 (** Least-change repair of the current models over the session's
     target set: the distance ladder and minimal-repair enumeration
-    (up to [limit], default 16) run as assumption solves on the warm
-    repair finder. The outcome (distance and canonical repair menu)
-    matches a from-scratch {!Echo.Engine.enforce_all} over the
-    current models with aligned [extra_values]/[slack_objects]. The
-    session's models are not changed — see {!commit}. [Error] when
-    [limit < 1]. *)
+    (up to [limit] distinct repairs, default 16) run as assumption
+    solves on the warm repair finder. The outcome (distance and
+    canonical repair menu) matches a from-scratch
+    {!Echo.Engine.enforce_all} over the current models with aligned
+    [extra_values]/[slack_objects] and the same [sbp]; an orbit of
+    existing target objects with identical tuples is the exception,
+    since only the one-shot pass breaks it. The session's models are
+    not changed — see {!commit}. [Error] when [limit < 1]. *)
+
+type sbp_view = {
+  sv_bounds : Relog.Bounds.t;  (** the current generation's bounds *)
+  sv_pinned : Relog.Rel.Tupleset.t list;
+      (** what the repair pins fix: the atoms no repair may populate,
+          and each target relation's current facts *)
+  sv_pairs : (int * int) list;
+      (** the slack pairs (atom indices) whose guards the next repair
+          solve assumes *)
+  sv_formulas : Relog.Ast.formula list;  (** every guarded formula *)
+}
+
+val sbp_view : t -> (sbp_view, string) result
+(** What the symmetry breaking of the next [rerepair] rests on (after
+    any pending re-encode, building the repair stage if needed): each
+    pair's transposition must map the bounds and every pinned set to
+    itself ({!Relog.Symmetry.is_automorphism}), and no formula may
+    name a slack atom. The tests check both. *)
 
 val commit : t -> repair -> (unit, string) result
 (** Make a repair the session's current state, routed through

@@ -42,6 +42,11 @@ let val_bool = Ident.make "val$bool"
 let val_enum e = Ident.make ("val$enum$" ^ Ident.name e)
 let val_lt = Ident.make "val$lt"
 
+let param_of_rel r =
+  match String.index_opt (Ident.name r) '$' with
+  | None -> None
+  | Some i -> Some (Ident.make (String.sub (Ident.name r) 0 i))
+
 (* ------------------------------------------------------------------ *)
 (* Literal collection                                                  *)
 
@@ -141,6 +146,11 @@ let default_slack = 2
 let create ~transformation:trans ~metamodels ~models ?(extra_values = [])
     ?(slack_objects = default_slack) ?(base = []) () =
   let ( let* ) = Result.bind in
+  let* () =
+    if slack_objects < 0 then
+      Error (Printf.sprintf "slack objects must be >= 0 (got %d)" slack_objects)
+    else Ok ()
+  in
   (* Resolve the parameter binding. *)
   let* binding =
     List.fold_left
@@ -537,37 +547,6 @@ let value_atom t v =
 (* ------------------------------------------------------------------ *)
 (* Structural (conformance) formulas for mutable models                *)
 
-let extents_union t p =
-  let mm = metamodel_of_param t p in
-  let concrete =
-    List.filter (fun (c : MM.cls) -> not c.MM.cls_abstract) (MM.classes mm)
-  in
-  let exts = List.map (fun (c : MM.cls) -> RAst.Rel (cls_rel_name p c.MM.cls_name)) concrete in
-  match exts with
-  | [] -> RAst.None_
-  | e :: rest -> List.fold_left (fun acc e -> RAst.Union (acc, e)) e rest
-
-(* Symmetry breaking over the interchangeable slack atoms: the
-   (k+1)-th fresh object may exist only if the k-th does. Prunes
-   isomorphic repairs without excluding any model shape. Exposed as
-   one formula per adjacent pair (in ordinal order) so an incremental
-   session can enable only the pairs over its still-fresh window —
-   atoms already consumed by edits are ordinary objects and must be
-   deletable independently. *)
-let slack_symmetry_formulas t ~param =
-  let p = param in
-  let union_exts = extents_union t p in
-  let slack_atoms = Option.value ~default:[] (Ident.Map.find_opt p t.slack) in
-  let rec slack_chain = function
-    | a :: (b :: _ as rest) ->
-      RAst.implies
-        (RAst.Subset (RAst.Atom b, union_exts))
-        (RAst.Subset (RAst.Atom a, union_exts))
-      :: slack_chain rest
-    | [ _ ] | [] -> []
-  in
-  slack_chain slack_atoms
-
 let mult_formula (m : MM.mult) (e : RAst.expr) : RAst.formula list =
   let lower =
     match m.MM.lower with
@@ -586,7 +565,7 @@ let mult_formula (m : MM.mult) (e : RAst.expr) : RAst.formula list =
   in
   lower @ upper
 
-let structural_formulas ?(symmetry = true) t ~param =
+let structural_formulas t ~param =
   let mm = metamodel_of_param t param in
   let p = param in
   let x = Ident.make "$x" in
@@ -732,13 +711,8 @@ let structural_formulas ?(symmetry = true) t ~param =
         RAst.No (RAst.Inter (RAst.Closure contains, RAst.Iden));
       ]
   in
-  (* 6. Symmetry breaking over the interchangeable slack atoms (see
-     {!slack_symmetry_formulas}). *)
-  let symmetry_constraints =
-    if symmetry then slack_symmetry_formulas t ~param else []
-  in
   disjointness @ feature_constraints @ domain_constraints @ key_constraints
-  @ opposite_constraints @ containment_constraints @ symmetry_constraints
+  @ opposite_constraints @ containment_constraints
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)

@@ -34,9 +34,9 @@ val create :
   (t, string) result
 (** [metamodels] maps metamodel names to metamodels; [models] maps
     every transformation parameter to a model of its declared
-    metamodel. [slack_objects] (default 2) is the number of fresh
-    object atoms added per target model. [base] is a previous
-    encoding's atom sequence (see {!Relog.Rel.Universe.atoms}): the
+    metamodel. [slack_objects] (default 2, negative is an [Error]) is
+    the number of fresh object atoms added per target model. [base]
+    is a previous encoding's atom sequence (see {!Relog.Rel.Universe.atoms}): the
     new universe starts with [base] verbatim — atoms the new encoding
     does not need become inert padding — and appends only genuinely
     new atoms, so the two universes are prefix-compatible
@@ -58,20 +58,13 @@ val check_instance : t -> Relog.Instance.t
 val bounds : t -> targets:Mdl.Ident.Set.t -> Relog.Bounds.t
 (** Bounds for enforcement: parameters in [targets] are mutable. *)
 
-val structural_formulas :
-  ?symmetry:bool -> t -> param:Mdl.Ident.t -> Relog.Ast.formula list
+val structural_formulas : t -> param:Mdl.Ident.t -> Relog.Ast.formula list
 (** Conformance of a mutable model as relational constraints:
     disjoint class extents, feature domains/ranges, slot
-    multiplicities, opposite symmetry, containment (unique container,
-    no cycles), and — unless [symmetry] is [false] — the slack
-    symmetry chain of {!slack_symmetry_formulas}. *)
-
-val slack_symmetry_formulas : t -> param:Mdl.Ident.t -> Relog.Ast.formula list
-(** Symmetry breaking over the interchangeable slack atoms, one
-    formula per adjacent ordinal pair [(k, k+1)] in order: the
-    [(k+1)]-th fresh object may exist only if the [k]-th does.
-    Separated from {!structural_formulas} so an incremental session
-    can enable exactly the pairs covering its unconsumed window. *)
+    multiplicities, opposite symmetry and containment (unique
+    container, no cycles). No formula names a slack atom, so the slack
+    atoms of a parameter stay interchangeable for the symmetry pass
+    ({!Relog.Symmetry}). *)
 
 val decode_model :
   t ->
@@ -110,8 +103,14 @@ val model_facts :
     bound nor resolved, or a value outside the universe. *)
 
 val slack_atom_names : t -> Mdl.Ident.t -> Mdl.Ident.t list
-(** Fresh object atoms of a parameter, in symmetry-chain order (the
-    [k+1]-th may be populated only if the [k]-th is). *)
+(** Fresh object atoms of a parameter, in ascending universe index:
+    the [k]-th is the one an incremental session hands to its [k]-th
+    created object. *)
+
+val param_of_rel : Mdl.Ident.t -> Mdl.Ident.t option
+(** The parameter owning a relation: relation names are namespaced
+    ["<param>$..."], so this is the prefix before the first ['$']
+    ([None] without one). *)
 
 val has_value : t -> Mdl.Value.t -> bool
 (** Whether a value has an atom in the universe. An edit introducing a

@@ -1,12 +1,3 @@
-(* Active symmetry-breaking state: the caller's extra fixed atoms and
-   respected tuplesets (so a rebind can re-run the analysis), plus the
-   guard literal the current SBP clauses hang off. *)
-type sbp_state = {
-  mutable sbp_guard : Sat.Lit.t;
-  sbp_fixed : Mdl.Ident.Set.t;
-  sbp_respect : Rel.Tupleset.t list;
-}
-
 type t = {
   trans : Translate.t;
   mutable last : Sat.Lit.t array option;
@@ -14,9 +5,6 @@ type t = {
          clause *)
   mutable last_assumed : Sat.Lit.t list;
       (* assumptions of the last solve, for assumption-aware blocking *)
-  mutable fixed_atoms : Mdl.Ident.Set.t;
-      (* atoms named by any formula seen by this finder: never permutable *)
-  mutable sbp : sbp_state option;
   (* telemetry; only the domain that owns the finder writes them *)
   mutable solve_s : float;
   mutable n_sat : int;
@@ -29,8 +17,6 @@ let make trans =
     trans;
     last = None;
     last_assumed = [];
-    fixed_atoms = Mdl.Ident.Set.empty;
-    sbp = None;
     solve_s = 0.0;
     n_sat = 0;
     n_unsat = 0;
@@ -39,87 +25,26 @@ let make trans =
 
 let solver t = Translate.solver t.trans
 
-(* (Re-)run the symmetry analysis on the current bounds and assert the
-   lex-leader predicates under a fresh guard literal. Clauses from any
-   earlier emission stay in the solver but are inert once their guard
-   stops being assumed. Returns the number of clauses emitted. *)
-let emit_sbp t st =
-  let fixed = Mdl.Ident.Set.union t.fixed_atoms st.sbp_fixed in
-  let orbs =
-    Symmetry.orbits ~fixed ~respect:st.sbp_respect (Translate.bounds t.trans)
-  in
-  let g = Sat.Lit.pos (Sat.Solver.new_var (solver t)) in
-  st.sbp_guard <- g;
-  Symmetry.break ~guard:g t.trans orbs
-
-(* Every formula routed through the finder contributes its named atoms
-   to the fixed set. If SBPs are already asserted and the formula
-   names an atom they were allowed to permute, they are stale — the
-   formula can now distinguish atoms within an orbit — so re-emit
-   under a fresh guard. *)
-let note_formula t f =
-  let atoms = Ast.free_atoms f in
-  if not (Mdl.Ident.Set.subset atoms t.fixed_atoms) then begin
-    t.fixed_atoms <- Mdl.Ident.Set.union t.fixed_atoms atoms;
-    Option.iter (fun st -> ignore (emit_sbp t st)) t.sbp
-  end
-
-let prepare bnds formulas =
-  let trans = Translate.create bnds in
-  List.iter (Translate.materialize trans) (Bounds.relations bnds);
-  List.iter (Translate.assert_formula trans) formulas;
-  let t = make trans in
-  List.iter (note_formula t) formulas;
-  t
-
-let prepare_guarded bnds formulas =
-  let trans = Translate.create bnds in
-  List.iter (Translate.materialize trans) (Bounds.relations bnds);
-  let guards = List.map (Translate.formula_lit trans) formulas in
-  let t = make trans in
-  List.iter (note_formula t) formulas;
-  (t, guards)
-
 let create bnds =
   let trans = Translate.create bnds in
   List.iter (Translate.materialize trans) (Bounds.relations bnds);
   make trans
 
-let guard t f =
-  note_formula t f;
-  Translate.formula_lit t.trans f
+let prepare bnds formulas =
+  let t = create bnds in
+  List.iter (Translate.assert_formula t.trans) formulas;
+  t
 
-let assert_formula t f =
-  note_formula t f;
-  Translate.assert_formula t.trans f
-
-let add_symmetry ?(fixed = Mdl.Ident.Set.empty) ?(respect = []) t =
-  let st =
-    { sbp_guard = Sat.Lit.pos 0; sbp_fixed = fixed; sbp_respect = respect }
-  in
-  let n = emit_sbp t st in
-  t.sbp <- Some st;
-  n
-
-let sbp_assumptions t =
-  match t.sbp with None -> [] | Some st -> [ st.sbp_guard ]
+let guard t f = Translate.formula_lit t.trans f
 
 let rebind t bnds =
   let changed = Translate.rebind t.trans bnds in
   List.iter (Translate.materialize t.trans) (Bounds.relations bnds);
   t.last <- None;
   t.last_assumed <- [];
-  (* Changed bounds change the orbits; stale SBPs are retired by
-     abandoning their guard and re-emitted for the new bounds. *)
-  if changed > 0 then Option.iter (fun st -> ignore (emit_sbp t st)) t.sbp;
   changed
 
-let clone ~bounds t =
-  {
-    (make (Translate.clone ~bounds t.trans)) with
-    fixed_atoms = t.fixed_atoms;
-    sbp = Option.map (fun st -> { st with sbp_guard = st.sbp_guard }) t.sbp;
-  }
+let clone ~bounds t = make (Translate.clone ~bounds t.trans)
 
 let translation t = t.trans
 
@@ -128,9 +53,6 @@ type outcome =
   | Unsat
 
 let solve ?(assumptions = []) t =
-  (* The SBP guard goes first: a stable assumption prefix across
-     solves preserves the solver's trail-reuse fast path. *)
-  let assumptions = sbp_assumptions t @ assumptions in
   t.last_assumed <- assumptions;
   let t0 = Obs.Clock.now () in
   match

@@ -14,46 +14,24 @@ val prepare : Bounds.t -> Ast.formula list -> t
     relations are materialized, so {!Translate.decode} covers them.
     Raises {!Translate.Unsupported} on ill-formed input. *)
 
-val prepare_guarded : Bounds.t -> Ast.formula list -> t * Sat.Lit.t list
-(** Like {!prepare}, but instead of asserting the formulas each one is
-    translated to a {e guard literal} equivalent to it (one returned
-    per formula, in order) and nothing is asserted. Solving with a
-    subset of the guards as assumptions is solving under exactly those
-    formulas; {!Sat.Solver.unsat_core} then names the guards (and any
-    other assumptions) participating in an inconsistency. This is the
-    entry point of the incremental-session subsystem, which pins model
-    facts and checked formulas purely through assumptions so the same
-    translation and solver serve every edit state. *)
-
 val create : Bounds.t -> t
 (** A finder over the bounds with nothing asserted yet: all bound
     relations are materialized, formulas arrive later through
-    {!guard} / {!assert_formula}. The entry point for long-lived
-    delta-retranslating sessions. *)
+    {!guard}. The entry point for long-lived delta-retranslating
+    sessions. *)
 
 val guard : t -> Ast.formula -> Sat.Lit.t
-(** Translate one formula to its guard literal (see
-    {!prepare_guarded}) on the already-created finder. Thanks to the
-    memoized lowering, guarding a formula already seen — even across
-    {!rebind}s that did not touch its relations — costs a memo
-    lookup and returns the same literal. *)
-
-val assert_formula : t -> Ast.formula -> unit
-(** Translate and assert one formula on the already-created finder. *)
-
-val add_symmetry :
-  ?fixed:Mdl.Ident.Set.t -> ?respect:Rel.Tupleset.t list -> t -> int
-(** Run the {!Symmetry} analysis on the current bounds and assert
-    lex-leader symmetry-breaking predicates under a guard literal that
-    {!solve} thereafter assumes automatically. The fixed set is the
-    union of [fixed] with every atom named by a formula previously
-    routed through this finder (and the guard is refreshed if a later
-    formula names a previously-permutable atom, or if {!rebind}
-    changes any bounds — stale predicates are retired by abandoning
-    their guard). [respect] tuplesets constrain the analysis exactly
-    as in {!Symmetry.orbits}; the repair engine passes the original
-    instance's target relations so the least-change distance is
-    orbit-invariant. Returns the number of SBP clauses asserted. *)
+(** Translate one formula to a {e guard literal} equivalent to it,
+    asserting nothing. Solving with a subset of the guards as
+    assumptions is solving under exactly those formulas;
+    {!Sat.Solver.unsat_core} then names the guards (and any other
+    assumptions) participating in an inconsistency. This is how the
+    incremental-session subsystem pins model facts and checked
+    formulas purely through assumptions, so the same translation and
+    solver serve every edit state. Thanks to the memoized lowering,
+    guarding a formula already seen — even across {!rebind}s that did
+    not touch its relations — costs a memo lookup and returns the same
+    literal. *)
 
 val rebind : t -> Bounds.t -> int
 (** {!Translate.rebind} plus re-materialization of every relation
@@ -71,10 +49,10 @@ val clone : bounds:Bounds.t -> t -> t
     translation, read through [bounds] (same relations, index tuples
     and universe size as [t]'s, every atom a routed formula names at
     the same index). Guard literals [t] returned mean the same in the
-    clone. The clone keeps [t]'s fixed atoms and symmetry guard, forgets
-    its last model and starts with zeroed telemetry. [t] is only
-    read; it must never be solved or written again, since the clone
-    shares its translation tables until its own first write. *)
+    clone. The clone forgets [t]'s last model and starts with zeroed
+    telemetry. [t] is only read; it must never be solved or written
+    again, since the clone shares its translation tables until its own
+    first write. *)
 
 val translation : t -> Translate.t
 val solver : t -> Sat.Solver.t

@@ -53,7 +53,7 @@ val create :
   ?snapshot_dir:string ->
   ?slow_ms:float ->
   ?reqlog:Reqlog.t ->
-  ?symmetry:bool ->
+  ?sbp:bool ->
   unit ->
   t
 (** [jobs] (default 1) sizes the worker pool — with 1, requests run
@@ -64,9 +64,9 @@ val create :
     sets the end-to-end latency above which a reply bumps
     [server.slow_requests] and is flagged [slow] in the request log.
     [reqlog] (default: a counter-only log) receives one record per
-    reply. [symmetry] (default true) is forwarded to every session
-    open and revival — the [qvtr serve --no-sbp] escape hatch that
-    drops the guarded slack-symmetry chains from repair solves. *)
+    reply. [sbp] (default true) is forwarded to every session open
+    and revival; [qvtr serve --no-sbp] sets it false, so no repair
+    breaks any symmetry. *)
 
 val jobs : t -> int
 

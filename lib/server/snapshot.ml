@@ -14,7 +14,7 @@ let ( let* ) = Result.bind
 (* Opening a session from an open_spec — shared by the open verb and
    revival, so both interpret the texts identically.                   *)
 
-let hydrate ?(extra_values = []) ?symmetry (spec : Protocol.open_spec) =
+let hydrate ?(extra_values = []) ?sbp (spec : Protocol.open_spec) =
   let* trans = Qvtr.Parser.parse ~file:"<open:transformation>" spec.o_transformation in
   let* mms = Mdl.Serialize.parse_metamodels spec.o_metamodels in
   let* models = Mdl.Serialize.parse_models mms spec.o_models in
@@ -32,7 +32,7 @@ let hydrate ?(extra_values = []) ?symmetry (spec : Protocol.open_spec) =
   in
   let* sess =
     Incr.Session.open_session ~mode ~slack_budget:spec.o_slack
-      ~headroom:spec.o_headroom ~extra_values ?symmetry
+      ~headroom:spec.o_headroom ~extra_values ?sbp
       ~transformation:trans ~metamodels ~models:bound ~targets ()
   in
   Ok (sess, mms)
@@ -212,4 +212,4 @@ let load path =
   | s -> of_string (String.trim s)
   | exception Sys_error e -> Error (Printf.sprintf "snapshot: %s" e)
 
-let revive ?symmetry t = hydrate ~extra_values:t.values ?symmetry t.spec
+let revive ?sbp t = hydrate ~extra_values:t.values ?sbp t.spec

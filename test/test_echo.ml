@@ -217,6 +217,28 @@ let test_slack_exhaustion () =
   | Ok o -> Alcotest.failf "expected Cannot_restore, got %s" (Format.asprintf "%a" Eng.pp_outcome o)
   | Error e -> Alcotest.fail e
 
+let test_negative_slack () =
+  (* a negative slack pool is an input error on every entry point that
+     encodes, not an exception out of the encoder *)
+  let trans = F.transformation ~k:1 in
+  let models =
+    F.bind ~cfs:[ F.configuration ~name:"cf1" [] ] ~fm:(F.feature_model ~name:"fm" [ ("A", true) ])
+  in
+  let targets = Echo.Target.single "cf1" in
+  let expect_error what = function
+    | Ok _ -> Alcotest.failf "%s: expected an error for slack -1" what
+    | Error _ -> ()
+  in
+  List.iter
+    (fun backend ->
+      expect_error "enforce"
+        (Eng.enforce ~backend ~slack_objects:(-1) trans ~metamodels ~models ~targets))
+    [ Eng.Iterative; Eng.Maxsat ];
+  expect_error "enforce_all"
+    (Eng.enforce_all ~slack_objects:(-1) trans ~metamodels ~models ~targets);
+  expect_error "diagnose"
+    (Eng.diagnose ~slack_objects:(-1) trans ~metamodels ~models ~targets)
+
 let test_repaired_conform () =
   let trans = F.transformation ~k:2 in
   let s = Featuremodel.Scenarios.new_mandatory_feature in
@@ -320,4 +342,5 @@ let suite =
       Alcotest.test_case "enforce_all at the optimum" `Slow
         test_enforce_all_agrees_with_enforce;
       Alcotest.test_case "k = 3 shapes" `Quick test_k3_shapes;
+      Alcotest.test_case "negative slack is an error" `Quick test_negative_slack;
     ]

@@ -186,8 +186,8 @@ let test_scoped_blocks_independent () =
      added under one assumption context must not leak into another *)
   let u = universe 2 in
   let b = B.bound (B.make u) (I.make "S") ~lower:TS.empty ~upper:(TS.univ u) in
-  let fd, guards = F.prepare_guarded b [ A.Some_ (A.rel "S") ] in
-  let g = match guards with [ g ] -> g | _ -> Alcotest.fail "one guard" in
+  let fd = F.create b in
+  let g = F.guard fd (A.Some_ (A.rel "S")) in
   let trans = F.translation fd in
   let pv i =
     match Relog.Translate.primary_var trans (I.make "S") [| i |] with

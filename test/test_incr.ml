@@ -873,6 +873,195 @@ let test_rerepair_spans () =
     ladder;
   Alcotest.(check int) "one totalizer build" 1 (List.length (begins "cnf.cardinality"))
 
+(* ------------------------------------------------------------------ *)
+(* One symmetry scheme                                                 *)
+
+(* E12's symmetric shape: cf1 repaired against n mandatory features,
+   every repair creating its objects from interchangeable slack. *)
+let sym_trans = F.transformation ~k:1
+
+let open_sym ?(sbp = true) ?(headroom = 6) ~features ~slack cf1 =
+  let fm =
+    F.feature_model ~name:"fm"
+      (List.init features (fun i -> (Printf.sprintf "F%d" i, true)))
+  in
+  match
+    S.open_session ~slack_budget:slack ~headroom ~sbp ~transformation:sym_trans
+      ~metamodels
+      ~models:(F.bind ~cfs:[ F.configuration ~name:"cf1" cf1 ] ~fm)
+      ~targets:(Echo.Target.single "cf1") ()
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* Edit cf1 of a symmetric session to the given selection. *)
+let edit_cf1 sess cf1 =
+  match
+    Mdl.Diff.script (model_of sess (Ident.make "cf1")) (F.configuration ~name:"cf1" cf1)
+  with
+  | [] -> ()
+  | edits -> (
+    match S.apply_edits sess [ (Ident.make "cf1", edits) ] with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e)
+
+(* The session's menu and a one-shot [enforce_all] menu over the same
+   models and search space, each as sorted (targets, edit distance)
+   pairs, with the solver calls each took. *)
+let both_menus ?(spec = sym_trans) ?(metamodels = metamodels) ?(sbp = true)
+    ?(limit = 32) sess =
+  let tgts = S.targets sess in
+  let rep = rerepair_exn ~limit sess in
+  let session =
+    match rep.S.outcome with
+    | S.Repaired reps ->
+      List.map (fun r -> (repair_key tgts r.S.r_models, r.S.r_edit_distance)) reps
+    | S.Already_consistent | S.Cannot_restore -> []
+  in
+  let oneshot =
+    match
+      Eng.enforce_all ~sbp ~limit ~slack_objects:(S.slack_budget sess)
+        ~extra_values:(S.value_universe sess) spec ~metamodels
+        ~models:(S.models sess) ~targets:tgts
+    with
+    | Ok outs ->
+      List.filter_map
+        (function Eng.Enforced r -> Some r | _ -> None)
+        outs
+    | Error e -> Alcotest.fail e
+  in
+  ( List.sort compare session,
+    rep.S.repair_stats.S.solver_calls,
+    List.sort compare
+      (List.map (fun r -> (repair_key tgts r.Eng.repaired, r.Eng.edit_distance)) oneshot),
+    match oneshot with r :: _ -> r.Eng.stats.Echo.Telemetry.solver_calls | [] -> 0 )
+
+let menu = Alcotest.(list (pair string int))
+
+let test_sym_menus_equal () =
+  (* E12's sym3 and sym4: a session collapses the n! slack-assignment
+     variants to the one canonical repair, as the one-shot run does *)
+  List.iter
+    (fun (name, features, slack) ->
+      let sess = open_sym ~features ~slack [] in
+      let session, s_solves, oneshot, o_solves = both_menus sess in
+      Printf.printf "%s: session %d repair(s) in %d solves, one-shot %d in %d\n" name
+        (List.length session) s_solves (List.length oneshot) o_solves;
+      Alcotest.check menu (name ^ ": session menu = one-shot menu") oneshot session;
+      Alcotest.(check int) (name ^ ": one canonical repair") 1 (List.length session))
+    [ ("sym3", 3, 4); ("sym4", 4, 5) ]
+
+let test_sym_walk_menus_equal () =
+  (* six edits over the sym4 shape: creations consume slack, deletions
+     kill consumed atoms, and a stale id comes back *)
+  let sess = open_sym ~features:4 ~slack:4 [] in
+  List.iter
+    (fun cf1 ->
+      edit_cf1 sess cf1;
+      let ctx = "cf1 = [" ^ String.concat " " cf1 ^ "]" in
+      let session, s_solves, oneshot, o_solves = both_menus sess in
+      Printf.printf "%s: session %d repair(s) in %d solves, one-shot %d in %d\n" ctx
+        (List.length session) s_solves (List.length oneshot) o_solves;
+      Alcotest.check menu (ctx ^ ": session menu = one-shot menu") oneshot session)
+    [ []; [ "F0" ]; [ "F0"; "F1" ]; [ "F1" ]; []; [ "F3" ] ]
+
+let is_slack a =
+  let n = Ident.name a in
+  match String.index_opt n '#' with
+  | Some i -> i + 1 < String.length n && n.[i + 1] = 's'
+  | None -> false
+
+let test_sym_window_sound () =
+  (* consumption, deletion and a re-encode (headroom 2, so the third
+     fresh id re-encodes): every pair a repair solve assumes swaps two
+     atoms that the bounds and every pin treat alike, and no guarded
+     formula names a slack atom *)
+  let sess = open_sym ~features:4 ~slack:4 ~headroom:2 [] in
+  let assumed = ref 0 in
+  List.iter
+    (fun cf1 ->
+      edit_cf1 sess cf1;
+      let ctx = "cf1 = [" ^ String.concat " " cf1 ^ "]" in
+      let session, _, oneshot, _ = both_menus sess in
+      Alcotest.check menu (ctx ^ ": session menu = one-shot menu") oneshot session;
+      let v = match S.sbp_view sess with Ok v -> v | Error e -> Alcotest.fail e in
+      List.iter
+        (fun (a, b) ->
+          incr assumed;
+          let swap x = if x = a then b else if x = b then a else x in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: (%d %d) maps bounds and pins to themselves" ctx a b)
+            true
+            (Relog.Symmetry.is_automorphism ~respect:v.S.sv_pinned v.S.sv_bounds swap))
+        v.S.sv_pairs;
+      List.iter
+        (fun f ->
+          Alcotest.(check (list string))
+            (ctx ^ ": no guarded formula names a slack atom")
+            []
+            (List.map Ident.name
+               (List.filter is_slack (Ident.Set.elements (Relog.Ast.free_atoms f)))))
+        v.S.sv_formulas)
+    [ []; [ "F0" ]; [ "F0"; "F1" ]; [ "F1" ]; [ "F1"; "F2"; "F3" ]; [ "F2"; "F3" ]; [ "F3" ] ];
+  Alcotest.(check bool) "pairs were assumed" true (!assumed > 0);
+  Alcotest.(check bool) "the walk re-encoded" true (S.rebuilds sess > 0)
+
+let test_sbp_off_limit_counts_distinct () =
+  (* sym4 over five slack atoms with SBPs off: 120 assignments decode
+     to 24 distinct repairs, and a limit of 32 must return all 24 on
+     both paths *)
+  let sess = open_sym ~sbp:false ~features:4 ~slack:5 [] in
+  let session, _, oneshot, _ = both_menus ~sbp:false sess in
+  Alcotest.(check int) "session: 24 distinct repairs" 24 (List.length session);
+  Alcotest.(check int) "one-shot: 24 distinct repairs" 24 (List.length oneshot);
+  Alcotest.check menu "same menu" oneshot session
+
+let test_oneshot_only_orbit () =
+  (* The orbit only the one-shot pass breaks: two identical untagged
+     items of a keyless metamodel. Tagging either one is a minimal
+     repair; the one-shot pass swaps the two items, a session breaks
+     slack symmetry only and lists both. *)
+  let module MM = Mdl.Metamodel in
+  let mm =
+    MM.make_exn ~name:"Bag"
+      [ MM.cls "Item" ~attrs:[ MM.attr ~mult:MM.mult_many "tags" MM.P_string ] ]
+  in
+  let mms = [ (Ident.make "Bag", mm) ] in
+  let spec =
+    Qvtr.Parser.parse_exn
+      {|
+transformation T(a : Bag, b : Bag) {
+  top relation Tagged {
+    t : String;
+    domain a x : Item { tags = t };
+    domain b y : Item { tags = t };
+    dependencies { b -> a; }
+  }
+}
+|}
+  in
+  let bag name tagss =
+    List.fold_left
+      (fun m tags ->
+        let m, id = Model.add_object m ~cls:(Ident.make "Item") in
+        Model.set_attr m id (Ident.make "tags") (List.map (fun t -> Mdl.Value.Str t) tags))
+      (Model.empty ~name mm) tagss
+  in
+  let sess =
+    match
+      S.open_session ~transformation:spec ~metamodels:mms
+        ~models:[ (Ident.make "a", bag "a" [ []; [] ]); (Ident.make "b", bag "b" [ [ "x" ] ]) ]
+        ~targets:(Echo.Target.single "a") ()
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let session, _, oneshot, _ = both_menus ~spec ~metamodels:mms sess in
+  Alcotest.(check (list int)) "both at edit distance 1" [ 1 ]
+    (List.sort_uniq compare (List.map snd (session @ oneshot)));
+  Alcotest.(check (pair int int)) "menu sizes: one-shot 1, session 2" (1, 2)
+    (List.length oneshot, List.length session)
+
 let suite =
   [
     Alcotest.test_case "walk: recheck equals Check.run" `Quick
@@ -891,4 +1080,14 @@ let suite =
     Alcotest.test_case "replay script parsing" `Quick test_replay_parse_errors;
     Alcotest.test_case "repair ladder runs under solve spans" `Quick
       test_rerepair_spans;
+    Alcotest.test_case "one scheme: sym3/sym4 menus equal one-shot" `Quick
+      test_sym_menus_equal;
+    Alcotest.test_case "one scheme: edit walk menus equal one-shot" `Quick
+      test_sym_walk_menus_equal;
+    Alcotest.test_case "one scheme: window pairs are pin automorphisms" `Quick
+      test_sym_window_sound;
+    Alcotest.test_case "menu limit counts distinct repairs" `Quick
+      test_sbp_off_limit_counts_distinct;
+    Alcotest.test_case "one scheme: orbit only one-shot breaks" `Quick
+      test_oneshot_only_orbit;
   ]

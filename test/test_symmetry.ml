@@ -34,7 +34,7 @@ let test_orbits_deterministic () =
   Alcotest.(check (list (list int))) "one orbit of the three free atoms"
     [ [ 0; 1; 3 ] ] nontrivial
 
-let test_orbits_fixed_atoms_pinned () =
+let test_orbits_fixed_pinned () =
   let u = universe 4 in
   let b = B.bound (B.make u) (I.make "S") ~lower:TS.empty ~upper:(TS.univ u) in
   let fixed = I.Set.singleton (I.make "a1") in
@@ -114,6 +114,16 @@ let test_orbit_permutations_are_automorphisms =
 (* ----------------------------------------------------------------- *)
 (* Lex-leader SBPs at the finder level                                 *)
 
+(* Assert lex-leader SBPs for the orbits of the finder's bounds, with
+   every atom the given formulas name fixed, as the one-shot pass
+   does; returns the number of clauses. *)
+let add_sbp ?(fixed = I.Set.empty) ?(formulas = []) fd =
+  let fixed =
+    List.fold_left (fun acc f -> I.Set.union acc (A.free_atoms f)) fixed formulas
+  in
+  let trans = F.translation fd in
+  Sym.break trans (Sym.orbits ~fixed (Relog.Translate.bounds trans))
+
 let test_sbp_canonical_enumeration () =
   (* S ⊆ univ(4), no constraints: 16 instances in 5 isomorphism
      classes (one per cardinality). Chained lex-leader SBPs over the
@@ -124,7 +134,7 @@ let test_sbp_canonical_enumeration () =
   let plain = F.prepare b [] in
   Alcotest.(check int) "16 instances without SBPs" 16 (F.count plain);
   let fd = F.prepare b [] in
-  let n_clauses = F.add_symmetry fd in
+  let n_clauses = add_sbp fd in
   Alcotest.(check bool) "SBP clauses emitted" true (n_clauses > 0);
   Alcotest.(check int) "one survivor per isomorphism class" 5 (F.count fd)
 
@@ -136,7 +146,7 @@ let test_sbp_respects_fixed () =
   let fixed =
     List.fold_left (fun acc a -> I.Set.add a acc) I.Set.empty (R.Universe.atoms u)
   in
-  let n = F.add_symmetry ~fixed fd in
+  let n = add_sbp ~fixed fd in
   Alcotest.(check int) "no SBP clauses for a fully fixed universe" 0 n;
   Alcotest.(check int) "enumeration unchanged" 16 (F.count fd)
 
@@ -148,7 +158,7 @@ let test_sbp_formula_atoms_fixed () =
   let b = B.bound (B.make u) (I.make "S") ~lower:TS.empty ~upper:(TS.univ u) in
   let f = A.in_ (A.atom "a1") (A.rel "S") in
   let fd = F.prepare b [ f ] in
-  ignore (F.add_symmetry fd);
+  ignore (add_sbp ~formulas:[ f ] fd);
   (match F.solve fd with
   | F.Sat inst ->
     Alcotest.(check bool) "a1 in S" true
@@ -179,7 +189,7 @@ let test_sbp_preserves_satisfiability =
       | exception Relog.Translate.Unsupported _ -> true
       | plain ->
         let fd = F.prepare b formulas in
-        ignore (F.add_symmetry fd);
+        ignore (add_sbp ~formulas fd);
         let sat_plain = F.solve plain <> F.Unsat in
         let sat_sbp = F.solve fd <> F.Unsat in
         sat_plain = sat_sbp)
@@ -223,9 +233,10 @@ let test_sbp_preserves_least_change =
 (* A deliberately symmetric workload: an empty configuration repaired
    against mandatory features, with more slack objects than needed —
    the created objects can land on any of the slack atoms, and which
-   feature lands on which atom is a pure symmetry. Without SBPs the
-   legacy chain only orders slack *usage*, so all assignments of
-   features to the used atoms survive as distinct menu entries. *)
+   feature lands on which atom is a pure symmetry. Without SBPs every
+   assignment of features to atoms is found; those that decode alike
+   are dropped as duplicates, and every assignment of features to
+   creation order survives as a distinct menu entry. *)
 let symmetric_workload ~slack ~features ~sbp =
   let trans = Fm.transformation ~k:1 in
   let cfs = [ Fm.configuration ~name:"cf1" [] ] in
@@ -307,7 +318,7 @@ let test_menu_isomorphic_and_search_drops () =
 let suite =
   [
     Alcotest.test_case "orbits: deterministic split" `Quick test_orbits_deterministic;
-    Alcotest.test_case "orbits: fixed atoms pinned" `Quick test_orbits_fixed_atoms_pinned;
+    Alcotest.test_case "orbits: fixed atoms pinned" `Quick test_orbits_fixed_pinned;
     Alcotest.test_case "orbits: respect constraints" `Quick test_orbits_respect_constraints;
     QCheck_alcotest.to_alcotest test_orbit_permutations_are_automorphisms;
     Alcotest.test_case "SBP canonical enumeration" `Quick test_sbp_canonical_enumeration;
