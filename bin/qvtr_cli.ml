@@ -93,119 +93,107 @@ let pp_stats_block stats r =
     pp_metrics stats
   end
 
-let run_enforce_all trans_file mm_file models_file targets standard slack sbp
-    stats =
-  match
-    let* trans, metamodels, models =
-      load_inputs ~trans_file ~mm_file ~models_file
-    in
-    Echo.Engine.enforce_all ~mode:(mode_of_standard standard)
-      ~slack_objects:slack ~sbp trans ~metamodels ~models
-      ~targets:(Echo.Target.of_list targets)
-  with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    2
-  | Ok outcomes ->
-    let repairs =
-      List.filter_map
-        (function Echo.Engine.Enforced r -> Some r | _ -> None)
-        outcomes
-    in
-    if repairs = [] then begin
-      List.iter (fun o -> Format.printf "%a@." Echo.Engine.pp_outcome o) outcomes;
-      match outcomes with [ Echo.Engine.Already_consistent ] -> 0 | _ -> 1
-    end
-    else begin
-      Format.printf "%d minimal repair(s):@." (List.length repairs);
-      List.iteri
-        (fun i r ->
-          Format.printf "@.--- repair %d: %a ---@." (i + 1) Echo.Engine.pp_outcome
-            (Echo.Engine.Enforced r);
-          List.iter
-            (fun (p, m) ->
-              if List.mem (Mdl.Ident.name p) targets then
-                Format.printf "%s@." (Mdl.Serialize.model_to_string m))
-            r.Echo.Engine.repaired)
-        repairs;
-      (* the enumeration shares one encoding: every repair carries the
-         same cumulative roll-up, print it once *)
-      (match repairs with r :: _ -> pp_stats_block stats r | [] -> ());
-      0
-    end
+(* The menu of [--all], printing only the target models. *)
+let print_menu ~targets repairs =
+  Format.printf "%d minimal repair(s):@." (List.length repairs);
+  List.iteri
+    (fun i r ->
+      Format.printf "@.--- repair %d: %a ---@." (i + 1) Echo.Engine.pp_outcome
+        (Echo.Engine.Enforced r);
+      List.iter
+        (fun (p, m) ->
+          if List.mem (Mdl.Ident.name p) targets then
+            Format.printf "%s@." (Mdl.Serialize.model_to_string m))
+        r.Echo.Engine.repaired)
+    repairs
+
+(* One repair, every model printed or written to [out_file]. *)
+let print_repair ~out_file r =
+  Format.printf "%a@." Echo.Engine.pp_outcome (Echo.Engine.Enforced r);
+  let rendered =
+    String.concat "\n\n"
+      (List.map (fun (_, m) -> Mdl.Serialize.model_to_string m) r.Echo.Engine.repaired)
+  in
+  match out_file with
+  | Some path ->
+    let oc = open_out path in
+    output_string oc (rendered ^ "\n");
+    close_out oc;
+    Format.printf "repaired models written to %s@." path
+  | None -> Format.printf "%s@." rendered
 
 let run_enforce trans_file mm_file models_file targets standard backend
     slack all no_lint no_sbp stats out_file trace =
-  if all && backend = "maxsat" then begin
-    (* the enumeration is a distance ladder; MaxSAT has no menu *)
-    Format.eprintf "error: --all enumerates with the iterative backend; it \
-                    cannot be combined with --backend maxsat@.";
+  let fail msg =
+    Format.eprintf "error: %s@." msg;
     2
-  end
+  in
+  (* the enumeration is a distance ladder; MaxSAT has no menu *)
+  if all && backend = "maxsat" then
+    fail
+      "--all enumerates with the iterative backend; it cannot be combined \
+       with --backend maxsat"
+  else if all && out_file <> None then
+    fail "--all prints a menu of repairs; it cannot be combined with -o"
   else
   with_trace trace @@ fun () ->
   let sbp = not no_sbp in
-  if all then
-    run_enforce_all trans_file mm_file models_file targets standard slack sbp
-      stats
-  else
+  let mode = mode_of_standard standard in
+  let tgts = Echo.Target.of_list targets in
   match
     let* trans, metamodels, models =
       load_inputs ~trans_file ~mm_file ~models_file
     in
     advisory_lint ~no_lint ~trans_file trans ~metamodels ~models;
-    let backend =
-      match backend with
-      | "maxsat" -> Echo.Engine.Maxsat
-      | _ -> Echo.Engine.Iterative
+    let* outcomes =
+      if all then
+        Echo.Engine.enforce_all ~mode ~slack_objects:slack ~sbp trans
+          ~metamodels ~models ~targets:tgts
+      else
+        let backend =
+          match backend with
+          | "maxsat" -> Echo.Engine.Maxsat
+          | _ -> Echo.Engine.Iterative
+        in
+        Result.map
+          (fun o -> [ o ])
+          (Echo.Engine.enforce ~backend ~mode ~slack_objects:slack ~sbp trans
+             ~metamodels ~models ~targets:tgts)
     in
-    let* outcome =
-      Echo.Engine.enforce ~backend ~mode:(mode_of_standard standard)
-        ~slack_objects:slack ~sbp trans ~metamodels ~models
-        ~targets:(Echo.Target.of_list targets)
-    in
-    Ok outcome
+    Ok (trans, metamodels, models, outcomes)
   with
-  | Ok (Echo.Engine.Enforced r) ->
-    Format.printf "%a@." Echo.Engine.pp_outcome (Echo.Engine.Enforced r);
-    let rendered =
-      String.concat "\n\n"
-        (List.map (fun (_, m) -> Mdl.Serialize.model_to_string m) r.Echo.Engine.repaired)
-    in
-    (match out_file with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (rendered ^ "\n");
-      close_out oc;
-      Format.printf "repaired models written to %s@." path
-    | None -> Format.printf "%s@." rendered);
-    pp_stats_block stats r;
-    0
-  | Ok Echo.Engine.Cannot_restore ->
-    Format.printf "%a@." Echo.Engine.pp_outcome Echo.Engine.Cannot_restore;
-    (* explain which directional checks obstruct the target set *)
-    (match
-       let* trans, metamodels, models =
-         load_inputs ~trans_file ~mm_file ~models_file
-       in
-       Echo.Engine.diagnose ~mode:(mode_of_standard standard)
-         ~slack_objects:slack trans ~metamodels ~models
-         ~targets:(Echo.Target.of_list targets)
-     with
-    | Ok ds ->
-      List.iter
-        (fun d ->
-          if not d.Echo.Engine.d_satisfiable then
-            Format.printf "  obstruction: %a@." Echo.Engine.pp_diagnosis d)
-        ds
-    | Error _ -> ());
-    1
-  | Ok outcome ->
-    Format.printf "%a@." Echo.Engine.pp_outcome outcome;
-    (match outcome with Echo.Engine.Already_consistent -> 0 | _ -> 1)
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    2
+  | Error msg -> fail msg
+  | Ok (trans, metamodels, models, outcomes) -> (
+    match
+      List.filter_map
+        (function Echo.Engine.Enforced r -> Some r | _ -> None)
+        outcomes
+    with
+    | r :: _ as repairs ->
+      if all then print_menu ~targets repairs
+      else List.iter (print_repair ~out_file) repairs;
+      (* a menu shares one encoding: every repair carries the same
+         roll-up, so the stats print once *)
+      pp_stats_block stats r;
+      0
+    | [] -> (
+      List.iter (fun o -> Format.printf "%a@." Echo.Engine.pp_outcome o) outcomes;
+      match outcomes with
+      | [ Echo.Engine.Already_consistent ] -> 0
+      | _ ->
+        (* explain which directional checks obstruct the target set *)
+        (match
+           Echo.Engine.diagnose ~mode ~slack_objects:slack trans ~metamodels
+             ~models ~targets:tgts
+         with
+        | Ok ds ->
+          List.iter
+            (fun d ->
+              if not d.Echo.Engine.d_satisfiable then
+                Format.printf "  obstruction: %a@." Echo.Engine.pp_diagnosis d)
+            ds
+        | Error _ -> ());
+        1))
 
 (* ------------------------------------------------------------------ *)
 (* session: replay an edit script on a long-lived incremental session.
@@ -834,13 +822,17 @@ let out_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write repaired models to FILE.")
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:"Write repaired models to FILE (not with $(b,--all)).")
 
 let all_arg =
   Arg.(
     value & flag
     & info [ "all" ]
-        ~doc:"Enumerate every minimal repair instead of returning one.")
+        ~doc:
+          "Enumerate every minimal repair instead of returning one \
+           (iterative backend only; prints the menu, so $(b,-o) is an \
+           error).")
 
 let enforce_cmd =
   let doc = "repair the target models to restore consistency (least change)" in

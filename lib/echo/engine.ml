@@ -61,7 +61,7 @@ let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
     ?model_weights ?sbp transformation ~metamodels ~models ~targets =
   let repairs space =
     match backend with
-    | Iterative -> Repair.run_all ~limit:1 space
+    | Iterative -> Result.map fst (Repair.run_all ~limit:1 space)
     | Maxsat -> Result.map Option.to_list (Maxsat_repair.run space)
   in
   Result.map List.hd
@@ -73,8 +73,9 @@ let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
 let enforce_all ?(limit = 16) ?mode ?slack_objects ?extra_values ?model_weights
     ?sbp transformation ~metamodels ~models ~targets =
   run_enforcement ~name:"enforce_all" ~backend:Iterative
-    ~repairs:(Repair.run_all ~limit) ?mode ?slack_objects ?extra_values
-    ?model_weights ?sbp transformation ~metamodels ~models ~targets
+    ~repairs:(fun space -> Result.map fst (Repair.run_all ~limit space))
+    ?mode ?slack_objects ?extra_values ?model_weights ?sbp transformation
+    ~metamodels ~models ~targets
 
 type diagnosis = {
   d_relation : Mdl.Ident.t;

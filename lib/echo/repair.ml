@@ -192,16 +192,17 @@ let run_all ?(limit = 16) space =
       in
       let stats = telemetry sc in
       Ok
-        (List.map
-           (fun (inst, repaired, iterations) ->
-             {
-               repaired;
-               relational_distance = Space.relational_distance space inst;
-               edit_distance = Space.edit_distance space repaired;
-               iterations;
-               stats;
-             })
-           found)
+        ( List.map
+            (fun (inst, repaired, iterations) ->
+              {
+                repaired;
+                relational_distance = Space.relational_distance space inst;
+                edit_distance = Space.edit_distance space repaired;
+                iterations;
+                stats;
+              })
+            found,
+          stats )
     with
     | Relog.Translate.Unsupported msg -> Error msg
     | Invalid_argument msg -> Error msg

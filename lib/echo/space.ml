@@ -30,7 +30,7 @@ let typecheck ~transformation ~metamodels ~targets =
       (String.concat "; "
          (List.map (fun e -> Format.asprintf "%a" Qvtr.Typecheck.pp_error e) errs))
 
-let build ?mode ?unroll ?(slack_objects = 2) ?(extra_values = [])
+let build ?mode ?(slack_objects = 2) ?(extra_values = [])
     ?(model_weights = []) ?(sbp = true) ~transformation ~metamodels ~models
     ~targets () =
   let ( let* ) = Result.bind in
@@ -40,7 +40,7 @@ let build ?mode ?unroll ?(slack_objects = 2) ?(extra_values = [])
       ~slack_objects ()
   in
   try
-    let sem = Qvtr.Semantics.create ?mode ?unroll enc info in
+    let sem = Qvtr.Semantics.create ?mode enc info in
     (* Evaluation order matters beyond this function: compiling these
        formulas interns identifiers, whose tags order the primary
        registry's iteration, and with it the CNF. *)

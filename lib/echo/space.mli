@@ -14,7 +14,6 @@ type t
 
 val build :
   ?mode:Qvtr.Semantics.mode ->
-  ?unroll:int ->
   ?slack_objects:int ->
   ?extra_values:Mdl.Value.t list ->
   ?model_weights:(Mdl.Ident.t * int) list ->

@@ -59,34 +59,11 @@ type prim = {
   p_var : Sat.Lit.var;
 }
 
-(* A target primary with its repair apparatus: [t_ref] is the
-   reference variable assumptions pin to the current model, [t_diff]
-   is defined as [p_var XOR t_ref] and feeds the totalizer. *)
-type tprim = {
-  tp : prim;
-  t_ref : Sat.Lit.var;
-  t_diff : Sat.Lit.var;
-}
-
 type check_state = {
   cf : Relog.Finder.t;
   dirs : (Ident.t * Qvtr.Ast.dependency * Sat.Lit.t) list;
   cprims : prim array;
   cvar_fact : (Sat.Lit.var, Ident.t * Relog.Rel.Tuple.t) Hashtbl.t;
-}
-
-type repair_state = {
-  rf : Relog.Finder.t;
-  ntprims : prim array;  (* primaries of frozen parameters *)
-  tprims : tprim array;  (* primaries of target parameters *)
-  card : Sat.Cardinality.t;
-  sbp_pairs : (Ident.t * ((int * int) * Sat.Lit.t) array) list;
-      (* per target parameter, at index k: slack pair (s_k, s_k+1) as
-         atom indices and the guard of its predicate; empty with SBPs
-         off *)
-  struct_guards : Sat.Lit.t list;
-      (* conformance of the targets, guarded like everything else so
-         the one shared finder serves both check and repair *)
 }
 
 (* One encoding generation: everything keyed by the exact bounds (the
@@ -101,12 +78,10 @@ type generation = {
   g_sem : Qvtr.Semantics.t;
   g_bounds : Relog.Bounds.t;
   mutable g_check : check_state option;
-  mutable g_repair : repair_state option;
 }
 
 (* Per-parameter slack accounting of the current generation. *)
 type pstate = {
-  mutable consumed : Model.obj_id list;  (* newest first *)
   mutable nconsumed : int;
   atom_of_created : (Model.obj_id, Ident.t) Hashtbl.t;
 }
@@ -116,11 +91,10 @@ type t = {
   metamodels : (Ident.t * Mdl.Metamodel.t) list;
   info : Qvtr.Typecheck.info;
   mode : Qvtr.Semantics.mode option;
-  unroll : int option;
   tgts : Echo.Target.t;
   budget : int;
   headroom : int;
-  sbp : bool;  (* lex-leader SBPs over the fresh slack window *)
+  sbp : bool;  (* the one-shot symmetry pass on every repair *)
   mutable gen : generation;
   cache : (string, generation) Hashtbl.t;
   (* The one finder (translation + solver) serving every generation:
@@ -130,10 +104,6 @@ type t = {
      so all session universes form one prefix-compatible chain and
      index-keyed translation state survives every rebind. *)
   mutable all_atoms : Ident.t list;
-  (* p_var -> (t_ref, t_diff): the XOR apparatus is per primary
-     variable, and primary variables persist across rebinds, so
-     generations share it. *)
-  xors : (Sat.Lit.var, Sat.Lit.var * Sat.Lit.var) Hashtbl.t;
   mutable cur : (Ident.t * Model.t) list;
   mutable values : Value.Set.t;
   mutable pstates : pstate Ident.Map.t;
@@ -171,7 +141,7 @@ let fresh_pstates params =
   List.fold_left
     (fun acc p ->
       Ident.Map.add p
-        { consumed = []; nconsumed = 0; atom_of_created = Hashtbl.create 8 }
+        { nconsumed = 0; atom_of_created = Hashtbl.create 8 }
         acc)
     Ident.Map.empty params
 
@@ -256,13 +226,13 @@ let fingerprint t =
   Buffer.contents b
 
 let build_generation ~trans ~metamodels ~models ~values ~slack ?(base = [])
-    ?mode ?unroll info =
+    ?mode info =
   let ( let* ) = Result.bind in
   let* enc =
     Qvtr.Encode.create ~transformation:trans ~metamodels ~models
       ~extra_values:(Value.Set.elements values) ~slack_objects:slack ~base ()
   in
-  match Qvtr.Semantics.create ?mode ?unroll enc info with
+  match Qvtr.Semantics.create ?mode enc info with
   | sem ->
     let bounds =
       Qvtr.Encode.bounds enc ~targets:(Ident.Set.of_list (List.map fst models))
@@ -273,7 +243,6 @@ let build_generation ~trans ~metamodels ~models ~values ~slack ?(base = [])
         g_sem = sem;
         g_bounds = bounds;
         g_check = None;
-        g_repair = None;
       }
   | exception Qvtr.Semantics.Compile_error msg -> Error msg
 
@@ -306,7 +275,7 @@ let ensure_generation t =
           Obs.Trace.with_span ~name:"session.rebuild" (fun () ->
               build_generation ~trans:t.trans ~metamodels:t.metamodels
                 ~models:t.cur ~values:t.values ~slack:(t.budget + t.headroom)
-                ~base:t.all_atoms ?mode:t.mode ?unroll:t.unroll t.info)
+                ~base:t.all_atoms ?mode:t.mode t.info)
         in
         (* The new universe extends the longest-ever one (base), so it
            is the new longest. *)
@@ -338,7 +307,7 @@ let ensure_generation t =
 (* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
 
-let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
+let open_session ?mode ?(slack_budget = 2) ?(headroom = 6)
     ?(extra_values = []) ?(sbp = true) ~transformation ~metamodels
     ~models ~targets () =
   let ( let* ) = Result.bind in
@@ -354,8 +323,7 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
     let* gen =
       Obs.Trace.with_span ~name:"session.build" (fun () ->
           build_generation ~trans:transformation ~metamodels ~models
-            ~values:seed ~slack:(slack_budget + headroom) ?mode
-            ?unroll info)
+            ~values:seed ~slack:(slack_budget + headroom) ?mode info)
     in
     let t =
       {
@@ -363,7 +331,6 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
         metamodels;
         info;
         mode;
-        unroll;
         tgts = targets;
         budget = slack_budget;
         headroom;
@@ -373,7 +340,6 @@ let open_session ?mode ?unroll ?(slack_budget = 2) ?(headroom = 6)
         fd = None;
         all_atoms =
           Relog.Rel.Universe.atoms (Qvtr.Encode.universe gen.g_enc);
-        xors = Hashtbl.create 64;
         cur = models;
         values =
           List.fold_left
@@ -711,208 +677,7 @@ let recheck ?(blame = false) t =
   with Invalid_argument msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* The repair finder                                                   *)
-
-(* One lex-leader predicate ({!Relog.Symmetry.break}) per adjacent
-   slack pair (s_k, s_k+1) of each target parameter, each under its
-   own guard; [repair_pins] assumes the pairs that lie in the fresh
-   window. A predicate ranges over the primaries of the bounds it was
-   emitted for, and a re-encode changes them, so every generation
-   emits its own. *)
-let slack_sbps t g rf =
-  Obs.Trace.with_span ~name:"repair.symmetry" @@ fun () ->
-  let trans = Relog.Finder.translation rf in
-  let rec pairs = function
-    | a :: (b :: _ as rest) ->
-      let gd = Sat.Lit.pos (Sat.Solver.new_var (Relog.Finder.solver rf)) in
-      ignore (Relog.Symmetry.break ~guard:gd trans [ [ a; b ] ] : int);
-      ((a, b), gd) :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  List.map
-    (fun p ->
-      let atoms = Qvtr.Encode.slack_atom_names g.g_enc p in
-      (p, Array.of_list (pairs (List.map (Qvtr.Encode.atom_index g.g_enc) atoms))))
-    (Ident.Set.elements t.tgts)
-
-(* The repair apparatus rides on the same finder as the check: the
-   direction formulas (consistency) are already guarded there, the
-   target conformance formulas and the slack SBPs are guarded here,
-   and every repair solve assumes them. Nothing is asserted
-   unconditionally, so check and repair coexist in one solver and the
-   whole translation is shared. *)
-let ensure_repair t =
-  let g = t.gen in
-  (* The check state first: repair assumes its direction guards and
-     reuses its primary census. *)
-  let cs = ensure_check t in
-  match g.g_repair with
-  | Some r ->
-    finder_cache_event ~hit:true "repair_finder";
-    r
-  | None ->
-    finder_cache_event ~hit:false "repair_finder";
-    t.translations <- t.translations + 1;
-    let rf = cs.cf in
-    let struct_guards =
-      List.concat_map
-        (fun p ->
-          List.map (Relog.Finder.guard rf)
-            (Qvtr.Encode.structural_formulas g.g_enc ~param:p))
-        (Ident.Set.elements t.tgts)
-    in
-    let sbp_pairs = if t.sbp then slack_sbps t g rf else [] in
-    let solver = Relog.Finder.solver rf in
-    let prims = cs.cprims in
-    let ntprims =
-      Array.of_list
-        (List.filter
-           (fun pr -> not (Ident.Set.mem pr.p_param t.tgts))
-           (Array.to_list prims))
-    in
-    let tprims =
-      Array.of_list
-        (List.filter_map
-           (fun pr ->
-             if not (Ident.Set.mem pr.p_param t.tgts) then None
-             else begin
-               let v = pr.p_var in
-               let r, d =
-                 match Hashtbl.find_opt t.xors v with
-                 | Some rd -> rd
-                 | None ->
-                   let r = Sat.Solver.new_var solver in
-                   let d = Sat.Solver.new_var solver in
-                   (* d <-> v XOR r *)
-                   Sat.Solver.add_clause solver
-                     [ Sat.Lit.neg_of v; Sat.Lit.pos r; Sat.Lit.pos d ];
-                   Sat.Solver.add_clause solver
-                     [ Sat.Lit.pos v; Sat.Lit.neg_of r; Sat.Lit.pos d ];
-                   Sat.Solver.add_clause solver
-                     [ Sat.Lit.neg_of v; Sat.Lit.neg_of r; Sat.Lit.neg_of d ];
-                   Sat.Solver.add_clause solver
-                     [ Sat.Lit.pos v; Sat.Lit.pos r; Sat.Lit.neg_of d ];
-                   Hashtbl.replace t.xors v (r, d);
-                   (r, d)
-               in
-               Some { tp = pr; t_ref = r; t_diff = d }
-             end)
-           (Array.to_list prims))
-    in
-    let card =
-      Obs.Trace.with_span ~name:"cnf.cardinality"
-        ~args:(fun () -> [ ("inputs", Obs.Json.Int (Array.length tprims)) ])
-        (fun () ->
-          Sat.Cardinality.build solver
-            (List.map (fun tp -> Sat.Lit.pos tp.t_diff) (Array.to_list tprims)))
-    in
-    let r = { rf; ntprims; tprims; card; sbp_pairs; struct_guards } in
-    g.g_repair <- Some r;
-    r
-
-(* Atoms no repair may populate in the current state: originally bound
-   objects since deleted, consumed slack atoms whose object was
-   deleted, and slack atoms beyond the fresh window (the window keeps
-   the search space identical to a from-scratch run with
-   [slack_objects = budget]). *)
-let dead_atoms t p =
-  let enc = t.gen.g_enc in
-  let ps = pstate_of t p in
-  let m = model_of t p in
-  let tbl = Hashtbl.create 16 in
-  let add a = Hashtbl.replace tbl (Qvtr.Encode.atom_index enc a) () in
-  List.iter
-    (fun id ->
-      if not (Model.mem m id) then add (Qvtr.Encode.obj_atom_name p id))
-    (Model.objects (Qvtr.Encode.model_of_param enc p));
-  let consumed = Array.of_list (List.rev ps.consumed) in
-  List.iteri
-    (fun k a ->
-      if k < Array.length consumed then begin
-        if not (Model.mem m consumed.(k)) then add a
-      end
-      else if k >= Array.length consumed + t.budget then add a)
-    (Qvtr.Encode.slack_atom_names enc p);
-  tbl
-
-(* The slack pairs a repair solve assumes, by the window rule: pair k,
-   (s_k, s_k+1), only while both atoms are fresh. Beyond the window
-   the pins hold every atom unused, and the predicate's first clause
-   reads "s_k used => s_k+1 used", so a pair reaching past it would
-   forbid a live atom; a consumed atom carries its object's facts (or
-   is held unused once the object is deleted), so a pair touching it
-   is no symmetry. *)
-let assumed_pairs t rs =
-  List.concat_map
-    (fun (p, pairs) ->
-      let n = (pstate_of t p).nconsumed in
-      List.filteri
-        (fun k _ -> n <= k && k + 1 < n + t.budget)
-        (Array.to_list pairs))
-    rs.sbp_pairs
-
-let repair_pins t rs =
-  let dead =
-    List.fold_left
-      (fun acc p -> Ident.Map.add p (dead_atoms t p) acc)
-      Ident.Map.empty
-      (Ident.Set.elements t.tgts)
-  in
-  (* Assembled back to front so the final list runs: frozen-model
-     pins, target reference/dead pins, slack SBP guards — a stable
-     order, so the whole list is a reusable trail prefix across the
-     ladder. *)
-  let acc = List.map snd (assumed_pairs t rs) in
-  let acc =
-    Array.fold_right
-      (fun tp acc ->
-        let dtbl = Ident.Map.find tp.tp.p_param dead in
-        if Array.exists (Hashtbl.mem dtbl) tp.tp.p_tuple then
-          Sat.Lit.neg_of tp.tp.p_var :: Sat.Lit.neg_of tp.t_ref :: acc
-        else
-          (if present t tp.tp then Sat.Lit.pos tp.t_ref
-           else Sat.Lit.neg_of tp.t_ref)
-          :: acc)
-      rs.tprims acc
-  in
-  Array.fold_right
-    (fun pr acc ->
-      (if present t pr then Sat.Lit.pos pr.p_var
-       else Sat.Lit.neg_of pr.p_var)
-      :: acc)
-    rs.ntprims acc
-
-type sbp_view = {
-  sv_bounds : Relog.Bounds.t;
-  sv_pinned : Relog.Rel.Tupleset.t list;
-  sv_pairs : (int * int) list;
-  sv_formulas : Relog.Ast.formula list;
-}
-
-let sbp_view t =
-  Result.bind (ensure_generation t) @@ fun () ->
-  match ensure_repair t with
-  | exception Invalid_argument msg -> Error msg
-  | rs ->
-    let enc = t.gen.g_enc in
-    let tgts = Ident.Set.elements t.tgts in
-    let pinned p =
-      let tuples tbl =
-        Relog.Rel.Tupleset.of_list (List.of_seq (Hashtbl.to_seq_keys tbl))
-      in
-      let dead = Hashtbl.create 8 in
-      Hashtbl.iter (fun i () -> Hashtbl.replace dead [| i |] ()) (dead_atoms t p);
-      tuples dead :: Ident.Map.fold (fun _ tbl acc -> tuples tbl :: acc) (facts_of t p) []
-    in
-    Ok
-      {
-        sv_bounds = t.gen.g_bounds;
-        sv_pinned = List.concat_map pinned tgts;
-        sv_pairs = List.map fst (assumed_pairs t rs);
-        sv_formulas =
-          List.map (fun (_, _, f) -> f) (Qvtr.Semantics.top_formulas t.gen.g_sem)
-          @ List.concat_map (fun p -> Qvtr.Encode.structural_formulas enc ~param:p) tgts;
-      }
+(* Repair                                                              *)
 
 let consistent_now cs pins =
   let solver = Relog.Finder.solver cs.cf in
@@ -930,49 +695,34 @@ let consistent_now cs pins =
   | Sat.Solver.Sat -> true
   | Sat.Solver.Unsat -> false
 
-let max_id m = List.fold_left max (-1) (Model.objects m)
+(* The ladder's translation and search ran on a finder of its own:
+   add them to the session's own effort for the step. *)
+let add_ladder s (tel : Echo.Telemetry.t) =
+  let sv = tel.Echo.Telemetry.solver in
+  {
+    s with
+    solver_calls = s.solver_calls + tel.Echo.Telemetry.solver_calls;
+    conflicts = s.conflicts + sv.Sat.Solver.conflicts;
+    propagations = s.propagations + sv.Sat.Solver.propagations;
+    decisions = s.decisions + sv.Sat.Solver.decisions;
+    translated = true;
+    translate_s =
+      s.translate_s +. tel.Echo.Telemetry.translation.Relog.Translate.translate_time;
+  }
 
-let decode_repair t inst ~distance =
-  let enc = t.gen.g_enc in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (p, cur) :: rest ->
-      if not (Ident.Set.mem p t.tgts) then go ((p, cur) :: acc) rest
-      else begin
-        let ps = pstate_of t p in
-        let atom_ids =
-          Hashtbl.fold (fun id a acc -> (a, id) :: acc) ps.atom_of_created []
-        in
-        match
-          Qvtr.Encode.decode_model enc ~atom_ids ~first_fresh:(max_id cur + 1)
-            inst ~param:p
-        with
-        | Error msg -> Error msg
-        | Ok m ->
-          if Mdl.Conformance.check m <> [] then Error "non-conformant"
-          else go ((p, m) :: acc) rest
-      end
-  in
-  match go [] t.cur with
-  | Error msg -> Error msg
-  | Ok repaired ->
-    let edit =
-      List.fold_left
-        (fun acc (p, m) ->
-          if Ident.Set.mem p t.tgts then
-            acc + Mdl.Distance.delta (model_of t p) m
-          else acc)
-        0 repaired
-    in
-    Ok
-      {
-        r_models = repaired;
-        r_relational_distance = distance;
-        r_edit_distance = edit;
-      }
+let to_repair (s : Echo.Repair.success) =
+  {
+    r_models = s.Echo.Repair.repaired;
+    r_relational_distance = s.Echo.Repair.relational_distance;
+    r_edit_distance = s.Echo.Repair.edit_distance;
+  }
 
 let m_rerepairs = Obs.Metrics.counter "incr.rerepairs"
 
+(* The consistency check is a warm assumption solve on the check
+   finder; the repair itself is a one-shot run over the current
+   models, whose value universe and slack budget give it exactly the
+   search space of a from-scratch {!Echo.Engine.enforce_all}. *)
 let rerepair_upto ~limit t =
   Obs.Metrics.incr m_rerepairs;
   Obs.Trace.with_span ~name:"session.rerepair"
@@ -981,54 +731,27 @@ let rerepair_upto ~limit t =
   let snap = snapshot t in
   let ( let* ) = Result.bind in
   let* () = ensure_generation t in
-  try
-    let cs = ensure_check t in
-    let pins = check_pins t cs in
-    if consistent_now cs pins then
-      Ok { outcome = Already_consistent; repair_stats = finish t snap }
-    else begin
-      let rs = ensure_repair t in
-      (* Stable assumption order for trail reuse across the ladder:
-         fact/reference pins and SBP guards, then the guarded
-         constraint set (conformance + all directions). *)
-      let dir_guards = List.map (fun (_, _, gd) -> gd) cs.dirs in
-      let base = repair_pins t rs @ rs.struct_guards @ dir_guards in
-      (* Blocks are scoped to this call: dropping [scope] afterwards
-         retracts them. *)
-      let scope = Relog.Finder.new_scope rs.rf in
-      let solver = Relog.Finder.solver rs.rf in
-      let solve k =
-        let assumptions = base @ Sat.Cardinality.at_most rs.card k @ [ scope ] in
-        Obs.Trace.with_span ~name:"solve"
-          ~args:(fun () ->
-            [
-              ("backend", Obs.Json.String "session.repair");
-              ("distance", Obs.Json.Int k);
-              ("assumptions", Obs.Json.Int (List.length assumptions));
-            ])
-          (fun () -> Relog.Finder.solve ~assumptions rs.rf)
-      in
-      let decode inst =
-        let distance =
-          Array.fold_left
-            (fun d tp -> if Sat.Solver.value solver tp.t_diff then d + 1 else d)
-            0 rs.tprims
-        in
-        decode_repair t inst ~distance
-      in
-      let outcome =
-        match
-          Echo.Repair.ladder ~limit ~total:(Sat.Cardinality.count rs.card) ~solve
-            ~block:(fun () -> Relog.Finder.block ~scope rs.rf)
-            ~decode
-            ~models:(fun r -> r.r_models)
-        with
-        | [] -> Cannot_restore
-        | reps -> Repaired reps
-      in
-      Ok { outcome; repair_stats = finish t snap }
-    end
-  with Invalid_argument msg -> Error msg
+  let* consistent =
+    try
+      let cs = ensure_check t in
+      Ok (consistent_now cs (check_pins t cs))
+    with Invalid_argument msg -> Error msg
+  in
+  if consistent then Ok { outcome = Already_consistent; repair_stats = finish t snap }
+  else
+    let* space =
+      Obs.Trace.with_span ~name:"space.build" (fun () ->
+          Echo.Space.build ?mode:t.mode ~slack_objects:t.budget
+            ~extra_values:(value_universe t) ~sbp:t.sbp ~transformation:t.trans
+            ~metamodels:t.metamodels ~models:t.cur ~targets:t.tgts ())
+    in
+    let* found, tel = Echo.Repair.run_all ~limit space in
+    let outcome =
+      match found with
+      | [] -> Cannot_restore
+      | reps -> Repaired (List.map to_repair reps)
+    in
+    Ok { outcome; repair_stats = add_ladder (finish t snap) tel }
 
 (* A limit below 1 would stop the collector before its first solve at
    every distance, reporting Cannot_restore for a repairable state. *)
@@ -1094,7 +817,6 @@ let apply_edits t batch =
                         ps.nconsumed
                     in
                     Hashtbl.replace ps.atom_of_created id a;
-                    ps.consumed <- id :: ps.consumed;
                     ps.nconsumed <- ps.nconsumed + 1
                   end
                 end

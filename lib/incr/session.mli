@@ -1,40 +1,29 @@
 (** Incremental consistency-maintenance sessions.
 
     A session holds a parsed transformation, a cache of translations
-    keyed on the exact (metamodels, bounds) they encode, and
-    persistent backend solvers. Model {e facts} — which tuples the
-    current models contain — are never asserted: every solve pins them
-    through solver assumptions over the frozen encoding, so an edit
-    batch is just a different assumption set and re-checking after an
-    edit re-uses everything the solver already learnt (clauses, VSIDS
-    activity, saved phases).
+    keyed on the exact (metamodels, bounds) they encode, and one
+    persistent check finder. Model {e facts} — which tuples the
+    current models contain — are never asserted there: every check
+    solve pins them through solver assumptions over the frozen
+    encoding, so an edit batch is just a different assumption set and
+    re-checking after an edit re-uses everything the solver already
+    learnt (clauses, VSIDS activity, saved phases).
 
-    One finder (translation + solver) serves the whole session.
-    Every formula — the top directional checks and the targets'
-    structural conformance — is translated to a guard literal over one
-    shared, memoized lowering ({!Relog.Translate}); [recheck] solves
-    once per direction under the fact pins plus that direction's
-    guard, and on violation the solver's unsat core — minimized with
-    {!Sat.Solver.minimize_core} — names the {e blame set} of model
-    facts. [rerepair] reuses the very same translation: it defines one
-    reference/difference variable pair per target primary (the
-    difference variables feed a totalizer) and climbs
-    {!Echo.Repair.ladder}, the ladder one-shot runs climb, purely
-    through assumptions: fact pins for frozen models, reference pins
-    for targets, the conformance and direction guards, the slack
-    symmetry guards, cardinality bounds, and a per-call scope literal
-    that retracts the call's blocking clauses afterwards.
+    Each top directional check is translated to a guard literal over
+    one shared, memoized lowering ({!Relog.Translate}); [recheck]
+    solves once per direction under the fact pins plus that
+    direction's guard, and on violation the solver's unsat core —
+    minimized with {!Sat.Solver.minimize_core} — names the {e blame
+    set} of model facts.
 
-    Symmetry is broken with the lex-leader predicates one-shot runs
-    use ({!Relog.Symmetry.break}), one per adjacent slack pair
-    [(s_k, s_k+1)] of each target parameter and generation, each under
-    its own guard. A repair solve assumes pair [k] only while both
-    atoms are fresh ([consumed <= k < consumed + slack_budget - 1]).
-    Beyond that window the pins hold every atom unused, and the
-    predicate's first clause reads "s_k used implies s_k+1 used", so a
-    pair reaching past it would forbid a live atom; a consumed atom
-    carries its object's facts, so a pair touching it is no
-    symmetry.
+    [rerepair] checks consistency the same warm way, and repairs with
+    the one-shot core: {!Echo.Space.build} over the current models,
+    with the session's value universe, slack budget, mode and [sbp],
+    then {!Echo.Repair.run_all}. Its menu is therefore the menu of a
+    from-scratch {!Echo.Engine.enforce_all} over the same models by
+    construction, symmetry breaking ({!Echo.Space.sbp_orbits})
+    included. The repair translates exact bounds afresh on every call;
+    the check finder carries no repair clauses.
 
     The check stage (every relation materialized, one guard per top
     formula) depends only on the bounds and the top formulas, and the
@@ -56,15 +45,13 @@
     all carry over. Returning to a previously seen state revives that
     generation's guards outright.
 
-    Object creation is served from the encoding's slack atoms: each
-    session keeps [slack_budget + headroom] fresh atoms per parameter,
-    consumes one per created object, and always exposes exactly
-    [slack_budget] unconsumed atoms to the repair search — the same
-    search space a from-scratch {!Echo.Engine} run with
-    [slack_objects = slack_budget] sees. Edits the frozen universe
-    cannot express (a brand-new attribute value, slack exhaustion)
-    trigger a re-encode over the current models; re-encodes hit the
-    translation cache when they return to a previously seen state. *)
+    Object creation is served from the check encoding's slack atoms:
+    each session keeps [slack_budget + headroom] fresh atoms per
+    parameter and consumes one per created object. Edits the frozen
+    universe cannot express (a brand-new attribute value, slack
+    exhaustion) trigger a re-encode over the current models;
+    re-encodes hit the translation cache when they return to a
+    previously seen state. *)
 
 type t
 
@@ -82,15 +69,17 @@ type step_stats = {
   decisions : int;
   translated : bool;
       (** whether the operation had to (re)translate — [false] on the
-          warm assumption-flip path *)
+          warm assumption-flip path, [true] on every [rerepair] that
+          repairs *)
   translate_s : float;
       (** wall seconds the operation spent inside the translation
           layer (lowering + CNF); 0 on the warm path, and small even
           on re-encodes thanks to delta retranslation *)
 }
-(** Solver-effort delta attributed to one [recheck]/[rerepair] call
-    (read off the session's shared finder, including translation-time
-    propagation when a build was needed). *)
+(** Solver effort attributed to one [recheck]/[rerepair] call: the
+    delta of the session's check finder, including translation-time
+    propagation when a build was needed, plus, for a [rerepair] that
+    repairs, the whole telemetry of its {!Echo.Repair.run_all}. *)
 
 type verdict = {
   v_relation : Mdl.Ident.t;
@@ -120,8 +109,8 @@ type repair_outcome =
   | Cannot_restore
   | Repaired of repair list
       (** all distinct minimal repairs (up to the limit), in canonical
-          order — the same menu {!Echo.Engine.enforce_all} computes
-          from scratch with the same [sbp] *)
+          order — the menu {!Echo.Engine.enforce_all} computes over
+          the current models with the same [sbp] *)
 
 type repair_report = {
   outcome : repair_outcome;
@@ -130,7 +119,6 @@ type repair_report = {
 
 val open_session :
   ?mode:Qvtr.Semantics.mode ->
-  ?unroll:int ->
   ?slack_budget:int ->
   ?headroom:int ->
   ?extra_values:Mdl.Value.t list ->
@@ -149,21 +137,22 @@ val open_session :
     mention — the revival path of a durable session snapshot passes
     the evicted session's {!value_universe} here, so a resurrected
     session searches exactly the space the evicted one did.
-    [sbp] (default true) breaks the fresh slack window's symmetry as
-    described above, so a menu collapses isomorphic variants as a
-    one-shot run's does; with [~sbp:false] (the server's [--no-sbp])
-    no symmetry is broken and the menu lists every variant. Opening
-    translates nothing: the first [recheck]/[rerepair] builds the
-    check stage, as a clone of the translation template of the
+    [sbp] (default true) is the [sbp] of every repair's
+    {!Echo.Space.build}: the one-shot symmetry pass collapses
+    isomorphic variants of a menu; with [~sbp:false] (the server's
+    [--no-sbp]) no symmetry is broken and the menu lists every
+    variant.
+
+    Opening translates nothing: the first [recheck]/[rerepair] builds
+    the check stage, as a clone of the translation template of the
     session's shape — a solver clone where another session of that
-    shape already built one, a full translation (kept as the template)
-    otherwise. Either
-    way that call reports [translated = true], with the clone or
-    translation wall in [translate_s]; the first [rerepair] or
-    re-encode after a clone also pays the copy of the shared
-    translation tables. The server's [open] verb and its snapshot
-    revival both open sessions here, so a revived session costs a
-    clone once its shape is in the table. *)
+    shape already built one, a full translation (kept as the
+    template) otherwise. Either way that call reports
+    [translated = true], with the clone or translation wall in
+    [translate_s]; the first re-encode after a clone also pays the
+    copy of the shared translation tables. The server's [open] verb
+    and its snapshot revival both open sessions here, so a revived
+    session costs a clone once its shape is in the table. *)
 
 val models : t -> (Mdl.Ident.t * Mdl.Model.t) list
 (** The current (post-edit) models. *)
@@ -179,9 +168,6 @@ val value_universe : t -> Mdl.Value.t list
 
 val rebuilds : t -> int
 (** Number of re-encodes so far (0 right after [open_session]). *)
-
-val solver_totals : t -> Sat.Solver.stats
-(** Cumulative solver effort of the session's shared solver. *)
 
 val apply_edits : t -> (Mdl.Ident.t * Mdl.Edit.t list) list -> (unit, string) result
 (** Apply one edit batch, each script against the named parameter's
@@ -200,33 +186,15 @@ val recheck : ?blame:bool -> t -> (check_report, string) result
 
 val rerepair : ?limit:int -> t -> (repair_report, string) result
 (** Least-change repair of the current models over the session's
-    target set: the distance ladder and minimal-repair enumeration
-    (up to [limit] distinct repairs, default 16) run as assumption
-    solves on the warm repair finder. The outcome (distance and
-    canonical repair menu) matches a from-scratch
-    {!Echo.Engine.enforce_all} over the current models with aligned
-    [extra_values]/[slack_objects] and the same [sbp]; an orbit of
-    existing target objects with identical tuples is the exception,
-    since only the one-shot pass breaks it. The session's models are
-    not changed — see {!commit}. [Error] when [limit < 1]. *)
-
-type sbp_view = {
-  sv_bounds : Relog.Bounds.t;  (** the current generation's bounds *)
-  sv_pinned : Relog.Rel.Tupleset.t list;
-      (** what the repair pins fix: the atoms no repair may populate,
-          and each target relation's current facts *)
-  sv_pairs : (int * int) list;
-      (** the slack pairs (atom indices) whose guards the next repair
-          solve assumes *)
-  sv_formulas : Relog.Ast.formula list;  (** every guarded formula *)
-}
-
-val sbp_view : t -> (sbp_view, string) result
-(** What the symmetry breaking of the next [rerepair] rests on (after
-    any pending re-encode, building the repair stage if needed): each
-    pair's transposition must map the bounds and every pinned set to
-    itself ({!Relog.Symmetry.is_automorphism}), and no formula may
-    name a slack atom. The tests check both. *)
+    target set. Consistency is checked first, as one assumption solve
+    on the warm check finder ([Already_consistent] then). Otherwise
+    the repair is {!Echo.Repair.run_all} (up to [limit] distinct
+    repairs, default 16) over {!Echo.Space.build} of the current
+    models with [extra_values = value_universe], [slack_objects =
+    slack_budget] and the session's mode and [sbp], so the outcome
+    (distance and canonical menu) is a from-scratch
+    {!Echo.Engine.enforce_all}'s by construction. The session's models
+    are not changed — see {!commit}. [Error] when [limit < 1]. *)
 
 val commit : t -> repair -> (unit, string) result
 (** Make a repair the session's current state, routed through

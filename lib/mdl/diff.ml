@@ -142,12 +142,3 @@ let to_edits d =
   deletions @ creations @ stable_edits @ populate
 
 let script a b = to_edits (diff a b)
-
-let pp_script ppf edits =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Format.pp_print_cut ppf ();
-      Edit.pp ppf e)
-    edits;
-  Format.fprintf ppf "@]"

@@ -42,5 +42,3 @@ val script : Model.t -> Model.t -> Edit.t list
 (** [to_edits (diff a b)]: an edit script s.t.
     [Edit.apply_script a (script a b)] equals [b] (up to reference
     order). Raises [Invalid_argument] when metamodels differ. *)
-
-val pp_script : Format.formatter -> Edit.t list -> unit

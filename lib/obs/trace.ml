@@ -66,8 +66,6 @@ let clear () =
 
 type context = int
 
-let null_context = 0
-
 let current () =
   if not (Atomic.get enabled_flag) then 0
   else

@@ -34,11 +34,9 @@ val clear : unit -> unit
 type context = int
 (** The span id a task should attach to; [0] means "no parent". *)
 
-val null_context : context
-
 val current : unit -> context
 (** The innermost open span of the calling domain (or its installed
-    context when no span is open); {!null_context} when tracing is
+    context when no span is open); [0] when tracing is
     disabled. Capture this where work is {e submitted}. *)
 
 val with_context : context -> (unit -> 'a) -> 'a

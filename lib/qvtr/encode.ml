@@ -717,17 +717,14 @@ let structural_formulas t ~param =
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 
-let decode_model t ?(atom_ids = []) ?first_fresh inst ~param =
+let decode_model t inst ~param =
   let p = param in
   let model0 = model_of_param t p in
   let mm = metamodel_of_param t p in
-  let max_id = List.fold_left max (-1) (Model.objects model0) in
+  (* slack atoms get ids past the bound model's largest *)
+  let fresh = ref (List.fold_left max (-1) (Model.objects model0)) in
   (* atom index -> chosen object id *)
-  let fresh =
-    ref (match first_fresh with Some f -> f - 1 | None -> max_id)
-  in
   let atom_obj_id : (int, Model.obj_id) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (a, id) -> Hashtbl.replace atom_obj_id (atom_idx t a) id) atom_ids;
   let id_of_atom_idx idx =
     match Hashtbl.find_opt atom_obj_id idx with
     | Some id -> id

@@ -67,18 +67,10 @@ val structural_formulas : t -> param:Mdl.Ident.t -> Relog.Ast.formula list
     ({!Relog.Symmetry}). *)
 
 val decode_model :
-  t ->
-  ?atom_ids:(Mdl.Ident.t * Mdl.Model.obj_id) list ->
-  ?first_fresh:int ->
-  Relog.Instance.t ->
-  param:Mdl.Ident.t ->
-  (Mdl.Model.t, string) result
+  t -> Relog.Instance.t -> param:Mdl.Ident.t -> (Mdl.Model.t, string) result
 (** Rebuild a {!Mdl.Model} from a (possibly repaired) instance.
-    Existing atoms keep their object ids; slack atoms get fresh ids.
-    [atom_ids] pre-assigns ids to atoms (how an incremental session
-    keeps the ids it handed out for slack atoms consumed by earlier
-    edits); [first_fresh] is the first id given to an unmapped slack
-    atom (default: one past the largest id of the bound model). *)
+    Existing atoms keep their object ids; slack atoms get fresh ids,
+    from one past the largest id of the bound model. *)
 
 (** {2 Incremental-session support}
 

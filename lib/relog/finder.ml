@@ -3,8 +3,6 @@ type t = {
   mutable last : Sat.Lit.t array option;
       (* the last model's primaries, each negated: its blocking
          clause *)
-  mutable last_assumed : Sat.Lit.t list;
-      (* assumptions of the last solve, for assumption-aware blocking *)
   (* telemetry; only the domain that owns the finder writes them *)
   mutable solve_s : float;
   mutable n_sat : int;
@@ -16,7 +14,6 @@ let make trans =
   {
     trans;
     last = None;
-    last_assumed = [];
     solve_s = 0.0;
     n_sat = 0;
     n_unsat = 0;
@@ -41,7 +38,6 @@ let rebind t bnds =
   let changed = Translate.rebind t.trans bnds in
   List.iter (Translate.materialize t.trans) (Bounds.relations bnds);
   t.last <- None;
-  t.last_assumed <- [];
   changed
 
 let clone ~bounds t = make (Translate.clone ~bounds t.trans)
@@ -53,7 +49,6 @@ type outcome =
   | Unsat
 
 let solve ?(assumptions = []) t =
-  t.last_assumed <- assumptions;
   let t0 = Obs.Clock.now () in
   match
     (* an interrupted solve keeps the time it burned *)
@@ -77,50 +72,11 @@ let solve ?(assumptions = []) t =
     t.n_sat <- t.n_sat + 1;
     Sat (Translate.decode t.trans)
 
-let new_scope t = Sat.Lit.pos (Sat.Solver.new_var (solver t))
-
-(* Blocking after [solve ~assumptions] needs care with primaries the
-   assumptions pinned. The plain block repeats their (negated) values,
-   which bakes the assumption context into the clause: sound, because
-   the clause is inert (trivially satisfied) under any assumption set
-   that differs on a pinned primary — but the clause then blocks
-   nothing outside its birth context either, and each one permanently
-   drags the whole context along. Simply dropping the pinned literals
-   instead would be unsound: the remaining clause would exclude the
-   unpinned part of the instance under {e every} future assumption
-   set, not just the one it was found under.
-
-   A [~scope] literal resolves this: the clause mentions only the
-   primaries the solver actually chose — assumption literals are never
-   baked into the block — plus [¬scope], so the block is active
-   exactly in solves that assume [scope]. Callers enumerate under an
-   assumption context by pairing it with one scope literal; switching
-   contexts (and scopes) retracts every block of the old context, so
-   enumerations under different assumption sets stay independent. *)
-let block ?scope t =
+let block t =
   match t.last with
   | None -> ()
   | Some lits ->
-    let clause =
-      match scope with
-      | None -> lits
-      | Some g ->
-        let assumed = Hashtbl.create 16 in
-        List.iter
-          (fun l -> Hashtbl.replace assumed (Sat.Lit.var l) ())
-          t.last_assumed;
-        let clause = Array.make (Array.length lits + 1) (Sat.Lit.neg g) in
-        let n = ref 1 in
-        Array.iter
-          (fun l ->
-            if not (Hashtbl.mem assumed (Sat.Lit.var l)) then begin
-              clause.(!n) <- l;
-              incr n
-            end)
-          lits;
-        Array.sub clause 0 !n
-    in
-    Sat.Solver.add_clause_array (solver t) clause;
+    Sat.Solver.add_clause_array (solver t) lits;
     t.n_blocked <- t.n_blocked + 1;
     t.last <- None
 

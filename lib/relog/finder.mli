@@ -63,28 +63,11 @@ type outcome =
 
 val solve : ?assumptions:Sat.Lit.t list -> t -> outcome
 
-val new_scope : t -> Sat.Lit.t
-(** A fresh positive literal for use as a {!block} scope. *)
-
-val block : ?scope:Sat.Lit.t -> t -> unit
+val block : t -> unit
 (** Add a blocking clause excluding the last found instance's primary
     assignment. Repeated [solve]/[block] enumerates all instances.
-
-    Without [scope] the clause covers the full primary assignment —
-    including primaries pinned by the last solve's assumptions, whose
-    literals make the clause inert under any assumption set differing
-    on a pinned primary (enumerations under different assumption sets
-    are independent, at the cost of baking the context into every
-    clause).
-
-    With [~scope:g] the clause omits every primary assumed in the last
-    solve — assumption literals are never part of the block — and
-    carries [¬g] instead: the block applies only to solves that assume
-    [g]. Use one scope literal (see {!new_scope}) per assumption
-    context; dropping [g] from the assumptions retracts the context's
-    blocks wholesale, which is how a long-lived guarded session
-    enumerates repairs per edit state without poisoning later
-    states. *)
+    The clause covers the full primary assignment, including
+    primaries the last solve's assumptions pinned. *)
 
 val enumerate : ?limit:int -> t -> Instance.t list
 (** All satisfying instances (up to [limit], default unlimited).

@@ -83,7 +83,6 @@ let build ?cap solver lits =
     saved_clauses = max 0 (full_clauses - aux_clauses);
   }
 
-let count t = t.inputs
 let cap t = t.cap
 let aux_vars t = t.aux_vars
 let aux_clauses t = t.aux_clauses

@@ -25,9 +25,6 @@ val build : ?cap:int -> Solver.t -> Lit.t list -> t
     by {!saved_vars}/{!saved_clauses}. Bounds above [cap] are then
     rejected by {!at_most}/{!assert_at_most}/{!output}. *)
 
-val count : t -> int
-(** Number of inputs [n]. *)
-
 val cap : t -> int
 (** Largest bound the encoding can express ([n - 1] when built
     without [?cap]). *)

@@ -1,7 +1,6 @@
 type t = {
   solver : Solver.t;
   mutable relax : (Lit.t * int) list;  (* relaxation literal, weight *)
-  mutable n_soft : int;
   mutable model : bool array;  (* snapshot of the best model found *)
   (* Clause accounting. [Solver.nb_clauses] counts every clause in the
      database, including the relaxed soft clauses and the totalizer
@@ -18,20 +17,6 @@ let create () =
   {
     solver = Solver.create ();
     relax = [];
-    n_soft = 0;
-    model = [||];
-    soft_clauses = 0;
-    aux_clauses = 0;
-    aux_vars = 0;
-    saved_vars = 0;
-    saved_clauses = 0;
-  }
-
-let of_solver solver =
-  {
-    solver;
-    relax = [];
-    n_soft = 0;
     model = [||];
     soft_clauses = 0;
     aux_clauses = 0;
@@ -50,8 +35,7 @@ let add_soft t ~weight lits =
   let clauses0 = Solver.nb_clauses t.solver in
   Solver.add_clause t.solver (r :: lits);
   t.soft_clauses <- t.soft_clauses + (Solver.nb_clauses t.solver - clauses0);
-  t.relax <- (r, weight) :: t.relax;
-  t.n_soft <- t.n_soft + 1
+  t.relax <- (r, weight) :: t.relax
 
 type outcome =
   | Optimum of int
@@ -109,7 +93,6 @@ let solve t =
     end
 
 let value t v = v < Array.length t.model && t.model.(v)
-let soft_count t = t.n_soft
 let hard_count t = Solver.nb_clauses t.solver - t.soft_clauses - t.aux_clauses
 
 type clause_counts = {

@@ -17,9 +17,6 @@ type t
 
 val create : unit -> t
 
-val of_solver : Solver.t -> t
-(** Wrap an existing solver (whose clauses become hard clauses). *)
-
 val solver : t -> Solver.t
 
 val new_var : t -> Lit.var
@@ -39,9 +36,6 @@ val solve : t -> outcome
 
 val value : t -> Lit.var -> bool
 (** Model access after [Optimum]. *)
-
-val soft_count : t -> int
-(** Number of soft constraints added with {!add_soft}. *)
 
 val hard_count : t -> int
 (** Hard clauses currently in the solver database: everything that is

@@ -229,7 +229,6 @@ let sessions_json t =
   Json.Obj [ ("sessions", Json.List rows) ]
 
 let frames_served t = Atomic.get t.served
-let request_log t = t.reqlog
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)

@@ -101,10 +101,6 @@ val frames_served : t -> int
 (** Total protocol frames answered (every reply path counts exactly
     once — equals {!Reqlog.count} of the engine's request log). *)
 
-val request_log : t -> Reqlog.t
-(** The engine's request log (the one passed to {!create}, or the
-    internal counter-only log). *)
-
 val shutdown : t -> unit
 (** {!drain}, then stop the pool. Live sessions are {e not}
     snapshotted — [close]/[snapshot] are the durability verbs. *)

@@ -45,7 +45,7 @@ let test_at_most_zero () =
 
 let test_at_most_bounds () =
   let _, _, card = setup 3 in
-  Alcotest.(check int) "count" 3 (Card.count card);
+  Alcotest.(check int) "uncapped: cap = n - 1" 2 (Card.cap card);
   Alcotest.(check (list int)) "k >= n needs no assumption" [] (Card.at_most card 3);
   match Card.at_most card (-1) with
   | exception Invalid_argument _ -> ()

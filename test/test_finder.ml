@@ -181,47 +181,6 @@ let test_assumption_solving () =
       (TS.mem [| 0 |] (Relog.Instance.get inst (I.make "S")))
   | F.Unsat -> Alcotest.fail "negated assumption should be satisfiable"
 
-let test_scoped_blocks_independent () =
-  (* guarded finder over S ⊆ {a0, a1} with guard g ⇔ some S; blocks
-     added under one assumption context must not leak into another *)
-  let u = universe 2 in
-  let b = B.bound (B.make u) (I.make "S") ~lower:TS.empty ~upper:(TS.univ u) in
-  let fd = F.create b in
-  let g = F.guard fd (A.Some_ (A.rel "S")) in
-  let trans = F.translation fd in
-  let pv i =
-    match Relog.Translate.primary_var trans (I.make "S") [| i |] with
-    | Some v -> v
-    | None -> Alcotest.fail "expected a primary variable"
-  in
-  (* enumerate a context to exhaustion under a scope literal *)
-  let exhaust assumptions =
-    let scope = F.new_scope fd in
-    let rec go n =
-      match F.solve ~assumptions:(assumptions @ [ scope ]) fd with
-      | F.Sat _ ->
-        F.block ~scope fd;
-        go (n + 1)
-      | F.Unsat -> n
-    in
-    go 0
-  in
-  (* context A: a0 pinned in — instances {a0} and {a0, a1} *)
-  let ctx_a = [ Sat.Lit.pos (pv 0); g ] in
-  Alcotest.(check int) "context A exhausts at 2" 2 (exhaust ctx_a);
-  (* context B: a0 pinned out — its single instance {a1} must still be
-     reachable even though a block of A has a1 ∉ S baked... it must
-     NOT: scoped blocks omit assumed primaries and carry ¬scope *)
-  let ctx_b = [ Sat.Lit.neg_of (pv 0); g ] in
-  Alcotest.(check int) "context B unaffected by A's blocks" 1 (exhaust ctx_b);
-  (* back to context A under a fresh scope: its blocks were retracted
-     when the old scope literal was dropped *)
-  Alcotest.(check int) "context A enumerable again" 2 (exhaust ctx_a);
-  (* the solver itself stays usable without any scope *)
-  match F.solve ~assumptions:[ g ] fd with
-  | F.Sat _ -> ()
-  | F.Unsat -> Alcotest.fail "unscoped solve must still be satisfiable"
-
 let suite =
   [
     Alcotest.test_case "bounds validation" `Quick test_bounds_validation;
@@ -233,6 +192,4 @@ let suite =
     Alcotest.test_case "lower bounds respected" `Quick test_lower_bound_respected;
     Alcotest.test_case "unsupported inputs" `Quick test_unsupported;
     Alcotest.test_case "assumption solving" `Quick test_assumption_solving;
-    Alcotest.test_case "scoped blocks independent" `Quick
-      test_scoped_blocks_independent;
   ]
