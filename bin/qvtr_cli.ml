@@ -128,7 +128,7 @@ let run_enforce trans_file mm_file models_file targets standard backend
     Format.eprintf "error: %s@." msg;
     2
   in
-  (* the enumeration is a distance ladder; MaxSAT has no menu *)
+  (* the menu is enumerated on the iterative rung order only *)
   if all && backend = "maxsat" then
     fail
       "--all enumerates with the iterative backend; it cannot be combined \
@@ -799,9 +799,11 @@ let backend_arg =
         "iterative"
     & info [ "backend" ]
         ~doc:
-          "Repair backend: iterative (Echo's distance ladder) or maxsat \
-           (one weighted MaxSAT optimisation). $(b,--all) needs the \
-           iterative backend.")
+          "Repair backend: iterative (Echo's distance ladder, climbing \
+           from distance 0) or maxsat (Echo's PMax-SAT extension: one \
+           unbounded solve, then bounds below each model's distance \
+           until UNSAT, then the ladder from there). Both find the same \
+           minimal distance. $(b,--all) needs the iterative backend.")
 
 let jobs_arg =
   Arg.(

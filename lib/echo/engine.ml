@@ -1,4 +1,4 @@
-type backend =
+type backend = Repair.backend =
   | Iterative
   | Maxsat
 
@@ -17,8 +17,6 @@ type enforce_outcome =
   | Cannot_restore
 
 let check = Qvtr.Check.run
-
-let backend_name = function Iterative -> "iterative" | Maxsat -> "maxsat"
 
 let m_enforcements = Obs.Metrics.counter "echo.engine.enforcements"
 
@@ -59,14 +57,10 @@ let run_enforcement ~name ?args ~backend ~repairs ?mode ?slack_objects
 
 let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
     ?model_weights ?sbp transformation ~metamodels ~models ~targets =
-  let repairs space =
-    match backend with
-    | Iterative -> Result.map fst (Repair.run_all ~limit:1 space)
-    | Maxsat -> Result.map Option.to_list (Maxsat_repair.run space)
-  in
+  let repairs space = Result.map fst (Repair.run_all ~backend ~limit:1 space) in
   Result.map List.hd
     (run_enforcement ~name:"enforce"
-       ~args:(fun () -> [ ("backend", Obs.Json.String (backend_name backend)) ])
+       ~args:(fun () -> [ ("backend", Obs.Json.String (Repair.backend_name backend)) ])
        ~backend ~repairs ?mode ?slack_objects ?extra_values ?model_weights ?sbp
        transformation ~metamodels ~models ~targets)
 

@@ -2,13 +2,16 @@
     chosen direction (target set), explain failures.
 
     This is the API the examples and the CLI drive. [checkonly] is
-    {!Qvtr.Check}; [enforce] builds the shared search space and runs
-    one of the two backends; both backends return least-change repairs
-    and agree on the minimal distance (experiment E7). *)
+    {!Qvtr.Check}; [enforce] builds the search space and runs
+    {!Repair.run_all} with the chosen backend, one of its two rung
+    orders over one search, so both backends return least-change
+    repairs at the same minimal distance (experiment E7). *)
 
-type backend =
+type backend = Repair.backend =
   | Iterative  (** increasing-distance search (Echo FASE'13) *)
-  | Maxsat  (** weighted partial MaxSAT (FASE'14 extension) *)
+  | Maxsat
+      (** weighted partial MaxSAT (FASE'14 extension), as a linear
+          SAT-UNSAT descent over the same totalizer *)
 
 type enforce_result = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
@@ -58,7 +61,7 @@ val enforce :
     and its lex-leader symmetry-breaking predicates
     ({!Space.sbp_orbits}); with [~sbp:false] (the CLI's [--no-sbp]) no
     symmetry is broken. Either way the minimal distance is unchanged.
-    The iterative backend is {!Repair.run_all} with [~limit:1]. *)
+    Either backend is {!Repair.run_all} with [~limit:1]. *)
 
 val enforce_all :
   ?limit:int ->

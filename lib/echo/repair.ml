@@ -10,6 +10,12 @@ let h_run_wall = Obs.Metrics.histogram "echo.repair.wall_s"
    shrink — test_symmetry compares it with SBPs off and on. *)
 let m_dedup_discards = Obs.Metrics.counter "echo.repair.dedup_discards"
 
+type backend =
+  | Iterative
+  | Maxsat
+
+let backend_name = function Iterative -> "iterative" | Maxsat -> "maxsat"
+
 type success = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
   relational_distance : int;
@@ -29,7 +35,7 @@ let key models =
        (fun (p, m) -> Mdl.Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
        models)
 
-let ladder ~limit ~total ~solve ~block ~decode ~models =
+let ladder ~limit ~from ~total ~solve ~block ~decode ~models =
   if limit < 1 then invalid_arg "Repair.ladder: limit must be at least 1";
   (* Every distinct conformant repair at distance k, up to [limit].
      Rejected and duplicate instances are blocked without counting;
@@ -63,7 +69,8 @@ let ladder ~limit ~total ~solve ~block ~decode ~models =
     go [] 0
   in
   (* [collect_at k] also sees instances strictly below k, which earlier
-     rungs proved absent, so everything it returns is minimal. *)
+     rungs proved absent (below [from], the caller's last UNSAT solve),
+     so everything it returns is minimal. *)
   let rec at_distance k =
     if k > total then []
     else
@@ -73,15 +80,16 @@ let ladder ~limit ~total ~solve ~block ~decode ~models =
         List.sort (fun (a, _) (b, _) -> String.compare (Lazy.force a) (Lazy.force b)) found
         |> List.map snd
   in
-  at_distance 0
+  at_distance from
 
 (* ------------------------------------------------------------------ *)
 (* One-shot runs                                                       *)
 
-(* Shared setup of the iterative search: finder, symmetry guard,
+(* Shared setup of both rung orders: finder, symmetry guard,
    totalizer over the change literals, and the telemetry
    accumulators. *)
 type search = {
+  backend : backend;
   finder : Relog.Finder.t;
   sbp_guard : Sat.Lit.t list;  (* assumed first by every solve *)
   card : Sat.Cardinality.t;
@@ -92,7 +100,7 @@ type search = {
   mutable levels : (int * int) list;  (* (distance, solver calls), reversed *)
 }
 
-let start space =
+let start backend space =
   let finder =
     Obs.Trace.with_span ~name:"repair.prepare" (fun () ->
         Relog.Finder.prepare (Space.bounds space) (Space.formulas space))
@@ -119,6 +127,7 @@ let start space =
   in
   Obs.Metrics.incr m_runs;
   {
+    backend;
     finder;
     sbp_guard;
     card;
@@ -140,7 +149,7 @@ let step sc k =
   Obs.Trace.with_span ~name:"solve"
     ~args:(fun () ->
       [
-        ("backend", Obs.Json.String "iterative");
+        ("backend", Obs.Json.String (backend_name sc.backend));
         ("distance", Obs.Json.Int k);
         ("assumptions", Obs.Json.Int (List.length assumptions));
       ])
@@ -151,7 +160,7 @@ let telemetry sc =
   let total = Obs.Clock.now () -. sc.started in
   Obs.Metrics.observe h_run_wall total;
   {
-    Telemetry.backend = "iterative";
+    Telemetry.backend = backend_name sc.backend;
     translation = fs.Relog.Finder.translation;
     solver = fs.Relog.Finder.solver;
     solver_calls = fs.Relog.Finder.solves;
@@ -161,12 +170,31 @@ let telemetry sc =
     cardinality_inputs = sc.total;
     cardinality_aux_vars = Sat.Cardinality.aux_vars sc.card;
     cardinality_clauses = Sat.Cardinality.aux_clauses sc.card;
-    cardinality_saved_vars = Sat.Cardinality.saved_vars sc.card;
-    cardinality_saved_clauses = Sat.Cardinality.saved_clauses sc.card;
     total_time = total;
   }
 
-let run_all ?(limit = 16) space =
+(* FASE'14's rung order, a linear SAT-UNSAT search: one solve with no
+   bound, then one just below each model's distance until a solve is
+   UNSAT. The rung above it is the optimum, where the ladder starts;
+   [None] when even the unbounded solve is UNSAT. A model within bound
+   [d - 1] is at distance at most [d - 1] (its true change literals),
+   and the [min] keeps the descent strict by construction. Models met
+   on the way down are not decoded: the ladder finds its repairs at
+   the optimum itself. *)
+let descend space sc =
+  let rec tighten d =
+    if d = 0 then Some 0
+    else
+      match step sc (d - 1) with
+      | Relog.Finder.Unsat -> Some d
+      | Relog.Finder.Sat inst ->
+        tighten (min (d - 1) (Space.relational_distance space inst))
+  in
+  match step sc sc.total with
+  | Relog.Finder.Unsat -> None
+  | Relog.Finder.Sat inst -> tighten (Space.relational_distance space inst)
+
+let run_all ?(backend = Iterative) ?(limit = 16) space =
   (* Below 1 the collector would stop before its first solve at every
      rung and climb to a false [Cannot_restore]. *)
   if limit < 1 then
@@ -174,21 +202,25 @@ let run_all ?(limit = 16) space =
   else
     (* Translation failures of ill-formed input surface as [Error]. *)
     try
-      let sc = start space in
+      let sc = start backend space in
+      let from = match backend with Iterative -> Some 0 | Maxsat -> descend space sc in
       let found =
-        ladder ~limit ~total:sc.total ~solve:(step sc)
-          ~block:(fun () -> Relog.Finder.block sc.finder)
-          ~decode:(fun inst ->
-            match Space.decode_targets space inst with
-            | Ok repaired -> Ok (inst, repaired, sc.iterations)
-            | Error e ->
-              (* The decoded model failed full conformance (the
-                 encoding approximates multiplicity lower bounds
-                 > 1). *)
-              sc.blocked <- sc.blocked + 1;
-              Obs.Metrics.incr m_blocked;
-              Error e)
-          ~models:(fun (_, repaired, _) -> repaired)
+        match from with
+        | None -> []
+        | Some from ->
+          ladder ~limit ~from ~total:sc.total ~solve:(step sc)
+            ~block:(fun () -> Relog.Finder.block sc.finder)
+            ~decode:(fun inst ->
+              match Space.decode_targets space inst with
+              | Ok repaired -> Ok (inst, repaired, sc.iterations)
+              | Error e ->
+                (* The decoded model failed full conformance (the
+                   encoding approximates multiplicity lower bounds
+                   > 1). *)
+                sc.blocked <- sc.blocked + 1;
+                Obs.Metrics.incr m_blocked;
+                Error e)
+            ~models:(fun (_, repaired, _) -> repaired)
       in
       let stats = telemetry sc in
       Ok

@@ -1,14 +1,34 @@
-(** Iterative least-change repair (Echo, FASE'13).
+(** Least-change repair: one search core, two rung orders.
 
-    Searches for consistent instances at increasing relational
-    distance from the original models: one shared SAT encoding, a
-    totalizer over the change literals, and per-iteration cardinality
-    assumptions [distance ≤ k] for k = 0, 1, 2, ... The first
-    satisfiable bound yields the minimal repairs; exhausting the total
-    weight proves the target set cannot restore consistency (the
-    situation §3 warns about for single-target updates). The ladder is
-    serial: one solver, one rung at a time. One-shot runs and
-    {!Incr.Session.rerepair} both repair through {!run_all}. *)
+    Searches for consistent instances at a bounded relational distance
+    from the original models: one shared SAT encoding, a totalizer
+    over the change literals, and per-solve cardinality assumptions
+    [distance ≤ k]. The ladder collects the repairs of the lowest
+    satisfiable rung; proving every rung below it unsatisfiable makes
+    them minimal. Two orders reach that rung:
+
+    - {!Iterative} (Echo, FASE'13) climbs k = 0, 1, 2, ... from the
+      bottom; exhausting the total weight proves the target set cannot
+      restore consistency (the situation §3 warns about for
+      single-target updates).
+    - {!Maxsat} (Echo's PMax-SAT extension, FASE'14, as a linear
+      SAT-UNSAT search) solves once with no bound, then bounds each
+      solve just below the last model's distance until one is
+      unsatisfiable, and runs the ladder from the rung above it. An
+      unsatisfiable first solve is [Cannot_restore] at once.
+
+    Both orders share the finder, the symmetry guard, the totalizer,
+    blocking, decoding and telemetry, so they return the same minimal
+    distance. The search is serial: one solver, one rung at a time.
+    One-shot runs and {!Incr.Session.rerepair} both repair through
+    {!run_all}. *)
+
+type backend =
+  | Iterative  (** ascending rungs from distance 0 *)
+  | Maxsat  (** one unbounded solve, then descending rungs *)
+
+val backend_name : backend -> string
+(** ["iterative"] or ["maxsat"], as {!Telemetry.t}'s [backend]. *)
 
 type success = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
@@ -22,19 +42,23 @@ type success = {
 }
 
 val run_all :
-  ?limit:int -> Space.t -> (success list * Telemetry.t, string) result
+  ?backend:backend ->
+  ?limit:int ->
+  Space.t ->
+  (success list * Telemetry.t, string) result
 (** All distinct minimal repairs (every consistent instance at the
     optimal distance), up to [limit] (default 16), with the run's
-    telemetry. The ladder climbs rung by rung from distance 0 to the
-    total weight, blocking non-conformant and duplicate instances
-    without counting them ([echo.repair.dedup_discards] counts the
-    duplicates); the first rung with a repair ends it. The repairs
-    come in canonical order (sorted on the serialized binding,
+    telemetry. [backend] (default {!Iterative}) picks the rung order
+    that finds the optimal rung; from there the ladder climbs rung by
+    rung up to the total weight, blocking non-conformant and duplicate
+    instances without counting them ([echo.repair.dedup_discards]
+    counts the duplicates); the first rung with a repair ends it. The
+    repairs come in canonical order (sorted on the serialized binding,
     independent of discovery order). The empty list means consistency
-    cannot be restored; the telemetry then still counts the ladder's
-    solves. [Error] when [limit < 1], and on translation or decode
-    failures. With [~limit:1] this is one minimal repair, the first
-    the solver finds. This realises the workflow the paper's §4
-    sketches for the multidirectional Echo: "when inconsistencies are
-    found, [users] select which models are to be updated" — and here,
-    also which of the equally-minimal repairs to take. *)
+    cannot be restored; the telemetry then still counts the solves.
+    [Error] when [limit < 1], and on translation or decode failures.
+    With [~limit:1] this is one minimal repair, the first the solver
+    finds. This realises the workflow the paper's §4 sketches for the
+    multidirectional Echo: "when inconsistencies are found, [users]
+    select which models are to be updated" — and here, also which of
+    the equally-minimal repairs to take. *)

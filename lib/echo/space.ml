@@ -159,9 +159,6 @@ let change_literals s trans =
         (lit, w) :: acc)
     []
 
-let total_weight s trans =
-  List.fold_left (fun acc (_, w) -> acc + w) 0 (change_literals s trans)
-
 let decode_targets s inst =
   let rec go acc = function
     | [] -> Ok (List.rev acc)

@@ -58,7 +58,7 @@ val use_sbp : t -> bool
 (** Whether this space was built with [sbp] on. *)
 
 val sbp_orbits : t -> Relog.Symmetry.orbit list
-(** The orbits both repair backends break with lex-leader predicates
+(** The orbits {!Repair} breaks with lex-leader predicates
     ({!Relog.Symmetry.break}) when {!use_sbp} holds. Only the target
     models' object and slack atoms may move: value atoms (their
     identity is observable in a repair menu), frozen models' objects
@@ -76,8 +76,6 @@ val change_literals : t -> Relog.Translate.t -> (Sat.Lit.t * int) list
 (** For a translation over {!bounds}: one (literal, weight) per
     primary variable; the literal is true iff the tuple's membership
     differs from the original models'. *)
-
-val total_weight : t -> Relog.Translate.t -> int
 
 val decode_targets :
   t -> Relog.Instance.t -> ((Mdl.Ident.t * Mdl.Model.t) list, string) result

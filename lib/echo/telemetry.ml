@@ -11,8 +11,6 @@ type t = {
   cardinality_inputs : int;
   cardinality_aux_vars : int;
   cardinality_clauses : int;
-  cardinality_saved_vars : int;
-  cardinality_saved_clauses : int;
   total_time : float;
 }
 
@@ -27,9 +25,6 @@ let pp ppf t =
   Format.fprintf ppf
     "@,cardinality: %d inputs, %d aux vars, %d clauses"
     t.cardinality_inputs t.cardinality_aux_vars t.cardinality_clauses;
-  if t.cardinality_saved_vars > 0 || t.cardinality_saved_clauses > 0 then
-    Format.fprintf ppf " (cap saved %d vars, %d clauses)"
-      t.cardinality_saved_vars t.cardinality_saved_clauses;
   Format.fprintf ppf "@,solve: %d calls, %.3f ms" t.solver_calls
     (t.solve_time *. 1000.);
   if t.distance_levels <> [] then begin

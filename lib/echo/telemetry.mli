@@ -14,18 +14,15 @@ type t = {
   solver_calls : int;  (** SAT [solve] calls made by the repair loop *)
   solve_time : float;  (** seconds spent inside the solver *)
   distance_levels : (int * int) list;
-      (** iterative backend: [(distance bound, solver calls at that
-          bound)] in search order; empty for the MaxSAT backend *)
+      (** [(distance bound, solver calls at that bound)] in search
+          order; the MaxSAT backend's first entry is its unbounded
+          solve, at the total weight *)
   blocked_nonconformant : int;
       (** instances that satisfied the encoding but failed full
           conformance and were excluded by a blocking clause *)
   cardinality_inputs : int;  (** change literals (weight-expanded) *)
   cardinality_aux_vars : int;  (** totalizer variables *)
   cardinality_clauses : int;  (** totalizer clauses *)
-  cardinality_saved_vars : int;
-      (** variables avoided by the k-bounded totalizer truncation *)
-  cardinality_saved_clauses : int;
-      (** clauses avoided by the k-bounded totalizer truncation *)
   total_time : float;  (** wall seconds for the whole repair *)
 }
 

@@ -193,7 +193,8 @@ let finish t (t0, s0, tr0, ts0) =
 (* Generations and the translation cache                               *)
 
 (* The cache key spells out exactly what the bounds depend on: the
-   transformation, the target set, the slack pool and the precise
+   transformation, the target set, the slack pool (the [headroom]
+   atoms edits consume; repairs build their own space) and the precise
    state (models and value universe) being encoded. *)
 let fingerprint t =
   let b = Buffer.create 256 in
@@ -210,7 +211,7 @@ let fingerprint t =
       Buffer.add_string b (Ident.name p);
       Buffer.add_char b ' ')
     t.tgts;
-  Buffer.add_string b (Printf.sprintf "\nslack %d+%d\n" t.budget t.headroom);
+  Buffer.add_string b (Printf.sprintf "\nslack %d\n" t.headroom);
   List.iter
     (fun (p, m) ->
       Buffer.add_string b (Ident.name p);
@@ -274,7 +275,7 @@ let ensure_generation t =
         let* g =
           Obs.Trace.with_span ~name:"session.rebuild" (fun () ->
               build_generation ~trans:t.trans ~metamodels:t.metamodels
-                ~models:t.cur ~values:t.values ~slack:(t.budget + t.headroom)
+                ~models:t.cur ~values:t.values ~slack:t.headroom
                 ~base:t.all_atoms ?mode:t.mode t.info)
         in
         (* The new universe extends the longest-ever one (base), so it
@@ -323,7 +324,7 @@ let open_session ?mode ?(slack_budget = 2) ?(headroom = 6)
     let* gen =
       Obs.Trace.with_span ~name:"session.build" (fun () ->
           build_generation ~trans:transformation ~metamodels ~models
-            ~values:seed ~slack:(slack_budget + headroom) ?mode info)
+            ~values:seed ~slack:headroom ?mode info)
     in
     let t =
       {
@@ -620,16 +621,43 @@ let check_pins t cs =
 
 let universe_atom t idx = Relog.Rel.Universe.atom (Qvtr.Encode.universe t.gen.g_enc) idx
 
+(* Blame names the client's objects: a slack atom an edit consumed
+   reads as the atom of the object it stands for, and a fact on a slack
+   atom that stands for no current object is dropped. *)
 let blame_of t cs guard =
   let solver = Relog.Finder.solver cs.cf in
   let core = Sat.Solver.minimize_core solver in
+  let slack =
+    Ident.Map.fold
+      (fun p ps acc ->
+        let acc =
+          List.fold_left
+            (fun acc a -> Ident.Map.add a None acc)
+            acc
+            (Qvtr.Encode.slack_atom_names t.gen.g_enc p)
+        in
+        let m = model_of t p in
+        Hashtbl.fold
+          (fun id a acc ->
+            if Model.mem m id then Ident.Map.add a (Some (Qvtr.Encode.obj_atom_name p id)) acc
+            else acc)
+          ps.atom_of_created acc)
+      t.pstates Ident.Map.empty
+  in
+  let client_atom idx =
+    let a = universe_atom t idx in
+    match Ident.Map.find_opt a slack with Some named -> named | None -> Some a
+  in
   List.filter_map
     (fun l ->
       if Sat.Lit.var l = Sat.Lit.var guard then None
       else
         match Hashtbl.find_opt cs.cvar_fact (Sat.Lit.var l) with
         | Some (r, tuple) ->
-          Some { f_rel = r; f_atoms = Array.map (universe_atom t) tuple }
+          let atoms = Array.map client_atom tuple in
+          if Array.for_all Option.is_some atoms then
+            Some { f_rel = r; f_atoms = Array.map Option.get atoms }
+          else None
         | None -> None)
     core
 

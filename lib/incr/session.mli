@@ -46,8 +46,9 @@
     generation's guards outright.
 
     Object creation is served from the check encoding's slack atoms:
-    each session keeps [slack_budget + headroom] fresh atoms per
-    parameter and consumes one per created object. Edits the frozen
+    the check stage holds [headroom] fresh atoms per parameter and an
+    edit consumes one per created object (a repair's [slack_budget]
+    fresh objects live in its own {!Echo.Space}). Edits the frozen
     universe cannot express (a brand-new attribute value, slack
     exhaustion) trigger a re-encode over the current models;
     re-encodes hit the translation cache when they return to a
@@ -88,7 +89,10 @@ type verdict = {
   v_blame : fact list;
       (** when violated and blame was requested: a minimal set of
           model facts that together with the direction's semantics is
-          already inconsistent *)
+          already inconsistent, named by the client's own atoms (an
+          object created by an edit under [p#id], as {!Qvtr.Check.run}
+          names it); facts about slack atoms that stand for no current
+          object are left out *)
 }
 
 type check_report = {

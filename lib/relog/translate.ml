@@ -80,8 +80,8 @@ type t = {
   mutable translate_events : int;
 }
 
-let create ?solver ?store bnds =
-  let sat = match solver with Some s -> s | None -> Sat.Solver.create () in
+let create ?store bnds =
+  let sat = Sat.Solver.create () in
   let store = match store with Some st -> st | None -> Hc.store () in
   {
     builder = C.builder ();
@@ -588,7 +588,7 @@ let fold_primaries t f acc =
         | _ -> acc)
     t.primaries acc
 
-let decode_with t value_of =
+let decode t =
   let inst = Instance.make (Bounds.universe t.bnds) in
   List.fold_left
     (fun inst r ->
@@ -599,14 +599,12 @@ let decode_with t value_of =
             if TS.mem tuple lower then TS.union acc (TS.singleton tuple)
             else
               match primary_var t r tuple with
-              | Some v when value_of v -> TS.union acc (TS.singleton tuple)
+              | Some v when Sat.Solver.value t.sat v -> TS.union acc (TS.singleton tuple)
               | Some _ | None -> acc)
           upper TS.empty
       in
       Instance.set inst r value)
     inst (Bounds.relations t.bnds)
-
-let decode t = decode_with t (Sat.Solver.value t.sat)
 
 type stats = {
   primary_vars : int;

@@ -20,12 +20,10 @@ type t
 (** A translation context: circuit builder, SAT solver, hash-consing
     store and the primary-variable registry. *)
 
-(** [create ?solver ?store bounds]: a fresh context. [solver] lets
-    callers share a solver with other encodings (e.g. the
-    MaxSAT-based repair backend); [store] lets them share hash-consed
-    nodes (and simplification memos) across contexts. By default
-    fresh ones are created. *)
-val create : ?solver:Sat.Solver.t -> ?store:Hc.store -> Bounds.t -> t
+(** [create ?store bounds]: a fresh context over a fresh solver.
+    [store] lets callers share hash-consed nodes (and simplification
+    memos) across contexts; by default a fresh one is created. *)
+val create : ?store:Hc.store -> Bounds.t -> t
 
 val solver : t -> Sat.Solver.t
 val bounds : t -> Bounds.t
@@ -93,10 +91,6 @@ val decode : t -> Instance.t
 (** Read the model of the last satisfiable [solve] off the solver:
     each bound relation's value is its lower bound plus the optional
     tuples whose primary variable is true. *)
-
-val decode_with : t -> (Sat.Lit.var -> bool) -> Instance.t
-(** Like {!decode} with an explicit valuation (e.g. a MaxSAT model
-    snapshot). *)
 
 type stats = {
   primary_vars : int;  (** registry size: free tuples ever allocated *)

@@ -6,28 +6,17 @@
     Boufkhad). Asserting [¬oₖ₊₁] — directly or as a solver
     assumption — then caps the count at [k].
 
-    The enforcement engine uses this twice: the iterative Echo-style
-    repair asserts increasing bounds as assumptions over one shared
-    encoding, and the MaxSAT solver bounds relaxation variables the
-    same way. *)
+    The enforcement engine ({!Echo.Repair}) builds one over the
+    weight-expanded change literals of a repair and assumes its
+    bounds rung by rung, in either order: climbing from 0 (Echo's
+    iterative search) or tightening below each model's distance (the
+    PMax-SAT backend's linear SAT-UNSAT search). *)
 
 type t
 
-val build : ?cap:int -> Solver.t -> Lit.t list -> t
+val build : Solver.t -> Lit.t list -> t
 (** Encode the totalizer tree for these inputs. O(n log n) auxiliary
-    variables and O(n²) clauses.
-
-    [?cap] builds the k-bounded variant: callers that will never ask
-    for a bound above [cap] (e.g. a repair search with a distance
-    cap) get every unary counter truncated at [cap + 1] outputs —
-    counts beyond the cap are detected but not distinguished — which
-    drops aux variables and merge clauses; the savings are reported
-    by {!saved_vars}/{!saved_clauses}. Bounds above [cap] are then
-    rejected by {!at_most}/{!assert_at_most}/{!output}. *)
-
-val cap : t -> int
-(** Largest bound the encoding can express ([n - 1] when built
-    without [?cap]). *)
+    variables and O(n²) clauses. *)
 
 val aux_vars : t -> int
 (** Auxiliary solver variables allocated by {!build} for this
@@ -36,21 +25,14 @@ val aux_vars : t -> int
 val aux_clauses : t -> int
 (** Solver clauses added by {!build} for this totalizer. *)
 
-val saved_vars : t -> int
-(** Auxiliary variables the [?cap] truncation avoided relative to the
-    full-width build (0 when built uncapped). *)
-
-val saved_clauses : t -> int
-(** Merge clauses the [?cap] truncation avoided. *)
-
 val output : t -> int -> Lit.t
-(** [output t k] (1-based, [1 <= k <= count t]) is [oₖ]: true when at
+(** [output t k] (1-based, [1 <= k <= n]) is [oₖ]: true when at
     least [k] inputs are true. *)
 
 val at_most : t -> int -> Lit.t list
 (** Assumption literals capping the true-input count at [k]:
-    [[¬oₖ₊₁]], or [[]] when [k >= count t]. Raises
-    [Invalid_argument] on negative [k]. *)
+    [[¬oₖ₊₁]], or [[]] when [k >= n]. Raises [Invalid_argument] on
+    negative [k]. *)
 
 val assert_at_most : Solver.t -> t -> int -> unit
 (** Permanently cap the count (adds unit clauses [¬oⱼ] for

@@ -4,8 +4,9 @@
     propagation, 1-UIP conflict analysis with clause learning, VSIDS
     branching with phase saving, Luby restarts, and incremental solving
     under assumptions. This is the search backend of the relational
-    model finder ({!Relog.Finder}) and of the MaxSAT solver
-    ({!Maxsat}). *)
+    model finder ({!Relog.Finder}); both least-change rung orders of
+    {!Echo.Repair} (Echo's ascending ladder and the PMax-SAT descent)
+    solve on it under {!Cardinality} bounds. *)
 
 type t
 

@@ -109,12 +109,12 @@ let session_check () =
   let _, _, finder, _ = check_finder () in
   pin_of (Relog.Finder.solver finder)
 
-(* (c) A totalizer over 128 fresh inputs, uncapped (sessions) and
-   k-bounded (the iterative repair's distance cap). *)
-let totalizer ?cap () =
+(* (c) A totalizer over 128 fresh inputs, as the repair search builds
+   over its change literals. *)
+let totalizer () =
   let s = Sat.Solver.create () in
   let inputs = List.init 128 (fun _ -> Sat.Lit.pos (Sat.Solver.new_var s)) in
-  ignore (Sat.Cardinality.build ?cap s inputs);
+  ignore (Sat.Cardinality.build s inputs);
   pin_of s
 
 (* Search pins. The clause pins above show the solver is handed the
@@ -324,8 +324,6 @@ let () =
             { vars = 1405; clauses = 12179; digest = "27a6d89a25ce18685fc754a8b03c7e5e" };
           case "totalizer over 128 inputs" totalizer
             { vars = 1024; clauses = 9024; digest = "54fbeb0355d598e22b8828927ed9f7ab" };
-          case "totalizer over 128 inputs, cap 12" (totalizer ~cap:12)
-            { vars = 707; clauses = 2152; digest = "2a29fabecf364bdbd48086bd60f8f08f" };
         ] );
       (* No group name longer than "cnf.pin": Alcotest cuts test names
          in its report to a width set by the longest group name, so a

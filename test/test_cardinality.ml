@@ -45,7 +45,7 @@ let test_at_most_zero () =
 
 let test_at_most_bounds () =
   let _, _, card = setup 3 in
-  Alcotest.(check int) "uncapped: cap = n - 1" 2 (Card.cap card);
+  Alcotest.(check int) "k = n - 1 needs one assumption" 1 (List.length (Card.at_most card 2));
   Alcotest.(check (list int)) "k >= n needs no assumption" [] (Card.at_most card 3);
   match Card.at_most card (-1) with
   | exception Invalid_argument _ -> ()
@@ -111,69 +111,9 @@ let prop_free_inputs_counting =
       enumerate ();
       !count = expected)
 
-(* ------------------------------------------------------------------ *)
-(* k-bounded build: outputs truncated at cap + 1                       *)
-
-let setup_capped n cap =
-  let s = S.create () in
-  let vars = Array.init n (fun _ -> S.new_var s) in
-  let card = Card.build ~cap s (Array.to_list (Array.map L.pos vars)) in
-  (s, vars, card)
-
-let test_capped_accounting () =
-  let _, _, card = setup_capped 6 2 in
-  Alcotest.(check int) "cap recorded" 2 (Card.cap card);
-  Alcotest.(check bool) "vars saved vs full build" true (Card.saved_vars card > 0);
-  Alcotest.(check bool) "clauses saved vs full build" true
-    (Card.saved_clauses card > 0);
-  (match Card.at_most card 3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bound beyond cap must raise");
-  (match Card.output card 4 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "output beyond cap + 1 must raise");
-  let s, _, card = setup_capped 5 1 in
-  (match Card.assert_at_most s card 2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "assert beyond cap must raise");
-  (* the default build saves nothing *)
-  let _, _, full = setup 5 in
-  Alcotest.(check int) "full build saves no vars" 0 (Card.saved_vars full);
-  Alcotest.(check int) "full build saves no clauses" 0 (Card.saved_clauses full)
-
-let test_capped_detects_overflow () =
-  (* 4 of 6 inputs true, cap 2: the encoding cannot count to 4 but must
-     still refute every bound it can express *)
-  let s, vars, card = setup_capped 6 2 in
-  force s vars [| true; true; false; true; true; false |];
-  Alcotest.(check bool) "at_most 2 unsat" true
-    (S.solve ~assumptions:(Card.at_most card 2) s = S.Unsat);
-  Alcotest.(check bool) "at_most 0 unsat" true
-    (S.solve ~assumptions:(Card.at_most card 0) s = S.Unsat);
-  Alcotest.(check bool) "unconstrained sat" true (S.solve s = S.Sat)
-
-let prop_capped_counting =
-  QCheck.Test.make ~name:"capped at_most k sat iff forced count <= k (k <= cap)"
-    ~count:200 QCheck.small_int (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let n = 2 + Random.State.int rng 6 in
-      let cap = Random.State.int rng n in
-      let k = Random.State.int rng (cap + 1) in
-      let s, vars, card = setup_capped n cap in
-      let bits = Array.init n (fun _ -> Random.State.bool rng) in
-      force s vars bits;
-      let true_count = Array.fold_left (fun acc b -> acc + Bool.to_int b) 0 bits in
-      let sat = S.solve ~assumptions:(Card.at_most card k) s = S.Sat in
-      sat = (true_count <= k))
-
 let suite =
   [
     Alcotest.test_case "outputs track count" `Quick test_outputs_track_count;
-    Alcotest.test_case "capped accounting and bounds" `Quick
-      test_capped_accounting;
-    Alcotest.test_case "capped overflow detection" `Quick
-      test_capped_detects_overflow;
-    QCheck_alcotest.to_alcotest prop_capped_counting;
     Alcotest.test_case "at_most zero" `Quick test_at_most_zero;
     Alcotest.test_case "bounds" `Quick test_at_most_bounds;
     Alcotest.test_case "assert_at_most" `Quick test_assert_at_most;

@@ -336,6 +336,92 @@ let test_k3_shapes () =
   | Ok o -> Alcotest.failf "expected Cannot_restore: %s" (Format.asprintf "%a" Eng.pp_outcome o)
   | Error e -> Alcotest.fail e
 
+(* The MaxSAT backend is Repair's descending rung order: one unbounded
+   solve, bounds tightened below each model's distance until UNSAT,
+   then the ladder from the rung above that UNSAT solve. On random
+   weighted states and target sets it must find the iterative
+   ladder's optimum, on single-target CF repairs the weighted
+   exhaustive one, and its search must end with the descent's one
+   UNSAT solve right below the rung the ladder collects at. *)
+let prop_descent_finds_the_optimum =
+  let trans = F.transformation ~k:2 in
+  let pool = G.feature_names 3 in
+  QCheck.Test.make ~name:"maxsat descent finds the weighted optimum" ~count:40
+    QCheck.small_nat (fun seed ->
+      let rng = G.rng seed in
+      let state = G.consistent_state rng ~k:2 ~n_features:3 in
+      let cfs, fm =
+        match G.random_perturbation rng state with
+        | Some p -> G.apply_perturbation state p
+        | None -> state
+      in
+      let weights =
+        List.map (fun p -> (p, 1 + Random.State.int rng 3)) [ "fm"; "cf1"; "cf2" ]
+      in
+      let targets =
+        match List.filter (fun _ -> Random.State.bool rng) [ "fm"; "cf1"; "cf2" ] with
+        | [] -> [ List.nth [ "fm"; "cf1"; "cf2" ] (Random.State.int rng 3) ]
+        | ts -> ts
+      in
+      let run backend =
+        match
+          enforce ~backend
+            ~model_weights:(List.map (fun (p, w) -> (I.make p, w)) weights)
+            trans cfs fm targets
+        with
+        | Ok (Eng.Enforced r) -> Some (Some r)
+        | Ok Eng.Cannot_restore -> Some None
+        | Ok Eng.Already_consistent -> None
+        | Error e -> Alcotest.fail e
+      in
+      let distance = Option.map (fun (r : Eng.enforce_result) -> r.Eng.relational_distance) in
+      match (run Eng.Iterative, run Eng.Maxsat) with
+      | None, None -> true
+      | Some it, Some mx ->
+        let d = distance mx in
+        let st = Option.map (fun (r : Eng.enforce_result) -> r.Eng.stats) mx in
+        let ladder_from_optimum =
+          match (d, st) with
+          | Some d, Some st when d > 0 && st.Echo.Telemetry.blocked_nonconformant = 0 -> (
+            match List.rev st.Echo.Telemetry.distance_levels with
+            | (top, _) :: (below, 1) :: _ -> top = d && below = d - 1
+            | _ -> false)
+          | _ -> true
+        in
+        let exhaustive =
+          match targets with
+          | [ ("cf1" | "cf2") as cf ] ->
+            let cf_index = if cf = "cf1" then 0 else 1 in
+            Option.map
+              (fun o -> List.assoc cf weights * o)
+              (minimal_cf_repair_distance cfs fm ~cf_index ~pool:("X1" :: pool))
+            = d
+          | _ -> true
+        in
+        distance it = d && ladder_from_optimum && exhaustive
+      | _ -> false)
+
+let test_descent_cannot_restore_in_one_solve () =
+  (* no consistent instance at any distance: the unbounded solve is
+     UNSAT, and the descent stops there *)
+  let s = Featuremodel.Scenarios.new_mandatory_feature in
+  List.iter
+    (fun targets ->
+      let before = (Sat.Solver.global_stats ()).Sat.Solver.solves in
+      (match
+         enforce ~backend:Eng.Maxsat (F.transformation ~k:2)
+           s.Featuremodel.Scenarios.cfs s.Featuremodel.Scenarios.fm targets
+       with
+      | Ok Eng.Cannot_restore -> ()
+      | Ok o ->
+        Alcotest.failf "expected Cannot_restore, got %s" (Format.asprintf "%a" Eng.pp_outcome o)
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check int)
+        (String.concat "," targets ^ ": one solve")
+        1
+        ((Sat.Solver.global_stats ()).Sat.Solver.solves - before))
+    s.Featuremodel.Scenarios.not_restorable
+
 let suite =
   suite
   @ [
@@ -343,4 +429,7 @@ let suite =
         test_enforce_all_agrees_with_enforce;
       Alcotest.test_case "k = 3 shapes" `Quick test_k3_shapes;
       Alcotest.test_case "negative slack is an error" `Quick test_negative_slack;
+      QCheck_alcotest.to_alcotest prop_descent_finds_the_optimum;
+      Alcotest.test_case "maxsat cannot-restore in one solve" `Quick
+        test_descent_cannot_restore_in_one_solve;
     ]

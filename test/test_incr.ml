@@ -254,6 +254,44 @@ let set_mandatory id v =
       after = [ Mdl.Value.Bool v ];
     }
 
+let test_blame_names_client_objects () =
+  (* B, optional in fm, is created in both configurations (object 100
+     of each, served from check-stage slack atoms): the blame must name
+     cf1#100 and cf2#100, as Check.run does, and no slack atom that
+     stands for no object *)
+  let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
+  let sess = open_exn ~cfs ~fm [ "cf1"; "cf2" ] in
+  (match
+     S.apply_edits sess
+       [ (Ident.make "cf1", add_feature ~id:100 "B"); (Ident.make "cf2", add_feature ~id:100 "B") ]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let rep = recheck_exn ~blame:true sess in
+  Alcotest.(check bool) "state is inconsistent" false rep.S.consistent;
+  Alcotest.(check int) "created on slack atoms, no re-encode" 0 (S.rebuilds sess);
+  let current =
+    List.concat_map
+      (fun (p, m) -> List.map (fun id -> Ident.name (Qvtr.Encode.obj_atom_name p id)) (Model.objects m))
+      (S.models sess)
+  in
+  let atoms =
+    List.concat_map
+      (fun (v : S.verdict) ->
+        List.concat_map (fun (f : S.fact) -> List.map Ident.name (Array.to_list f.S.f_atoms)) v.S.v_blame)
+      rep.S.verdicts
+  in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Printf.sprintf "blame atom %s is a value or a current object" a)
+        true
+        (String.contains a '~' || List.mem a current))
+    atoms;
+  List.iter
+    (fun a -> Alcotest.(check bool) (a ^ " is blamed") true (List.mem a atoms))
+    [ "cf1#100"; "cf2#100" ]
+
 (* The E9/E10 base state: ten features, three mandatory, and two
    configurations that agree exactly on the mandatory core. Both truth
    values and every feature name occur in it, so flipping one flag
@@ -1067,6 +1105,8 @@ let suite =
     Alcotest.test_case "walk: recheck equals Check.run" `Quick
       test_walk_check_equivalence;
     Alcotest.test_case "blame names model facts" `Quick test_blame_names_facts;
+    Alcotest.test_case "blame names the client's objects" `Quick
+      test_blame_names_client_objects;
     Alcotest.test_case "repair walk: rerepair equals enforce_all" `Slow
       test_repair_walk;
     Alcotest.test_case "scenario sweep: menus equal (E10)" `Slow

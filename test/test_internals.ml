@@ -42,7 +42,10 @@ let test_space_weights () =
   let weighted = build_space ~model_weights:[ (I.make "cf1", 3) ] [ "cf1" ] in
   let total s =
     let finder = Relog.Finder.prepare (Echo.Space.bounds s) (Echo.Space.formulas s) in
-    Echo.Space.total_weight s (Relog.Finder.translation finder)
+    List.fold_left
+      (fun acc (_, w) -> acc + w)
+      0
+      (Echo.Space.change_literals s (Relog.Finder.translation finder))
   in
   Alcotest.(check int) "weights scale the total" (3 * total unweighted) (total weighted)
 
