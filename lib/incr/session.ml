@@ -6,6 +6,7 @@ module Edit = Mdl.Edit
 type fact = {
   f_rel : Ident.t;
   f_atoms : Ident.t array;
+  f_present : bool;
 }
 
 type step_stats = {
@@ -66,13 +67,10 @@ type check_state = {
   cvar_fact : (Sat.Lit.var, Ident.t * Relog.Rel.Tuple.t) Hashtbl.t;
 }
 
-(* One encoding generation: everything keyed by the exact bounds (the
-   bound models, the value universe, the slack pool). Generations are
-   cached so a re-encode that returns to a previously seen state
-   revives its guard literals and primary pins without re-translation
-   — the shared finder's memoized lowering and the Tseitin cache make
-   the revival {!Relog.Finder.rebind} rebuild only matrices, not
-   clauses. *)
+(* One encoding generation: the encoding of the models current at the
+   last re-encode (with the value universe and the [headroom] slack
+   pool), and its check stage once a solve needs it. A re-encode
+   replaces the generation whole, check finder included. *)
 type generation = {
   g_enc : Qvtr.Encode.t;
   g_sem : Qvtr.Semantics.t;
@@ -96,14 +94,6 @@ type t = {
   headroom : int;
   sbp : bool;  (* the one-shot symmetry pass on every repair *)
   mutable gen : generation;
-  cache : (string, generation) Hashtbl.t;
-  (* The one finder (translation + solver) serving every generation:
-     re-encodes delta-rebind it instead of building a new one. *)
-  mutable fd : Relog.Finder.t option;
-  (* The longest universe ever encoded: the base of every re-encode,
-     so all session universes form one prefix-compatible chain and
-     index-keyed translation state survives every rebind. *)
-  mutable all_atoms : Ident.t list;
   mutable cur : (Ident.t * Model.t) list;
   mutable values : Value.Set.t;
   mutable pstates : pstate Ident.Map.t;
@@ -113,9 +103,9 @@ type t = {
   mutable nrebuilds : int;
   mutable translations : int;
   mutable template_s : float;
-      (* wall spent taking the check stage from a template, building
-         the template first on a miss: translation this session did
-         not do on its own finder *)
+      (* wall spent taking check stages from templates, building each
+         template first on a miss: the session's whole translation
+         time, since a clone never translates *)
 }
 
 let models t = t.cur
@@ -160,25 +150,20 @@ let zero_stats =
     solve_time = 0.0;
   }
 
-let solver_totals t =
-  match t.fd with
-  | Some fd -> Sat.Solver.stats (Relog.Finder.solver fd)
+let solver_totals g =
+  match g.g_check with
+  | Some c -> Sat.Solver.stats (Relog.Finder.solver c.cf)
   | None -> zero_stats
 
-let translate_seconds t =
-  t.template_s
-  +.
-  match t.fd with
-  | Some fd ->
-    (Relog.Translate.stats (Relog.Finder.translation fd))
-      .Relog.Translate.translate_time
-  | None -> 0.0
-
 let snapshot t =
-  (Obs.Clock.now (), solver_totals t, t.translations, translate_seconds t)
+  (Obs.Clock.now (), t.gen, solver_totals t.gen, t.translations, t.template_s)
 
-let finish t (t0, s0, tr0, ts0) =
-  let s1 = solver_totals t in
+(* A call that re-encodes ends on another check finder than it began
+   on, one that has solved only for this call: its effort counts from
+   zero. *)
+let finish t (t0, g0, s0, tr0, ts0) =
+  let s0 = if t.gen == g0 then s0 else zero_stats in
+  let s1 = solver_totals t.gen in
   {
     wall = Obs.Clock.now () -. t0;
     solver_calls = s1.Sat.Solver.solves - s0.Sat.Solver.solves;
@@ -186,52 +171,17 @@ let finish t (t0, s0, tr0, ts0) =
     propagations = s1.Sat.Solver.propagations - s0.Sat.Solver.propagations;
     decisions = s1.Sat.Solver.decisions - s0.Sat.Solver.decisions;
     translated = t.translations > tr0;
-    translate_s = translate_seconds t -. ts0;
+    translate_s = t.template_s -. ts0;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Generations and the translation cache                               *)
+(* Generations                                                         *)
 
-(* The cache key spells out exactly what the bounds depend on: the
-   transformation, the target set, the slack pool (the [headroom]
-   atoms edits consume; repairs build their own space) and the precise
-   state (models and value universe) being encoded. *)
-let fingerprint t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Ident.name t.trans.Qvtr.Ast.t_name);
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (n, _) ->
-      Buffer.add_string b (Ident.name n);
-      Buffer.add_char b ' ')
-    t.metamodels;
-  Buffer.add_char b '\n';
-  Ident.Set.iter
-    (fun p ->
-      Buffer.add_string b (Ident.name p);
-      Buffer.add_char b ' ')
-    t.tgts;
-  Buffer.add_string b (Printf.sprintf "\nslack %d\n" t.headroom);
-  List.iter
-    (fun (p, m) ->
-      Buffer.add_string b (Ident.name p);
-      Buffer.add_char b '\x01';
-      Buffer.add_string b (Mdl.Serialize.model_to_string m);
-      Buffer.add_char b '\x02')
-    t.cur;
-  Value.Set.iter
-    (fun v ->
-      Buffer.add_string b (Value.to_string v);
-      Buffer.add_char b '\x03')
-    t.values;
-  Buffer.contents b
-
-let build_generation ~trans ~metamodels ~models ~values ~slack ?(base = [])
-    ?mode info =
+let build_generation ~trans ~metamodels ~models ~values ~slack ?mode info =
   let ( let* ) = Result.bind in
   let* enc =
     Qvtr.Encode.create ~transformation:trans ~metamodels ~models
-      ~extra_values:(Value.Set.elements values) ~slack_objects:slack ~base ()
+      ~extra_values:(Value.Set.elements values) ~slack_objects:slack ()
   in
   match Qvtr.Semantics.create ?mode enc info with
   | sem ->
@@ -247,52 +197,23 @@ let build_generation ~trans ~metamodels ~models ~values ~slack ?(base = [])
       }
   | exception Qvtr.Semantics.Compile_error msg -> Error msg
 
-(* Flush a pending re-encode: key the current state, revive a cached
-   generation or build a fresh one, and reset the slack accounting
-   (the new encoding owns every current object directly). *)
-let m_cache_hits = Obs.Metrics.counter "incr.translation_cache_hits"
-let m_cache_misses = Obs.Metrics.counter "incr.translation_cache_misses"
 let m_rebuilds = Obs.Metrics.counter "incr.rebuilds"
 
+(* Flush a pending re-encode: encode the current models afresh, drop
+   the old generation with its check finder (the next solve clones the
+   template of the new shape), and reset the slack accounting (the new
+   encoding owns every current object directly). *)
 let ensure_generation t =
   if not t.rebuild_pending then Ok ()
   else begin
-    let key = fingerprint t in
     let ( let* ) = Result.bind in
     let* g =
-      match Hashtbl.find_opt t.cache key with
-      | Some g ->
-        (* State recurrence: the fingerprinted encoding is revived
-           without re-translation. *)
-        Obs.Metrics.incr m_cache_hits;
-        Obs.Trace.instant "session.cache_hit"
-          ~args:(fun () -> [ ("cache", Obs.Json.String "translation") ]);
-        Ok g
-      | None ->
-        Obs.Metrics.incr m_cache_misses;
-        Obs.Trace.instant "session.cache_miss"
-          ~args:(fun () -> [ ("cache", Obs.Json.String "translation") ]);
-        let* g =
-          Obs.Trace.with_span ~name:"session.rebuild" (fun () ->
-              build_generation ~trans:t.trans ~metamodels:t.metamodels
-                ~models:t.cur ~values:t.values ~slack:t.headroom
-                ~base:t.all_atoms ?mode:t.mode t.info)
-        in
-        (* The new universe extends the longest-ever one (base), so it
-           is the new longest. *)
-        t.all_atoms <- Relog.Rel.Universe.atoms (Qvtr.Encode.universe g.g_enc);
-        Hashtbl.add t.cache key g;
-        Ok g
+      Obs.Trace.with_span ~name:"session.rebuild" (fun () ->
+          build_generation ~trans:t.trans ~metamodels:t.metamodels
+            ~models:t.cur ~values:t.values ~slack:t.headroom ?mode:t.mode t.info)
     in
     Obs.Metrics.incr m_rebuilds;
     t.gen <- g;
-    (* Delta-retranslate the shared finder: only relations whose
-       bounds the re-encode changed are re-lowered; everything else —
-       matrices, memoized circuits, guard literals, learnt clauses —
-       carries over. *)
-    (match t.fd with
-    | Some fd -> ignore (Relog.Finder.rebind fd g.g_bounds : int)
-    | None -> ());
     (* The encoding may have picked up values the accumulator missed
        (it never does today, but keep the invariant by construction). *)
     t.values <-
@@ -337,10 +258,6 @@ let open_session ?mode ?(slack_budget = 2) ?(headroom = 6)
         headroom;
         sbp;
         gen;
-        cache = Hashtbl.create 4;
-        fd = None;
-        all_atoms =
-          Relog.Rel.Universe.atoms (Qvtr.Encode.universe gen.g_enc);
         cur = models;
         values =
           List.fold_left
@@ -355,7 +272,6 @@ let open_session ?mode ?(slack_budget = 2) ?(headroom = 6)
         template_s = 0.0;
       }
     in
-    Hashtbl.add t.cache (fingerprint t) gen;
     Ok t
 
 (* ------------------------------------------------------------------ *)
@@ -572,10 +488,8 @@ let check_stage bounds formulas =
   in
   (Relog.Finder.clone ~bounds tp.tp_finder, tp.tp_guards)
 
-(* The one long-lived finder is created with the first check stage,
-   from a template, over the current generation's bounds; every later
-   generation reaches it through {!Relog.Finder.rebind} in
-   [ensure_generation] and guards its formulas on it directly. *)
+(* The check stage of the current generation, taken from its template
+   at the generation's first solve. *)
 let ensure_check t =
   let g = t.gen in
   match g.g_check with
@@ -586,17 +500,9 @@ let ensure_check t =
     finder_cache_event ~hit:false "check_finder";
     t.translations <- t.translations + 1;
     let dirs = Qvtr.Semantics.top_formulas g.g_sem in
-    let formulas = List.map (fun (_, _, f) -> f) dirs in
-    let cf, guards =
-      match t.fd with
-      | Some fd -> (fd, List.map (Relog.Finder.guard fd) formulas)
-      | None ->
-        let t0 = Obs.Clock.now () in
-        let fd, guards = check_stage g.g_bounds formulas in
-        t.template_s <- t.template_s +. Obs.Clock.since t0;
-        t.fd <- Some fd;
-        (fd, guards)
-    in
+    let t0 = Obs.Clock.now () in
+    let cf, guards = check_stage g.g_bounds (List.map (fun (_, _, f) -> f) dirs) in
+    t.template_s <- t.template_s +. Obs.Clock.since t0;
     let dirs =
       List.map2 (fun (r, d, _) gd -> (r.Qvtr.Ast.r_name, d, gd)) dirs guards
     in
@@ -656,7 +562,7 @@ let blame_of t cs guard =
         | Some (r, tuple) ->
           let atoms = Array.map client_atom tuple in
           if Array.for_all Option.is_some atoms then
-            Some { f_rel = r; f_atoms = Array.map Option.get atoms }
+            Some { f_rel = r; f_atoms = Array.map Option.get atoms; f_present = Sat.Lit.sign l }
           else None
         | None -> None)
     core
@@ -879,7 +785,9 @@ let commit t rep =
 (* Printers                                                            *)
 
 let pp_fact ppf f =
-  Format.fprintf ppf "%a(%s)" Ident.pp f.f_rel
+  Format.fprintf ppf "%s%a(%s)"
+    (if f.f_present then "" else "not ")
+    Ident.pp f.f_rel
     (String.concat ", "
        (List.map Ident.name (Array.to_list f.f_atoms)))
 

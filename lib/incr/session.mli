@@ -1,20 +1,20 @@
 (** Incremental consistency-maintenance sessions.
 
-    A session holds a parsed transformation, a cache of translations
-    keyed on the exact (metamodels, bounds) they encode, and one
-    persistent check finder. Model {e facts} — which tuples the
-    current models contain — are never asserted there: every check
-    solve pins them through solver assumptions over the frozen
-    encoding, so an edit batch is just a different assumption set and
-    re-checking after an edit re-uses everything the solver already
-    learnt (clauses, VSIDS activity, saved phases).
+    A session holds a parsed transformation, one encoding of its
+    current models (a {e generation}) and that generation's check
+    finder. Model {e facts} — which tuples the current models contain
+    — are never asserted there: every check solve pins them through
+    solver assumptions over the frozen encoding, so an edit batch is
+    just a different assumption set and re-checking after an edit
+    re-uses everything the solver already learnt (clauses, VSIDS
+    activity, saved phases).
 
     Each top directional check is translated to a guard literal over
     one shared, memoized lowering ({!Relog.Translate}); [recheck]
     solves once per direction under the fact pins plus that
     direction's guard, and on violation the solver's unsat core —
     minimized with {!Sat.Solver.minimize_core} — names the {e blame
-    set} of model facts.
+    set} of model facts, each with the polarity it was pinned at.
 
     [rerepair] checks consistency the same warm way, and repairs with
     the one-shot core: {!Echo.Space.build} over the current models,
@@ -28,39 +28,36 @@
     The check stage (every relation materialized, one guard per top
     formula) depends only on the bounds and the top formulas, and the
     translation keys everything by universe index, so sessions of
-    equal shape share it whatever their object ids: the first
-    [recheck]/[rerepair] takes a {!Relog.Finder.clone} of a
-    process-wide, never-solved {e translation template} of its shape
-    (the [template_cap] = 32 most recently used are kept), building
-    and inserting the template first on a miss. The clone reads the
-    session's own bounds and shares the template's tables until its
-    first write. [incr.template_hits], [incr.template_misses] and the
+    equal shape share it whatever their object ids. A generation's
+    first [recheck]/[rerepair] takes its check stage as a read-only
+    {!Relog.Finder.clone} of a process-wide, never-solved {e
+    translation template} of its shape (the [template_cap] = 32 most
+    recently used are kept), building and inserting the template
+    first on a miss. The clone reads the session's own bounds and the
+    template's tables; only its solver is its own.
+    [incr.template_hits], [incr.template_misses] and the
     [incr.templates] gauge count them.
-
-    A re-encode (new value, slack exhaustion) does {e delta
-    retranslation}: the new universe extends the old one
-    prefix-compatibly, the finder is {!Relog.Finder.rebind}-ed, and
-    only relations whose bounds actually changed are re-lowered —
-    matrices, memoized circuits, guard literals and learnt clauses
-    all carry over. Returning to a previously seen state revives that
-    generation's guards outright.
 
     Object creation is served from the check encoding's slack atoms:
     the check stage holds [headroom] fresh atoms per parameter and an
     edit consumes one per created object (a repair's [slack_budget]
     fresh objects live in its own {!Echo.Space}). Edits the frozen
     universe cannot express (a brand-new attribute value, slack
-    exhaustion) trigger a re-encode over the current models;
-    re-encodes hit the translation cache when they return to a
-    previously seen state. *)
+    exhaustion) trigger a {e re-encode}: a fresh encoding of the
+    current models replaces the generation, its check finder goes with
+    it, and the next solve takes the check stage of the new shape from
+    its template, as opening does. *)
 
 type t
 
 type fact = {
   f_rel : Mdl.Ident.t;  (** relation name, e.g. [m$ft$name] *)
   f_atoms : Mdl.Ident.t array;  (** tuple, as universe atom names *)
+  f_present : bool;
+      (** whether the current models contain the tuple: a blame set
+          pins facts absent as well as present *)
 }
-(** One model fact: a tuple the current models assert. *)
+(** One model fact: a tuple the current models assert or deny. *)
 
 type step_stats = {
   wall : float;  (** seconds inside the operation *)
@@ -73,14 +70,16 @@ type step_stats = {
           warm assumption-flip path, [true] on every [rerepair] that
           repairs *)
   translate_s : float;
-      (** wall seconds the operation spent inside the translation
-          layer (lowering + CNF); 0 on the warm path, and small even
-          on re-encodes thanks to delta retranslation *)
+      (** wall seconds the operation spent taking a check stage: the
+          template clone, plus the template's full translation on a
+          miss (a clone never translates); 0 on the warm path. A
+          [rerepair] that repairs adds its repair's translation. *)
 }
 (** Solver effort attributed to one [recheck]/[rerepair] call: the
-    delta of the session's check finder, including translation-time
-    propagation when a build was needed, plus, for a [rerepair] that
-    repairs, the whole telemetry of its {!Echo.Repair.run_all}. *)
+    delta of the session's check finder over the call — counted from
+    zero when the call re-encoded, since its check finder is then new
+    — plus, for a [rerepair] that repairs, the whole telemetry of its
+    {!Echo.Repair.run_all}. *)
 
 type verdict = {
   v_relation : Mdl.Ident.t;
@@ -153,10 +152,10 @@ val open_session :
     shape already built one, a full translation (kept as the
     template) otherwise. Either way that call reports
     [translated = true], with the clone or translation wall in
-    [translate_s]; the first re-encode after a clone also pays the
-    copy of the shared translation tables. The server's [open] verb
-    and its snapshot revival both open sessions here, so a revived
-    session costs a clone once its shape is in the table. *)
+    [translate_s]. Every re-encode takes its check stage the same way.
+    The server's [open] verb and its snapshot revival both open
+    sessions here, so a revived session costs a clone once its shape
+    is in the table. *)
 
 val models : t -> (Mdl.Ident.t * Mdl.Model.t) list
 (** The current (post-edit) models. *)
@@ -206,4 +205,6 @@ val commit : t -> repair -> (unit, string) result
     re-encode triggers apply as for any other edit. *)
 
 val pp_fact : Format.formatter -> fact -> unit
+(** [R(a, b)] for a present fact, [not R(a, b)] for an absent one. *)
+
 val pp_step_stats : Format.formatter -> step_stats -> unit

@@ -144,7 +144,7 @@ let feature_table mm =
 let default_slack = 2
 
 let create ~transformation:trans ~metamodels ~models ?(extra_values = [])
-    ?(slack_objects = default_slack) ?(base = []) () =
+    ?(slack_objects = default_slack) () =
   let ( let* ) = Result.bind in
   let* () =
     if slack_objects < 0 then
@@ -232,24 +232,7 @@ let create ~transformation:trans ~metamodels ~models ?(extra_values = [])
         Value.Map.add v a acc)
       values Value.Map.empty
   in
-  (* Prefix-compatible universes: [base] (a previous encoding's atom
-     sequence) comes first, position for position, then whatever this
-     encoding wants that [base] lacks. Every surviving atom keeps its
-     index, so index-keyed translation state (primary variables, memo
-     entries) stays valid across re-encodes. Base atoms this encoding
-     does not want — deleted objects — stay in the universe as inert
-     padding: they are in no bound and get no [atom_kind], so
-     {!atom_index} rejects them and no fact can be stated on them. *)
-  let wanted = List.rev !atoms in
-  let atom_list =
-    match base with
-    | [] -> wanted
-    | base ->
-      let in_base =
-        List.fold_left (fun s a -> Ident.Set.add a s) Ident.Set.empty base
-      in
-      base @ List.filter (fun a -> not (Ident.Set.mem a in_base)) wanted
-  in
+  let atom_list = List.rev !atoms in
   let universe = Relog.Rel.Universe.make atom_list in
   let obj_index =
     List.fold_left
@@ -286,13 +269,10 @@ let has_value t v = Value.Map.mem v t.value_index
 
 let values t = List.map fst (Value.Map.bindings t.value_index)
 
-(* Dead base atoms (in the universe only as index padding) have no
-   kind and are rejected: stating a fact on one, or treating one as a
-   known object, would be silently meaningless — it is in no bound. *)
 let atom_idx t name =
   match Ident.Map.find_opt name t.obj_index with
-  | Some i when Ident.Map.mem name t.atom_kind -> i
-  | Some _ | None ->
+  | Some i -> i
+  | None ->
     invalid_arg (Printf.sprintf "Encode: unknown atom %s" (Ident.name name))
 
 let atom_index = atom_idx

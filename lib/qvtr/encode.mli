@@ -29,22 +29,15 @@ val create :
   models:(Mdl.Ident.t * Mdl.Model.t) list ->
   ?extra_values:Mdl.Value.t list ->
   ?slack_objects:int ->
-  ?base:Mdl.Ident.t list ->
   unit ->
   (t, string) result
 (** [metamodels] maps metamodel names to metamodels; [models] maps
     every transformation parameter to a model of its declared
     metamodel. [slack_objects] (default 2, negative is an [Error]) is
-    the number of fresh object atoms added per target model. [base]
-    is a previous encoding's atom sequence (see {!Relog.Rel.Universe.atoms}): the
-    new universe starts with [base] verbatim — atoms the new encoding
-    does not need become inert padding — and appends only genuinely
-    new atoms, so the two universes are prefix-compatible
-    ({!Relog.Bounds.universe_compatible}) and index-keyed translation
-    state survives a re-encode. Fails on: missing/mistyped parameter
-    bindings, or a metamodel whose same-named features have
-    incompatible declarations (the encoding keys feature relations by
-    name). *)
+    the number of fresh object atoms added per target model. Fails
+    on: missing/mistyped parameter bindings, or a metamodel whose
+    same-named features have incompatible declarations (the encoding
+    keys feature relations by name). *)
 
 val transformation : t -> Ast.transformation
 val universe : t -> Relog.Rel.Universe.t

@@ -37,45 +37,6 @@ let arity b r =
 let relations b =
   Ident.Map.bindings b.map |> List.map fst |> List.sort Ident.compare_name
 
-let diff a b =
-  Ident.Map.merge
-    (fun _ x y ->
-      match (x, y) with
-      | Some (l1, u1), Some (l2, u2) when TS.equal l1 l2 && TS.equal u1 u2 ->
-        None
-      | None, None -> None
-      | _ -> Some ())
-    a.map b.map
-  |> Ident.Map.bindings |> List.map fst
-  |> List.sort Ident.compare_name
-
-let same_universe a b =
-  a.universe == b.universe
-  ||
-  let na = Rel.Universe.size a.universe and nb = Rel.Universe.size b.universe in
-  na = nb
-  && (let rec go i =
-        i >= na
-        || Ident.equal (Rel.Universe.atom a.universe i) (Rel.Universe.atom b.universe i)
-           && go (i + 1)
-      in
-      go 0)
-
-(* Prefix compatibility: the smaller universe is a prefix of the
-   larger, so every shared atom keeps its index. Append-only universe
-   growth (and revival of an older, shorter universe) both satisfy
-   this; translations can then keep their index-keyed state. *)
-let universe_compatible a b =
-  let ua = a.universe and ub = b.universe in
-  ua == ub
-  ||
-  let na = Rel.Universe.size ua and nb = Rel.Universe.size ub in
-  let n = min na nb in
-  let rec go i =
-    i >= n || (Ident.equal (Rel.Universe.atom ua i) (Rel.Universe.atom ub i) && go (i + 1))
-  in
-  go 0
-
 let loosen b r ~lower ~upper =
   check_pair r ~lower ~upper;
   { b with map = Ident.Map.add r (lower, upper) b.map }

@@ -28,21 +28,6 @@ val arity : t -> Mdl.Ident.t -> int option
 val relations : t -> Mdl.Ident.t list
 (** Bound relation names, sorted. *)
 
-val diff : t -> t -> Mdl.Ident.t list
-(** Relations whose (lower, upper) pair differs between the two
-    bounds — including relations bound on only one side. Sorted by
-    name. The delta-retranslation layer ({!Translate.rebind})
-    invalidates exactly these relations' matrices and the memo
-    entries mentioning them. *)
-
-val same_universe : t -> t -> bool
-(** Same atom sequence (by name, position for position). *)
-
-val universe_compatible : t -> t -> bool
-(** The shorter universe is a prefix of the longer: every shared atom
-    keeps its index, so index-keyed translation state survives a
-    rebind between the two. *)
-
 val loosen : t -> Mdl.Ident.t -> lower:Rel.Tupleset.t -> upper:Rel.Tupleset.t -> t
 (** Replace an existing bound (used by the repair engine to relax the
     target models' relations). Adds the bound if absent. *)

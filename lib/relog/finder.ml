@@ -34,12 +34,6 @@ let prepare bnds formulas =
 
 let guard t f = Translate.formula_lit t.trans f
 
-let rebind t bnds =
-  let changed = Translate.rebind t.trans bnds in
-  List.iter (Translate.materialize t.trans) (Bounds.relations bnds);
-  t.last <- None;
-  changed
-
 let clone ~bounds t = make (Translate.clone ~bounds t.trans)
 
 let translation t = t.trans

@@ -17,8 +17,7 @@ val prepare : Bounds.t -> Ast.formula list -> t
 val create : Bounds.t -> t
 (** A finder over the bounds with nothing asserted yet: all bound
     relations are materialized, formulas arrive later through
-    {!guard}. The entry point for long-lived delta-retranslating
-    sessions. *)
+    {!guard}. How a session's check-stage template is built. *)
 
 val guard : t -> Ast.formula -> Sat.Lit.t
 (** Translate one formula to a {e guard literal} equivalent to it,
@@ -27,32 +26,22 @@ val guard : t -> Ast.formula -> Sat.Lit.t
     {!Sat.Solver.unsat_core} then names the guards (and any other
     assumptions) participating in an inconsistency. This is how the
     incremental-session subsystem pins model facts and checked
-    formulas purely through assumptions, so the same translation and
-    solver serve every edit state. Thanks to the memoized lowering,
-    guarding a formula already seen — even across {!rebind}s that did
-    not touch its relations — costs a memo lookup and returns the same
-    literal. *)
-
-val rebind : t -> Bounds.t -> int
-(** {!Translate.rebind} plus re-materialization of every relation
-    bound in the new bounds; forgets the last model (its primary
-    assignment may mix universes). Returns the number of relations
-    whose bounds actually changed. Previously returned guard literals
-    remain usable: a guard whose formula mentions no changed relation
-    is untouched, and re-guarding a formula that was invalidated
-    rebuilds the identical circuit over the persistent primary
-    variables, so the Tseitin cache resolves it to the same literal
-    without new clauses. *)
+    formulas purely through assumptions, so one translation and
+    solver serve every edit state its universe can express. Thanks to
+    the memoized lowering, guarding a formula already seen costs a
+    memo lookup and returns the same literal. Raises
+    [Invalid_argument] on a {!clone}. *)
 
 val clone : bounds:Bounds.t -> t -> t
 (** [clone ~bounds t]: a finder over {!Translate.clone} of [t]'s
     translation, read through [bounds] (same relations, index tuples
     and universe size as [t]'s, every atom a routed formula names at
     the same index). Guard literals [t] returned mean the same in the
-    clone. The clone forgets [t]'s last model and starts with zeroed
-    telemetry. [t] is only read; it must never be solved or written
-    again, since the clone shares its translation tables until its own
-    first write. *)
+    clone. The clone is read-only: it solves, blocks and enumerates,
+    but {!guard} on it raises [Invalid_argument]. It forgets [t]'s
+    last model and starts with zeroed telemetry. [t] is only read; it
+    must never be solved or written again, since the clone reads its
+    translation tables. *)
 
 val translation : t -> Translate.t
 val solver : t -> Sat.Solver.t

@@ -4,8 +4,6 @@ type expr = {
   e_id : int;
   e_view : expr_view;
   e_free_vars : Ident.Set.t;
-  e_rels : Ident.Set.t;
-  e_univ : bool;
 }
 
 and expr_view =
@@ -28,8 +26,6 @@ type formula = {
   f_id : int;
   f_view : formula_view;
   f_free_vars : Ident.Set.t;
-  f_rels : Ident.Set.t;
-  f_univ : bool;
 }
 
 and formula_view =
@@ -85,17 +81,6 @@ let store () =
     sem = Hashtbl.create 256;
   }
 
-(* Nodes are immutable, so a copy shares them; only the intern and
-   simplification tables are duplicated. *)
-let copy_store st =
-  {
-    next = st.next;
-    e_tbl = Hashtbl.copy st.e_tbl;
-    f_tbl = Hashtbl.copy st.f_tbl;
-    sfm = Hashtbl.copy st.sfm;
-    sem = Hashtbl.copy st.sem;
-  }
-
 let simp_formula_memo st = st.sfm
 let simp_expr_memo st = st.sem
 let nodes st = st.next
@@ -130,25 +115,16 @@ let intern_e st (v : expr_view) : expr =
   match Hashtbl.find_opt st.e_tbl key with
   | Some e -> e
   | None ->
-    let fv, rels, uv =
+    let fv =
       match v with
-      | Rel r -> (Ident.Set.empty, Ident.Set.singleton r, false)
-      | Var x -> (Ident.Set.singleton x, Ident.Set.empty, false)
-      | Atom _ | None_ -> (Ident.Set.empty, Ident.Set.empty, false)
-      | Univ | Iden -> (Ident.Set.empty, Ident.Set.empty, true)
+      | Var x -> Ident.Set.singleton x
+      | Rel _ | Atom _ | None_ | Univ | Iden -> Ident.Set.empty
       | Union (a, b) | Inter (a, b) | Diff (a, b) | Join (a, b) | Product (a, b)
         ->
-        ( Ident.Set.union a.e_free_vars b.e_free_vars,
-          Ident.Set.union a.e_rels b.e_rels,
-          a.e_univ || b.e_univ )
-      | Transpose a -> (a.e_free_vars, a.e_rels, a.e_univ)
-      (* Closure lowering iterates ceil(log2 |universe|) squarings:
-         universe-dependent even over universe-independent bodies. *)
-      | Closure a | RClosure a -> (a.e_free_vars, a.e_rels, true)
+        Ident.Set.union a.e_free_vars b.e_free_vars
+      | Transpose a | Closure a | RClosure a -> a.e_free_vars
     in
-    let e =
-      { e_id = fresh_id st; e_view = v; e_free_vars = fv; e_rels = rels; e_univ = uv }
-    in
+    let e = { e_id = fresh_id st; e_view = v; e_free_vars = fv } in
     Hashtbl.add st.e_tbl key e;
     e
 
@@ -208,37 +184,18 @@ let intern_f st (v : formula_view) : formula =
   match Hashtbl.find_opt st.f_tbl key with
   | Some f -> f
   | None ->
-    let fv, rels, uv =
+    let fv =
       match v with
-      | True | False -> (Ident.Set.empty, Ident.Set.empty, false)
-      | Subset (a, b) | Equal (a, b) ->
-        ( Ident.Set.union a.e_free_vars b.e_free_vars,
-          Ident.Set.union a.e_rels b.e_rels,
-          a.e_univ || b.e_univ )
-      | Some_ a | No a | Lone a | One a -> (a.e_free_vars, a.e_rels, a.e_univ)
-      | Not f -> (f.f_free_vars, f.f_rels, f.f_univ)
+      | True | False -> Ident.Set.empty
+      | Subset (a, b) | Equal (a, b) -> Ident.Set.union a.e_free_vars b.e_free_vars
+      | Some_ a | No a | Lone a | One a -> a.e_free_vars
+      | Not f -> f.f_free_vars
       | And fs | Or fs ->
-        List.fold_left
-          (fun (fv, rels, uv) f ->
-            ( Ident.Set.union fv f.f_free_vars,
-              Ident.Set.union rels f.f_rels,
-              uv || f.f_univ ))
-          (Ident.Set.empty, Ident.Set.empty, false)
-          fs
-      | Implies (a, b) | Iff (a, b) ->
-        ( Ident.Set.union a.f_free_vars b.f_free_vars,
-          Ident.Set.union a.f_rels b.f_rels,
-          a.f_univ || b.f_univ )
-      | Forall (decls, f) | Exists (decls, f) ->
-        ( quant_free decls f,
-          List.fold_left
-            (fun rels (_, d) -> Ident.Set.union rels d.e_rels)
-            f.f_rels decls,
-          f.f_univ || List.exists (fun (_, d) -> d.e_univ) decls )
+        List.fold_left (fun fv f -> Ident.Set.union fv f.f_free_vars) Ident.Set.empty fs
+      | Implies (a, b) | Iff (a, b) -> Ident.Set.union a.f_free_vars b.f_free_vars
+      | Forall (decls, f) | Exists (decls, f) -> quant_free decls f
     in
-    let f =
-      { f_id = fresh_id st; f_view = v; f_free_vars = fv; f_rels = rels; f_univ = uv }
-    in
+    let f = { f_id = fresh_id st; f_view = v; f_free_vars = fv } in
     Hashtbl.add st.f_tbl key f;
     f
 

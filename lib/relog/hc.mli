@@ -4,13 +4,9 @@
     once, so structurally equal subtrees share one node with one
     integer id — physical equality coincides with structural equality
     within a store, and node ids key the per-node memo tables of
-    {!Simplify} and {!Translate}. Each node carries precomputed
-    analyses the memoization layers need: free variables (for
-    environment projection), mentioned relations (for delta
-    invalidation after a {!Translate.rebind}) and a universe-dependence
-    flag ([Univ]/[Iden]/[Closure]/[RClosure] anywhere below — the
-    nodes whose lowering depends on the universe size, not only on
-    atom indices).
+    {!Simplify} and {!Translate}. Each node carries its free variables,
+    precomputed: the translation's memo key projects the environment
+    onto them.
 
     Import ([of_ast]) and export ([to_ast]) are exact 1:1 view
     mappings: [to_ast (of_ast st f) = f] structurally, and both are
@@ -24,17 +20,10 @@ val store : unit -> store
     long-lived store per long-lived {!Translate.t} is the intended
     shape, a throwaway store per call is fine for one-shot use. *)
 
-val copy_store : store -> store
-(** An independent store holding the same nodes under the same ids:
-    interning into the copy never touches the original. Reads the
-    original only. *)
-
 type expr = private {
   e_id : int;  (** unique within the store *)
   e_view : expr_view;
   e_free_vars : Mdl.Ident.Set.t;
-  e_rels : Mdl.Ident.Set.t;  (** relation names mentioned below *)
-  e_univ : bool;  (** lowering depends on the universe size *)
 }
 
 and expr_view =
@@ -57,8 +46,6 @@ type formula = private {
   f_id : int;
   f_view : formula_view;
   f_free_vars : Mdl.Ident.Set.t;
-  f_rels : Mdl.Ident.Set.t;
-  f_univ : bool;
 }
 
 and formula_view =

@@ -61,7 +61,7 @@ val break :
     encoding (one auxiliary prefix-equality variable and ≤ 3 clauses
     per position). [guard], when given, is ORed into each main clause
     negated, so the predicates are active only while [guard] is
-    assumed — how {!Finder} retires stale SBPs after a rebind.
+    assumed; {!Echo.Repair} assumes its guard first on every solve.
     [max_length] truncates each chain to a prefix, which is sound.
 
     Returns the number of clauses emitted and bumps

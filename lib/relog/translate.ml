@@ -43,33 +43,22 @@ end)
    variables), so a subtree is lowered once per distinct binding of
    the variables it actually mentions — ground subtrees exactly once —
    instead of once per occurrence per quantifier grounding.
-   [e_nodes]/[f_nodes] keep the node of every memoized id so [rebind]
-   can invalidate exactly the entries whose relations (or universe
-   dependence) an edit touched.
 
    A [clone] shares every table with the context it was cloned from
-   ([shared]) and copies them all at its first write ([unshare]): the
-   builder, Tseitin cache, store, primaries, matrices and memos are
-   only read until then. *)
+   and only reads them ([read_only]): the builder, Tseitin cache,
+   store, primaries, matrices and memos belong to the original. *)
 type t = {
-  mutable builder : C.builder;
+  builder : C.builder;
   sat : Sat.Solver.t;
-  mutable tseitin : Sat.Tseitin.ctx;
-  mutable store : Hc.store;
-  mutable bnds : Bounds.t;
-  (* (relation, tuple) -> primary variable. Persistent across
-     [rebind]: re-bounding a relation reuses the variable of every
-     (relation, tuple) pair it has ever allocated, so re-lowered
-     formulas rebuild physically identical circuits and Tseitin adds
-     no clauses for unchanged parts. *)
-  mutable primaries : (Ident.t * Rel.Tuple.t, Sat.Lit.var) Hashtbl.t;
-  (* memoized relation matrices, current bounds only *)
-  mutable rel_matrices : matrix Rel_tbl.t;
-  mutable e_memo : matrix Memo.t;
-  mutable f_memo : C.t Memo.t;
-  mutable e_nodes : Hc.expr Id_tbl.t;
-  mutable f_nodes : Hc.formula Id_tbl.t;
-  mutable shared : bool;  (* the tables above belong to another context *)
+  tseitin : Sat.Tseitin.ctx;
+  store : Hc.store;
+  bnds : Bounds.t;
+  (* (relation, tuple) -> primary variable *)
+  primaries : (Ident.t * Rel.Tuple.t, Sat.Lit.var) Hashtbl.t;
+  rel_matrices : matrix Rel_tbl.t;
+  e_memo : matrix Memo.t;
+  f_memo : C.t Memo.t;
+  read_only : bool;  (* a clone: the tables above belong to another context *)
   (* memo lookups of the current translation call, added to the
      process-wide relog.memo_hits/misses counters when it ends *)
   mutable hits : int;
@@ -80,22 +69,19 @@ type t = {
   mutable translate_events : int;
 }
 
-let create ?store bnds =
+let create bnds =
   let sat = Sat.Solver.create () in
-  let store = match store with Some st -> st | None -> Hc.store () in
   {
     builder = C.builder ();
     sat;
     tseitin = Sat.Tseitin.create sat;
-    store;
+    store = Hc.store ();
     bnds;
     primaries = Hashtbl.create 256;
     rel_matrices = Rel_tbl.create 64;
     e_memo = Memo.create 1024;
     f_memo = Memo.create 1024;
-    e_nodes = Id_tbl.create 512;
-    f_nodes = Id_tbl.create 512;
-    shared = false;
+    read_only = false;
     hits = 0;
     misses = 0;
     translate_s = 0.0;
@@ -106,40 +92,23 @@ let solver t = t.sat
 let bounds t = t.bnds
 
 (* The original must never be written again (see the interface): both
-   contexts read its tables until the clone's first write. *)
+   contexts read its tables. *)
 let clone ~bounds t =
   Obs.Trace.with_span ~name:"translate.clone" (fun () ->
       {
         t with
         sat = Sat.Solver.clone t.sat;
         bnds = bounds;
-        shared = true;
+        read_only = true;
         hits = 0;
         misses = 0;
         translate_s = 0.0;
         translate_events = 0;
       })
 
-(* The deferred half of [clone]; its wall counts as translation. *)
-let unshare t =
-  if t.shared then
-    Obs.Trace.with_span ~name:"translate.unshare" (fun () ->
-        let t0 = Obs.Clock.now () in
-        t.builder <- C.copy_builder t.builder;
-        t.tseitin <- Sat.Tseitin.copy t.tseitin t.sat;
-        t.store <- Hc.copy_store t.store;
-        t.primaries <- Hashtbl.copy t.primaries;
-        t.rel_matrices <- Rel_tbl.copy t.rel_matrices;
-        t.e_memo <- Memo.copy t.e_memo;
-        t.f_memo <- Memo.copy t.f_memo;
-        t.e_nodes <- Id_tbl.copy t.e_nodes;
-        t.f_nodes <- Id_tbl.copy t.f_nodes;
-        t.shared <- false;
-        t.translate_s <- t.translate_s +. Obs.Clock.since t0)
-
-let store t =
-  unshare t;
-  t.store
+let writable t what =
+  if t.read_only then
+    invalid_arg (Printf.sprintf "Translate.%s: the context is a read-only clone" what)
 
 let matrix_of_rel t r =
   match Rel_tbl.find_opt t.rel_matrices r with
@@ -309,7 +278,6 @@ type env = int Ident.Map.t
 
 let m_memo_hits = Obs.Metrics.counter "relog.memo_hits"
 let m_memo_misses = Obs.Metrics.counter "relog.memo_misses"
-let m_delta = Obs.Metrics.counter "relog.delta_retranslations"
 
 (* Environment restricted to the node's free variables, as an id/value
    alternation ([Ident.Set.fold] runs in increasing element order, so
@@ -362,7 +330,6 @@ let rec expr t (env : env) (e : Hc.expr) : matrix =
           mat_union t (mat_closure t universe (expr t env a)) (mat_iden t universe)
       in
       Memo.replace t.e_memo key m;
-      Id_tbl.replace t.e_nodes e.Hc.e_id e;
       m)
 
 let subset_circuit t mx my =
@@ -423,7 +390,6 @@ let rec formula t (env : env) (f : Hc.formula) : C.t =
         | Hc.Exists (decls, body) -> quantify t env decls body ~universal:false
       in
       Memo.replace t.f_memo key n;
-      Id_tbl.replace t.f_nodes f.Hc.f_id f;
       n)
 
 and quantify t env decls body ~universal =
@@ -447,66 +413,6 @@ and quantify t env decls body ~universal =
         md.cells []
     in
     if universal then C.and_ b branches else C.or_ b branches
-
-(* ------------------------------------------------------------------ *)
-(* Delta rebinding                                                     *)
-
-(* Re-bound the context. Matrices of changed relations are dropped
-   (rebuilt on demand against the new bounds, reusing the persistent
-   primary variables for unchanged tuples), and memo entries are
-   invalidated exactly when their node mentions a changed relation —
-   or depends on the universe, if that changed. Unchanged entries
-   survive: this is what makes session retranslation proportional to
-   the edit, not the problem.
-
-   Soundness: a memo entry's circuit depends only on (a) the matrices
-   of the relations below the node — invalidated when any of them
-   changed; (b) the universe indices of atoms below it — stable
-   because rebinding requires prefix-compatible universes (else
-   everything, including the index-keyed primary registry, is
-   cleared); (c) the universe size for Univ/Iden/(R)Closure nodes —
-   invalidated via the precomputed [e_univ]/[f_univ] flag. *)
-let rebind t bnds' =
-  unshare t;
-  let old = t.bnds in
-  if not (Bounds.universe_compatible old bnds') then begin
-    (* Unrelated universes: atom indices changed meaning; nothing
-       index-keyed survives. *)
-    Rel_tbl.reset t.rel_matrices;
-    Memo.reset t.e_memo;
-    Memo.reset t.f_memo;
-    Id_tbl.reset t.e_nodes;
-    Id_tbl.reset t.f_nodes;
-    Hashtbl.reset t.primaries;
-    t.bnds <- bnds';
-    List.length (Bounds.relations bnds')
-  end
-  else begin
-    let changed = Bounds.diff old bnds' in
-    let changed_set = List.fold_left (fun s r -> Ident.Set.add r s) Ident.Set.empty changed in
-    let univ_changed = not (Bounds.same_universe old bnds') in
-    List.iter (Rel_tbl.remove t.rel_matrices) changed;
-    let dead rels uses_univ =
-      (univ_changed && uses_univ)
-      || (not (Ident.Set.is_empty changed_set)
-         && Ident.Set.exists (fun r -> Ident.Set.mem r changed_set) rels)
-    in
-    Memo.filter_map_inplace
-      (fun (id, _) m ->
-        match Id_tbl.find_opt t.e_nodes id with
-        | Some e -> if dead e.Hc.e_rels e.Hc.e_univ then None else Some m
-        | None -> None)
-      t.e_memo;
-    Memo.filter_map_inplace
-      (fun (id, _) n ->
-        match Id_tbl.find_opt t.f_nodes id with
-        | Some f -> if dead f.Hc.f_rels f.Hc.f_univ then None else Some n
-        | None -> None)
-      t.f_memo;
-    t.bnds <- bnds';
-    Obs.Metrics.add m_delta (List.length changed);
-    List.length changed
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -547,7 +453,7 @@ let lower t f =
           formula t Ident.Map.empty hf))
 
 let assert_formula t f =
-  unshare t;
+  writable t "assert_formula";
   Obs.Metrics.incr m_formulas;
   Obs.Trace.with_span ~name:"translate.formula" (fun () ->
       timed t (fun () ->
@@ -556,7 +462,7 @@ let assert_formula t f =
               Sat.Tseitin.assert_true t.tseitin node)))
 
 let formula_lit t f =
-  unshare t;
+  writable t "formula_lit";
   Obs.Metrics.incr m_formulas;
   Obs.Trace.with_span ~name:"translate.formula" (fun () ->
       timed t (fun () ->
@@ -567,26 +473,14 @@ let formula_lit t f =
 let primary_var t r tuple = Hashtbl.find_opt t.primaries (r, tuple)
 
 let materialize t r =
-  unshare t;
+  writable t "materialize";
   Obs.Metrics.incr m_relations;
   Obs.Trace.with_span ~name:"translate.materialize"
     ~args:(fun () -> [ ("relation", Obs.Json.String (Ident.name r)) ])
     (fun () -> timed t (fun () -> ignore (matrix_of_rel t r)))
 
-(* Live primaries only: the registry persists across [rebind]s, so it
-   is filtered down to materialized relations and tuples optional
-   under the *current* bounds — the same set a fresh translation
-   would register. *)
 let fold_primaries t f acc =
-  Hashtbl.fold
-    (fun (r, tuple) v acc ->
-      if not (Rel_tbl.mem t.rel_matrices r) then acc
-      else
-        match Bounds.get t.bnds r with
-        | Some (lower, upper) when TS.mem tuple upper && not (TS.mem tuple lower)
-          -> f r tuple v acc
-        | _ -> acc)
-    t.primaries acc
+  Hashtbl.fold (fun (r, tuple) v acc -> f r tuple v acc) t.primaries acc
 
 let decode t =
   let inst = Instance.make (Bounds.universe t.bnds) in

@@ -20,29 +20,28 @@ type t
 (** A translation context: circuit builder, SAT solver, hash-consing
     store and the primary-variable registry. *)
 
-(** [create ?store bounds]: a fresh context over a fresh solver.
-    [store] lets callers share hash-consed nodes (and simplification
-    memos) across contexts; by default a fresh one is created. *)
-val create : ?store:Hc.store -> Bounds.t -> t
+val create : Bounds.t -> t
+(** A fresh context over a fresh solver and a fresh hash-consing
+    store. *)
 
 val solver : t -> Sat.Solver.t
 val bounds : t -> Bounds.t
-val store : t -> Hc.store
 
 val clone : bounds:Bounds.t -> t -> t
-(** [clone ~bounds t]: a context over {!Sat.Solver.clone} of [t]'s
-    solver that starts out as exactly the translation [t] holds, read
+(** [clone ~bounds t]: a read-only context over {!Sat.Solver.clone}
+    of [t]'s solver that holds exactly the translation [t] holds, read
     through [bounds] in place of [t]'s own. [bounds] must bind the
     same relations to the same index tuples over a universe of the
     same size, and every atom a translated formula names must keep its
     index: then only atom names differ, and nothing index-keyed does.
     The clone shares [t]'s tables (builder, Tseitin cache, store,
-    primaries, matrices, memos) until its first {!assert_formula},
-    {!formula_lit}, {!materialize}, {!rebind} or {!store}, which
-    copies them; the copy's wall counts in the clone's
-    [translate_time]. [t] is only read, so several domains may clone
-    it at once — provided nothing ever writes to [t] again. Counters
-    and translation time start at zero. *)
+    primaries, matrices, memos) and never writes them:
+    {!assert_formula}, {!formula_lit} and {!materialize} on a clone
+    raise [Invalid_argument]. Its solver is its own: solving it, or
+    adding clauses to it, leaves [t] untouched. [t] is only read, so
+    several domains may clone it at once — provided nothing ever
+    writes to [t] again. Counters and translation time start at zero
+    and stay there. *)
 
 exception Unsupported of string
 (** Raised on ill-formed input: unbound relation names, arity abuse,
@@ -56,21 +55,6 @@ val formula_lit : t -> Ast.formula -> Sat.Lit.t
 (** Translate the formula to a literal equivalent to it (for use in
     assumptions), without asserting it. *)
 
-val rebind : t -> Bounds.t -> int
-(** [rebind t bounds]: delta-retranslation. Point the context at new
-    bounds, invalidating only the relation matrices that actually
-    changed ({!Bounds.diff}) and the memo entries whose node mentions
-    a changed relation (or depends on the universe, when that grew or
-    shrank). Primary variables persist: a (relation, tuple) pair keeps
-    its variable across rebinds, so re-lowered formulas rebuild
-    physically identical circuits and the Tseitin cache emits no new
-    clauses for unchanged parts — previously translated guard
-    literals stay valid. Returns the number of relations invalidated.
-
-    Requires {!Bounds.universe_compatible} old/new universes (atom
-    indices keep their meaning); otherwise the context resets
-    wholesale, which is always sound. *)
-
 val primary_var : t -> Mdl.Ident.t -> Rel.Tuple.t -> Sat.Lit.var option
 (** The primary variable deciding this tuple's membership, when the
     tuple lies in [upper \ lower] of the given relation and the
@@ -83,9 +67,8 @@ val materialize : t -> Mdl.Ident.t -> unit
 
 val fold_primaries :
   t -> (Mdl.Ident.t -> Rel.Tuple.t -> Sat.Lit.var -> 'a -> 'a) -> 'a -> 'a
-(** Iterate the primary variables live under the current bounds:
-    materialized relations, tuples in [upper \ lower]. (The registry
-    itself persists across {!rebind}s and may hold more.) *)
+(** Iterate the primary variables: one per tuple in [upper \ lower]
+    of each materialized relation. *)
 
 val decode : t -> Instance.t
 (** Read the model of the last satisfiable [solve] off the solver:
@@ -93,7 +76,7 @@ val decode : t -> Instance.t
     tuples whose primary variable is true. *)
 
 type stats = {
-  primary_vars : int;  (** registry size: free tuples ever allocated *)
+  primary_vars : int;  (** registry size: free tuples allocated *)
   vars : int;  (** total SAT variables (primaries + Tseitin + shared) *)
   clauses : int;  (** problem clauses in the underlying solver *)
   relations : int;  (** relation matrices currently materialized *)
@@ -103,7 +86,9 @@ type stats = {
 
 val stats : t -> stats
 (** Translation-size and -time telemetry. [vars]/[clauses] read the
-    underlying solver, so with a shared solver they cover everything
-    encoded into it. *)
+    context's solver, so they cover everything encoded into it,
+    translation or not. A clone's sizes start at its original's; its
+    [formulas] and [translate_time] stay zero, since it never
+    translates. *)
 
 val pp_stats : Format.formatter -> stats -> unit

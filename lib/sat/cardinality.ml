@@ -48,16 +48,6 @@ let build solver lits =
 let aux_vars t = t.aux_vars
 let aux_clauses t = t.aux_clauses
 
-let output t k =
-  if k < 1 || k > t.inputs then invalid_arg "Cardinality.output: index out of range";
-  t.outputs.(k - 1)
-
 let at_most t k =
   if k < 0 then invalid_arg "Cardinality.at_most: negative bound";
   if k >= t.inputs then [] else [ Lit.neg t.outputs.(k) ]
-
-let assert_at_most solver t k =
-  if k < 0 then invalid_arg "Cardinality.assert_at_most: negative bound";
-  for j = k to t.inputs - 1 do
-    Solver.add_clause_array solver [| Lit.neg t.outputs.(j) |]
-  done

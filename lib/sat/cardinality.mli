@@ -25,15 +25,7 @@ val aux_vars : t -> int
 val aux_clauses : t -> int
 (** Solver clauses added by {!build} for this totalizer. *)
 
-val output : t -> int -> Lit.t
-(** [output t k] (1-based, [1 <= k <= n]) is [oₖ]: true when at
-    least [k] inputs are true. *)
-
 val at_most : t -> int -> Lit.t list
 (** Assumption literals capping the true-input count at [k]:
     [[¬oₖ₊₁]], or [[]] when [k >= n]. Raises [Invalid_argument] on
     negative [k]. *)
-
-val assert_at_most : Solver.t -> t -> int -> unit
-(** Permanently cap the count (adds unit clauses [¬oⱼ] for
-    [j > k]). *)

@@ -66,20 +66,6 @@ let builder () =
     buf = Array.make 64 absent;
   }
 
-(* Nodes are immutable, so a copy shares them and only the interning
-   tables are duplicated; the scratch buffer is the copy's own. *)
-let copy_builder b =
-  {
-    ands = Operands.copy b.ands;
-    ors = Operands.copy b.ors;
-    nots = Array.copy b.nots;
-    inputs = Array.copy b.inputs;
-    tru_node = b.tru_node;
-    fls_node = b.fls_node;
-    next = b.next;
-    buf = Array.make (Array.length b.buf) absent;
-  }
-
 let view n = n.node_view
 let id n = n.node_id
 

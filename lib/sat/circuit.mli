@@ -26,12 +26,6 @@ type builder
 
 val builder : unit -> builder
 
-val copy_builder : builder -> builder
-(** An independent builder that already holds every node of the
-    original under the same id: building into the copy returns the
-    original's nodes wherever the original would, and never touches
-    the original. Reads the original only. *)
-
 val view : t -> view
 val id : t -> int
 (** Unique id within a builder; usable as a hash key. *)

@@ -9,9 +9,6 @@ type ctx = {
 let create solver = { solver; cache = Array.make 256 (-1); true_lit = None }
 let solver ctx = ctx.solver
 
-let copy ctx solver =
-  { solver; cache = Array.copy ctx.cache; true_lit = ctx.true_lit }
-
 let cached ctx id = if id < Array.length ctx.cache then ctx.cache.(id) else -1
 
 let remember ctx id l =

@@ -11,11 +11,6 @@ type ctx
 val create : Solver.t -> ctx
 val solver : ctx -> Solver.t
 
-val copy : ctx -> Solver.t -> ctx
-(** [copy ctx solver]: the same node definitions over [solver], which
-    must already hold the clauses that defined them (typically a
-    {!Solver.clone} of [ctx]'s solver). Reads [ctx] only. *)
-
 val lit_of : ctx -> Circuit.t -> Lit.t
 (** A literal equivalent to the node (definition clauses added to the
     solver as needed). Constants map to a dedicated true variable. *)

@@ -287,7 +287,8 @@ let verdict_of (v : Session.verdict) =
       List.map
         (fun (f : Session.fact) ->
           ( Ident.name f.Session.f_rel,
-            List.map Ident.name (Array.to_list f.Session.f_atoms) ))
+            List.map Ident.name (Array.to_list f.Session.f_atoms),
+            f.Session.f_present ))
         v.Session.v_blame;
   }
 

@@ -31,7 +31,7 @@ type verdict = {
   w_sources : string list;
   w_target : string;
   w_holds : bool;
-  w_blame : (string * string list) list;
+  w_blame : (string * string list * bool) list;
 }
 
 type menu_entry = {
@@ -125,11 +125,12 @@ let verdict_to_json w =
       ( "blame",
         Json.List
           (List.map
-             (fun (rel, atoms) ->
+             (fun (rel, atoms, present) ->
                Json.Obj
                  [
                    ("relation", Json.String rel);
                    ("atoms", Json.List (List.map (fun a -> Json.String a) atoms));
+                   ("present", Json.Bool present);
                  ])
              w.w_blame) );
     ]
@@ -326,7 +327,8 @@ let verdict_of_json j =
         let* acc = acc in
         let* rel = field_string b "relation" in
         let* atoms = field_string_list_default b "atoms" [] in
-        Ok ((rel, atoms) :: acc))
+        let* present = field_bool_default b "present" true in
+        Ok ((rel, atoms, present) :: acc))
       (Ok [])
       (Json.to_list (Json.member "blame" j))
     |> Result.map List.rev

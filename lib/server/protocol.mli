@@ -63,7 +63,11 @@ type verdict = {
   w_sources : string list;
   w_target : string;
   w_holds : bool;
-  w_blame : (string * string list) list;  (** fact relation, atom tuple *)
+  w_blame : (string * string list * bool) list;
+      (** fact relation, atom tuple, and whether the models contain
+          it ({!Incr.Session.fact}); on the wire each entry is
+          [{"relation", "atoms", "present"}], and a missing
+          ["present"] decodes as [true] *)
 }
 
 type menu_entry = {

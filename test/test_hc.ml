@@ -1,8 +1,8 @@
 (* Tests for Relog.Hc: exact import/export roundtrip, node sharing,
    evaluator equivalence of the hash-consed pipeline, idempotence of
-   the memoized simplifier, and the translation-layer memo/rebind
-   behaviour built on node ids. Random formulas come from the
-   generators of {!Test_simplify}. *)
+   the memoized simplifier, and the translation-layer memo built on
+   node ids, with the read-only clones that share it. Random formulas
+   come from the generators of {!Test_simplify}. *)
 
 module A = Relog.Ast
 module Hc = Relog.Hc
@@ -41,11 +41,11 @@ let test_derived_attrs () =
   in
   let h = Hc.of_ast st f in
   Alcotest.(check bool) "closed formula" true (I.Set.is_empty h.Hc.f_free_vars);
-  Alcotest.(check bool) "rels collected" true
-    (I.Set.equal h.Hc.f_rels (I.Set.of_list [ I.make "R"; I.make "S" ]));
-  Alcotest.(check bool) "univ binder detected" true h.Hc.f_univ;
-  let g = Hc.of_ast st (A.Some_ (A.rel "R")) in
-  Alcotest.(check bool) "no universe dependence" false g.Hc.f_univ
+  match h.Hc.f_view with
+  | Hc.Forall (_, body) ->
+    Alcotest.(check bool) "body is open in x" true
+      (I.Set.equal body.Hc.f_free_vars (I.Set.singleton (I.make "x")))
+  | _ -> Alcotest.fail "expected a Forall"
 
 (* --- random properties ---------------------------------------------- *)
 
@@ -85,7 +85,7 @@ let prop_simplify_idempotent =
       let s = S.hc_formula st (Hc.of_ast st f) in
       S.hc_formula st s == s)
 
-(* --- translation memo and delta rebind ------------------------------ *)
+(* --- translation memo and clones ------------------------------------ *)
 
 let bounds_st u =
   let b = B.make u in
@@ -106,25 +106,35 @@ let test_translate_memo () =
   Alcotest.(check bool) "second lowering is a memo hit" true
     (Obs.Metrics.counter_value (Obs.Metrics.counter "relog.memo_hits") > hits0)
 
-let test_rebind_delta () =
+(* A clone shares its original's tables and writes none of them: each
+   write raises, and the original keeps its clauses and guards. *)
+let test_clone_read_only () =
   let u = universe 3 in
-  let t = T.create (bounds_st u) in
-  T.materialize t (I.make "S");
-  T.materialize t (I.make "T");
-  let f = A.Some_ (A.rel "S") in
-  let l1 = T.formula_lit t f in
-  (* tighten T only: S's circuits must survive the rebind *)
-  let b' = B.make u in
-  let b' = B.bound b' (I.make "S") ~lower:TS.empty ~upper:(TS.univ u) in
-  let b' =
-    B.bound b' (I.make "T") ~lower:TS.empty ~upper:(TS.of_list [ [| 0 |] ])
+  let fd = Relog.Finder.create (bounds_st u) in
+  let f = A.Forall ([ (I.make "x", A.rel "S") ], A.in_ (A.var "x") (A.rel "T")) in
+  let g = Relog.Finder.guard fd f in
+  let solver = Relog.Finder.solver fd in
+  let clauses = Sat.Solver.nb_clauses solver and vars = Sat.Solver.nb_vars solver in
+  let c = Relog.Finder.clone ~bounds:(bounds_st u) fd in
+  let ct = Relog.Finder.translation c in
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s on a clone must raise" what
   in
-  let changed = T.rebind t b' in
-  Alcotest.(check int) "only T changed" 1 changed;
-  T.materialize t (I.make "S");
-  T.materialize t (I.make "T");
-  let l2 = T.formula_lit t f in
-  Alcotest.(check int) "guard stable across unrelated rebind" l1 l2
+  raises "guard" (fun () -> ignore (Relog.Finder.guard c (A.Some_ (A.rel "S"))));
+  raises "formula_lit" (fun () -> ignore (T.formula_lit ct f));
+  raises "assert_formula" (fun () -> T.assert_formula ct (A.Some_ (A.rel "T")));
+  raises "materialize" (fun () -> T.materialize ct (I.make "S"));
+  (* the clone still solves under the original's guard *)
+  Alcotest.(check bool) "clone solves under the guard" true
+    (match Relog.Finder.solve ~assumptions:[ g ] c with
+    | Relog.Finder.Sat _ -> true
+    | Relog.Finder.Unsat -> false);
+  Alcotest.(check int) "template clauses unchanged" clauses (Sat.Solver.nb_clauses solver);
+  Alcotest.(check int) "template variables unchanged" vars (Sat.Solver.nb_vars solver);
+  Alcotest.(check int) "template guard unchanged" g (Relog.Finder.guard fd f);
+  Alcotest.(check int) "re-guarding adds no clause" clauses (Sat.Solver.nb_clauses solver)
 
 let suite =
   [
@@ -134,5 +144,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_eval_equivalence;
     QCheck_alcotest.to_alcotest prop_simplify_idempotent;
     Alcotest.test_case "translation memo" `Quick test_translate_memo;
-    Alcotest.test_case "delta rebind keeps guards" `Quick test_rebind_delta;
+    Alcotest.test_case "clones are read-only" `Quick test_clone_read_only;
   ]

@@ -4,12 +4,12 @@
    sequence, a session's recheck verdicts and rerepair menu must be
    exactly what a from-scratch run (Qvtr.Check / Echo.Engine over the
    current models, with the universe aligned via value_universe and
-   slack_budget) computes. On top of that: blame sets, the
-   translation cache (rebuild triggers and cache hits), translation
-   templates (shared only between equal translations), commit
-   round-trips, and the warm path's strict cost advantage over
-   from-scratch — experiment E9's property (EXPERIMENTS.md), checked
-   here on E9's own replay. *)
+   slack_budget) computes. On top of that: blame sets and their
+   polarity, re-encodes (rebuild triggers, template hits, flat
+   memory), translation templates (shared only between equal
+   translations), commit round-trips, and the warm path's strict cost
+   advantage over from-scratch — experiment E9's property
+   (EXPERIMENTS.md), checked here on E9's own replay. *)
 
 module S = Incr.Session
 module Rp = Incr.Replay
@@ -292,6 +292,52 @@ let test_blame_names_client_objects () =
     (fun a -> Alcotest.(check bool) (a ^ " is blamed") true (List.mem a atoms))
     [ "cf1#100"; "cf2#100" ]
 
+(* A blamed fact carries the polarity it was pinned at: whether the
+   current models contain the tuple. A violated mandatory feature is
+   blamed on its absence from a configuration, so some facts are
+   absent ones. *)
+let test_blame_polarity () =
+  let cfs, fm = state ~cf1:[ "A"; "C" ] ~cf2:[ "B" ] ~fm:[ ("A", false); ("B", true) ] in
+  let sess = open_exn ~cfs ~fm [ "cf1"; "cf2" ] in
+  let rep = recheck_exn ~blame:true sess in
+  Alcotest.(check bool) "state is inconsistent" false rep.S.consistent;
+  (* the current models' facts, named as blame names them *)
+  let enc =
+    match
+      Qvtr.Encode.create ~transformation:trans ~metamodels ~models:(S.models sess)
+        ~slack_objects:0 ()
+    with
+    | Ok enc -> enc
+    | Error e -> Alcotest.fail e
+  in
+  let key r atoms = Ident.name r :: List.map Ident.name atoms in
+  let present = Hashtbl.create 64 in
+  List.iter
+    (fun (p, m) ->
+      List.iter
+        (fun (r, tuple) ->
+          Hashtbl.replace present
+            (key r
+               (List.map (Relog.Rel.Universe.atom (Qvtr.Encode.universe enc)) (Array.to_list tuple)))
+            ())
+        (Qvtr.Encode.model_facts enc ~param:p m))
+    (S.models sess);
+  let blamed = List.concat_map (fun (v : S.verdict) -> v.S.v_blame) rep.S.verdicts in
+  List.iter
+    (fun (f : S.fact) ->
+      let shown = Format.asprintf "%a" S.pp_fact f in
+      Alcotest.(check bool)
+        (shown ^ ": polarity matches the models")
+        (Hashtbl.mem present (key f.S.f_rel (Array.to_list f.S.f_atoms)))
+        f.S.f_present;
+      Alcotest.(check bool)
+        (shown ^ ": printed with its polarity")
+        (not f.S.f_present)
+        (String.length shown > 4 && String.sub shown 0 4 = "not "))
+    blamed;
+  Alcotest.(check bool) "some blamed fact is absent" true
+    (List.exists (fun (f : S.fact) -> not f.S.f_present) blamed)
+
 (* The E9/E10 base state: ten features, three mandatory, and two
    configurations that agree exactly on the mandatory core. Both truth
    values and every feature name occur in it, so flipping one flag
@@ -395,62 +441,7 @@ let test_scenarios_repair_equivalence () =
     Sc.all
 
 (* ------------------------------------------------------------------ *)
-(* The translation cache                                               *)
-
-let test_translation_cache_hit () =
-  (* headroom 0: every unknown object id forces a re-encode, so
-     cycling cf1 through base+#1, base+#2 and back to base+#1 must
-     re-encode three times — and the third, whose (models, values)
-     state equals the first, revives the cached generation instead of
-     translating again *)
-  let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
-  let hits0 =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "incr.translation_cache_hits")
-  in
-  let deltas0 =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "relog.delta_retranslations")
-  in
-  let sess = open_exn ~headroom:0 ~cfs ~fm [ "fm" ] in
-  let r0 = recheck_exn sess in
-  Alcotest.(check bool) "initial recheck translates" true
-    r0.S.check_stats.S.translated;
-  Alcotest.(check int) "no rebuild yet" 0 (S.rebuilds sess);
-  let apply batch =
-    match S.apply_edits sess [ (Ident.make "cf1", batch) ] with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e
-  in
-  (* #1 appears: unknown id, zero headroom -> rebuild *)
-  apply (add_feature ~id:1 "B");
-  let r1 = check_agrees ~ctx:"cache +#1" sess in
-  Alcotest.(check bool) "rebuild 1 translates" true r1.S.check_stats.S.translated;
-  Alcotest.(check int) "rebuild count 1" 1 (S.rebuilds sess);
-  (* #1 replaced by #2 with identical content: new id -> rebuild *)
-  apply (Edit.Delete_object { id = 1 } :: add_feature ~id:2 "B");
-  let r2 = check_agrees ~ctx:"cache +#2" sess in
-  Alcotest.(check bool) "rebuild 2 translates" true r2.S.check_stats.S.translated;
-  Alcotest.(check int) "rebuild count 2" 2 (S.rebuilds sess);
-  (* back to #1: the state (models and value universe) now fingerprints
-     exactly as after the first rebuild — cache hit, no translation *)
-  apply (Edit.Delete_object { id = 2 } :: add_feature ~id:1 "B");
-  let r3 = check_agrees ~ctx:"cache back to +#1" sess in
-  Alcotest.(check bool) "third re-encode hits the cache" false
-    r3.S.check_stats.S.translated;
-  Alcotest.(check int) "re-encode count 3" 3 (S.rebuilds sess);
-  (* counter-level regression guard: the revival must register as a
-     translation-cache hit, and the two genuine re-encodes must have
-     gone through delta retranslation (not a from-scratch lowering) *)
-  Alcotest.(check bool) "incr.translation_cache_hits advanced" true
-    (Obs.Metrics.counter_value
-       (Obs.Metrics.counter "incr.translation_cache_hits")
-    > hits0);
-  Alcotest.(check bool) "relog.delta_retranslations advanced" true
-    (Obs.Metrics.counter_value
-       (Obs.Metrics.counter "relog.delta_retranslations")
-    > deltas0)
-
-(* ------------------------------------------------------------------ *)
-(* Translation templates                                               *)
+(* Re-encodes and the template cache                                   *)
 
 let template_hits () =
   Obs.Metrics.counter_value (Obs.Metrics.counter "incr.template_hits")
@@ -463,6 +454,78 @@ let template_delta f =
   let h0 = template_hits () and m0 = template_misses () in
   let x = f () in
   (x, template_hits () - h0, template_misses () - m0)
+
+let test_translation_cache_hit () =
+  (* headroom 0: every unknown object id forces a re-encode, so
+     cycling cf1 through base+#1, base+#2 and back to base+#1
+     re-encodes three times. All three states have one shape, so once
+     the first has its template the other two clone it: a hit each,
+     and no miss *)
+  let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
+  let sess = open_exn ~headroom:0 ~cfs ~fm [ "fm" ] in
+  let r0 = recheck_exn sess in
+  Alcotest.(check bool) "initial recheck translates" true
+    r0.S.check_stats.S.translated;
+  Alcotest.(check int) "no rebuild yet" 0 (S.rebuilds sess);
+  let apply batch =
+    match S.apply_edits sess [ (Ident.make "cf1", batch) ] with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  (* #1 appears: unknown id, zero headroom -> rebuild *)
+  apply (add_feature ~id:1 "B");
+  let r1, hits, misses = template_delta (fun () -> check_agrees ~ctx:"cache +#1" sess) in
+  Alcotest.(check bool) "rebuild 1 takes a check stage" true r1.S.check_stats.S.translated;
+  Alcotest.(check int) "rebuild 1 takes one template" 1 (hits + misses);
+  Alcotest.(check int) "rebuild count 1" 1 (S.rebuilds sess);
+  (* #1 replaced by #2 with identical content: new id -> rebuild *)
+  apply (Edit.Delete_object { id = 1 } :: add_feature ~id:2 "B");
+  let r2, hits, misses = template_delta (fun () -> check_agrees ~ctx:"cache +#2" sess) in
+  Alcotest.(check bool) "rebuild 2 takes a check stage" true r2.S.check_stats.S.translated;
+  Alcotest.(check (pair int int)) "rebuild 2 is a template hit" (1, 0) (hits, misses);
+  Alcotest.(check int) "rebuild count 2" 2 (S.rebuilds sess);
+  (* back to #1: the same shape once more *)
+  apply (Edit.Delete_object { id = 2 } :: add_feature ~id:1 "B");
+  let r3, hits, misses =
+    template_delta (fun () -> check_agrees ~ctx:"cache back to +#1" sess)
+  in
+  Alcotest.(check bool) "rebuild 3 takes a check stage" true r3.S.check_stats.S.translated;
+  Alcotest.(check (pair int int)) "rebuild 3 is a template hit" (1, 0) (hits, misses);
+  Alcotest.(check int) "re-encode count 3" 3 (S.rebuilds sess);
+  (* a warm recheck on the same generation takes no check stage *)
+  let r4, hits, misses = template_delta (fun () -> recheck_exn sess) in
+  Alcotest.(check bool) "warm recheck translates nothing" false r4.S.check_stats.S.translated;
+  Alcotest.(check (pair int int)) "warm recheck takes no template" (0, 0) (hits, misses)
+
+(* A re-encode drops the old generation with its check finder, so a
+   session that keeps re-encoding keeps the memory of one generation. *)
+let test_reencodes_keep_memory_flat () =
+  let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
+  let sess = open_exn ~headroom:0 ~cfs ~fm [ "fm" ] in
+  ignore (recheck_exn sess);
+  (* delete the object the last step added and add one under a new
+     id: zero headroom, so each step re-encodes *)
+  let step i =
+    let delete = if i > 1 then [ Edit.Delete_object { id = i - 1 } ] else [] in
+    (match S.apply_edits sess [ (Ident.make "cf1", delete @ add_feature ~id:i "B") ] with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    ignore (check_agrees ~ctx:(Printf.sprintf "re-encode %d" i) sess)
+  in
+  step 1;
+  let first = Obj.reachable_words (Obj.repr sess) in
+  for i = 2 to 40 do
+    step i
+  done;
+  Alcotest.(check int) "40 re-encodes" 40 (S.rebuilds sess);
+  let last = Obj.reachable_words (Obj.repr sess) in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words after 40 re-encodes (%d) within 1.5x of after one (%d)" last first)
+    true
+    (float_of_int last <= 1.5 *. float_of_int first)
+
+(* ------------------------------------------------------------------ *)
+(* Translation templates                                               *)
 
 (* A configuration whose features carry the given object ids. *)
 let configuration_with_ids ~name features =
@@ -557,12 +620,8 @@ let test_templates () =
         (a = "cf1#4" || a = "cf1#7"))
     cf1_atoms;
   ignore (repair_agrees ~ctx:"hit" sess);
-  (* the clone reads the session's own universe, so a re-encode stays
-     a delta retranslation *)
-  let deltas () =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "relog.delta_retranslations")
-  in
-  let d0 = deltas () in
+  (* a re-encode takes the check stage of its new shape from that
+     shape's template, as opening does *)
   (match
      S.apply_edits sess
        [
@@ -580,9 +639,9 @@ let test_templates () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  ignore (check_agrees ~ctx:"hit, new value" sess);
+  let _, hits, misses = template_delta (fun () -> check_agrees ~ctx:"hit, new value" sess) in
   Alcotest.(check int) "hit: the new value re-encoded" 1 (S.rebuilds sess);
-  Alcotest.(check bool) "hit: the re-encode is a delta retranslation" true (deltas () > d0);
+  Alcotest.(check int) "hit: the re-encode took one template" 1 (hits + misses);
   (* (b) Must miss: equal bounds under other formulas, another
      headroom, another object count, a named atom at another index. *)
   let cfs, fm = state ~cf1:[ "T1"; "T2" ] ~cf2:[ "T1" ] ~fm:[ ("T1", true); ("T2", false) ] in
@@ -1107,12 +1166,15 @@ let suite =
     Alcotest.test_case "blame names model facts" `Quick test_blame_names_facts;
     Alcotest.test_case "blame names the client's objects" `Quick
       test_blame_names_client_objects;
+    Alcotest.test_case "blame carries fact polarity" `Quick test_blame_polarity;
     Alcotest.test_case "repair walk: rerepair equals enforce_all" `Slow
       test_repair_walk;
     Alcotest.test_case "scenario sweep: menus equal (E10)" `Slow
       test_scenarios_repair_equivalence;
     Alcotest.test_case "translation cache revives generations" `Quick
       test_translation_cache_hit;
+    Alcotest.test_case "re-encodes keep memory flat" `Quick
+      test_reencodes_keep_memory_flat;
     Alcotest.test_case "translation templates share only equal translations" `Quick
       test_templates;
     Alcotest.test_case "warm recheck beats from-scratch (E9)" `Quick

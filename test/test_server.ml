@@ -168,7 +168,8 @@ let test_codec_round_trip () =
                          w_sources = [ "fm" ];
                          w_target = "cf1";
                          w_holds = false;
-                         w_blame = [ ("Feature", [ "fm"; "A" ]) ];
+                         w_blame =
+                           [ ("Feature", [ "fm"; "A" ], true); ("Feature", [ "cf1"; "B" ], false) ];
                        };
                      ];
                    stats;
@@ -209,7 +210,21 @@ let test_codec_round_trip () =
       | Ok r' ->
         Alcotest.(check bool) (verb ^ " response round-trips") true (r = r')
       | Error e -> Alcotest.fail e)
-    resps
+    resps;
+  (* a blame entry without "present" decodes as a present fact *)
+  match
+    P.parse_response
+      {|{"id":3,"verb":"recheck","ok":true,"consistent":false,
+         "verdicts":[{"relation":"R","target":"cf1",
+                      "blame":[{"relation":"Feature","atoms":["fm","A"]}]}],
+         "stats":{"wall_time_s":0,"solver_calls":0,"conflicts":0,
+                  "propagations":0,"decisions":0,"translate_s":0}}|}
+  with
+  | Ok { P.s_result = Ok (P.Checked { verdicts = [ v ]; _ }); _ } ->
+    Alcotest.(check bool) "blame without present is present" true
+      (v.P.w_blame = [ ("Feature", [ "fm"; "A" ], true) ])
+  | Ok _ -> Alcotest.fail "expected one checked verdict"
+  | Error e -> Alcotest.fail e
 
 let test_codec_rejects_malformed () =
   let bad =
