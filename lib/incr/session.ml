@@ -60,8 +60,11 @@ type prim = {
   p_var : Sat.Lit.var;
 }
 
+(* A check stage: the session's own solver, the direction guards, and
+   its template's primary table (sorted by [prim_order]) and var ->
+   fact table, shared read-only. *)
 type check_state = {
-  cf : Relog.Finder.t;
+  solver : Sat.Solver.t;
   dirs : (Ident.t * Qvtr.Ast.dependency * Sat.Lit.t) list;
   cprims : prim array;
   cvar_fact : (Sat.Lit.var, Ident.t * Relog.Rel.Tuple.t) Hashtbl.t;
@@ -70,7 +73,7 @@ type check_state = {
 (* One encoding generation: the encoding of the models current at the
    last re-encode (with the value universe and the [headroom] slack
    pool), and its check stage once a solve needs it. A re-encode
-   replaces the generation whole, check finder included. *)
+   replaces the generation whole, check stage included. *)
 type generation = {
   g_enc : Qvtr.Encode.t;
   g_sem : Qvtr.Semantics.t;
@@ -105,7 +108,7 @@ type t = {
   mutable template_s : float;
       (* wall spent taking check stages from templates, building each
          template first on a miss: the session's whole translation
-         time, since a clone never translates *)
+         time, since a solver clone never translates *)
 }
 
 let models t = t.cur
@@ -152,13 +155,13 @@ let zero_stats =
 
 let solver_totals g =
   match g.g_check with
-  | Some c -> Sat.Solver.stats (Relog.Finder.solver c.cf)
+  | Some c -> Sat.Solver.stats c.solver
   | None -> zero_stats
 
 let snapshot t =
   (Obs.Clock.now (), t.gen, solver_totals t.gen, t.translations, t.template_s)
 
-(* A call that re-encodes ends on another check finder than it began
+(* A call that re-encodes ends on another check solver than it began
    on, one that has solved only for this call: its effort counts from
    zero. *)
 let finish t (t0, g0, s0, tr0, ts0) =
@@ -200,7 +203,7 @@ let build_generation ~trans ~metamodels ~models ~values ~slack ?mode info =
 let m_rebuilds = Obs.Metrics.counter "incr.rebuilds"
 
 (* Flush a pending re-encode: encode the current models afresh, drop
-   the old generation with its check finder (the next solve clones the
+   the old generation with its check stage (the next solve clones the
    template of the new shape), and reset the slack accounting (the new
    encoding owns every current object directly). *)
 let ensure_generation t =
@@ -340,15 +343,12 @@ let collect_prims trans =
   a
 
 (* ------------------------------------------------------------------ *)
-(* The check finder                                                    *)
+(* Translation templates                                               *)
 
-let finder_cache_event ~hit which =
+let stage_event ~hit which =
   Obs.Trace.instant
     (if hit then "session.cache_hit" else "session.cache_miss")
     ~args:(fun () -> [ ("cache", Obs.Json.String which) ])
-
-(* ------------------------------------------------------------------ *)
-(* Translation templates                                               *)
 
 (* The check stage — every relation materialized, one guard per top
    formula — reads nothing but the bounds and those formulas, and the
@@ -357,17 +357,21 @@ let finder_cache_event ~hit which =
    atoms are resolved to indices while lowering. Sessions of one shape
    get one index layout whatever their object ids ({!Qvtr.Encode}
    orders atoms by parameter, object id, slack, then value), so a
-   check stage translated once serves them all. A template is such a
-   finder, never solved and never written once shared; a session takes
-   a {!Relog.Finder.clone} of it over its own bounds (same indices,
-   its own atom names), which is exactly the translation it would
-   have built itself. The process-wide table keeps the [template_cap]
-   most recently used templates. *)
+   check stage translated once serves them all. A template is what a
+   check stage reads of that translation: a compact clone of its
+   never-solved solver, the guards and the primary tables, all
+   complete before the template is shared and never written after.
+   The translation itself is dropped once they are taken. A session
+   takes a {!Sat.Solver.clone} of the template's solver, which is
+   exactly the solver it would have built itself. The process-wide
+   table keeps the [template_cap] most recently used templates. *)
 let template_cap = 32
 
 type template = {
-  tp_finder : Relog.Finder.t;
+  tp_solver : Sat.Solver.t;  (* never solved: only cloned *)
   tp_guards : Sat.Lit.t list;  (* one per top formula, in order *)
+  tp_prims : prim array;
+  tp_var_fact : (Sat.Lit.var, Ident.t * Relog.Rel.Tuple.t) Hashtbl.t;
   mutable tp_used : int;  (* LRU stamp *)
 }
 
@@ -468,50 +472,54 @@ let insert_template key tp =
           (float_of_int (Hashtbl.length templates));
         tp)
 
-(* A finder with the check stage of [formulas] over [bounds], and its
-   guards: a clone of the template of that key, built (outside the
-   lock) and inserted first on a miss. *)
-let check_stage bounds formulas =
+(* The template of the check stage of [formulas] over [bounds], built
+   (outside the lock) and inserted first on a miss. *)
+let find_or_build_template bounds formulas =
   let key = template_key bounds formulas in
-  let tp =
-    match find_template key with
-    | Some tp ->
-      Obs.Metrics.incr m_template_hits;
-      finder_cache_event ~hit:true "template";
-      tp
-    | None ->
-      Obs.Metrics.incr m_template_misses;
-      finder_cache_event ~hit:false "template";
-      let fd = Relog.Finder.create bounds in
-      let guards = List.map (Relog.Finder.guard fd) formulas in
-      insert_template key { tp_finder = fd; tp_guards = guards; tp_used = 0 }
-  in
-  (Relog.Finder.clone ~bounds tp.tp_finder, tp.tp_guards)
+  match find_template key with
+  | Some tp ->
+    Obs.Metrics.incr m_template_hits;
+    stage_event ~hit:true "template";
+    tp
+  | None ->
+    Obs.Metrics.incr m_template_misses;
+    stage_event ~hit:false "template";
+    let fd = Relog.Finder.create bounds in
+    let guards = List.map (Relog.Finder.guard fd) formulas in
+    let prims = collect_prims (Relog.Finder.translation fd) in
+    let var_fact = Hashtbl.create (Array.length prims) in
+    Array.iter (fun pr -> Hashtbl.replace var_fact pr.p_var (pr.p_rel, pr.p_tuple)) prims;
+    insert_template key
+      {
+        tp_solver = Sat.Solver.clone (Relog.Finder.solver fd);
+        tp_guards = guards;
+        tp_prims = prims;
+        tp_var_fact = var_fact;
+        tp_used = 0;
+      }
 
-(* The check stage of the current generation, taken from its template
-   at the generation's first solve. *)
+(* The check stage of the current generation, a clone of its
+   template's solver taken at the generation's first solve. *)
 let ensure_check t =
   let g = t.gen in
   match g.g_check with
   | Some c ->
-    finder_cache_event ~hit:true "check_finder";
+    stage_event ~hit:true "check_stage";
     c
   | None ->
-    finder_cache_event ~hit:false "check_finder";
+    stage_event ~hit:false "check_stage";
     t.translations <- t.translations + 1;
     let dirs = Qvtr.Semantics.top_formulas g.g_sem in
     let t0 = Obs.Clock.now () in
-    let cf, guards = check_stage g.g_bounds (List.map (fun (_, _, f) -> f) dirs) in
+    let tp = find_or_build_template g.g_bounds (List.map (fun (_, _, f) -> f) dirs) in
+    let solver =
+      Obs.Trace.with_span ~name:"session.clone" (fun () -> Sat.Solver.clone tp.tp_solver)
+    in
     t.template_s <- t.template_s +. Obs.Clock.since t0;
     let dirs =
-      List.map2 (fun (r, d, _) gd -> (r.Qvtr.Ast.r_name, d, gd)) dirs guards
+      List.map2 (fun (r, d, _) gd -> (r.Qvtr.Ast.r_name, d, gd)) dirs tp.tp_guards
     in
-    let cprims = collect_prims (Relog.Finder.translation cf) in
-    let cvar_fact = Hashtbl.create (Array.length cprims) in
-    Array.iter
-      (fun pr -> Hashtbl.replace cvar_fact pr.p_var (pr.p_rel, pr.p_tuple))
-      cprims;
-    let c = { cf; dirs; cprims; cvar_fact } in
+    let c = { solver; dirs; cprims = tp.tp_prims; cvar_fact = tp.tp_var_fact } in
     g.g_check <- Some c;
     c
 
@@ -531,8 +539,7 @@ let universe_atom t idx = Relog.Rel.Universe.atom (Qvtr.Encode.universe t.gen.g_
    reads as the atom of the object it stands for, and a fact on a slack
    atom that stands for no current object is dropped. *)
 let blame_of t cs guard =
-  let solver = Relog.Finder.solver cs.cf in
-  let core = Sat.Solver.minimize_core solver in
+  let core = Sat.Solver.minimize_core cs.solver in
   let slack =
     Ident.Map.fold
       (fun p ps acc ->
@@ -578,7 +585,6 @@ let recheck ?(blame = false) t =
   try
     let cs = ensure_check t in
     let pins = check_pins t cs in
-    let solver = Relog.Finder.solver cs.cf in
     let verdicts =
       List.map
         (fun (rel, dep, guard) ->
@@ -593,7 +599,7 @@ let recheck ?(blame = false) t =
                   ("relation", Obs.Json.String (Ident.name rel));
                   ("assumptions", Obs.Json.Int (List.length assumptions));
                 ])
-              (fun () -> Sat.Solver.solve ~assumptions solver)
+              (fun () -> Sat.Solver.solve ~assumptions cs.solver)
           with
           | Sat.Solver.Sat ->
             { v_relation = rel; v_direction = dep; v_holds = true; v_blame = [] }
@@ -614,7 +620,6 @@ let recheck ?(blame = false) t =
 (* Repair                                                              *)
 
 let consistent_now cs pins =
-  let solver = Relog.Finder.solver cs.cf in
   let guards = List.map (fun (_, _, gd) -> gd) cs.dirs in
   let assumptions = pins @ guards in
   match
@@ -624,7 +629,7 @@ let consistent_now cs pins =
           ("backend", Obs.Json.String "session.check");
           ("assumptions", Obs.Json.Int (List.length assumptions));
         ])
-      (fun () -> Sat.Solver.solve ~assumptions solver)
+      (fun () -> Sat.Solver.solve ~assumptions cs.solver)
   with
   | Sat.Solver.Sat -> true
   | Sat.Solver.Unsat -> false
@@ -654,7 +659,7 @@ let to_repair (s : Echo.Repair.success) =
 let m_rerepairs = Obs.Metrics.counter "incr.rerepairs"
 
 (* The consistency check is a warm assumption solve on the check
-   finder; the repair itself is a one-shot run over the current
+   solver; the repair itself is a one-shot run over the current
    models, whose value universe and slack budget give it exactly the
    search space of a from-scratch {!Echo.Engine.enforce_all}. *)
 let rerepair_upto ~limit t =

@@ -2,7 +2,7 @@
 
     A session holds a parsed transformation, one encoding of its
     current models (a {e generation}) and that generation's check
-    finder. Model {e facts} — which tuples the current models contain
+    stage. Model {e facts} — which tuples the current models contain
     — are never asserted there: every check solve pins them through
     solver assumptions over the frozen encoding, so an edit batch is
     just a different assumption set and re-checking after an edit
@@ -23,20 +23,25 @@
     from-scratch {!Echo.Engine.enforce_all} over the same models by
     construction, symmetry breaking ({!Echo.Space.sbp_orbits})
     included. The repair translates exact bounds afresh on every call;
-    the check finder carries no repair clauses.
+    the check stage carries no repair clauses.
 
     The check stage (every relation materialized, one guard per top
     formula) depends only on the bounds and the top formulas, and the
     translation keys everything by universe index, so sessions of
-    equal shape share it whatever their object ids. A generation's
-    first [recheck]/[rerepair] takes its check stage as a read-only
-    {!Relog.Finder.clone} of a process-wide, never-solved {e
-    translation template} of its shape (the [template_cap] = 32 most
-    recently used are kept), building and inserting the template
-    first on a miss. The clone reads the session's own bounds and the
-    template's tables; only its solver is its own.
-    [incr.template_hits], [incr.template_misses] and the
-    [incr.templates] gauge count them.
+    equal shape share it whatever their object ids. A process-wide
+    table keeps a {e translation template} for each of the
+    [template_cap] = 32 most recently used shapes: a never-solved
+    {!Sat.Solver.clone} of the stage's solver, its guards, and its
+    primary table (primary variables in pin order, and variable ->
+    fact for blame). The translation itself is dropped once these are
+    taken. A generation's first [recheck]/[rerepair] takes its check
+    stage as a {!Sat.Solver.clone} of its template's solver, building
+    and inserting the template first on a miss; the session owns that
+    solver, and reads the template's primary table, which nothing
+    writes once the template is in the table. A session keeps no
+    other part of the template, so a template the table drops is
+    freed with it. [incr.template_hits], [incr.template_misses] and
+    the [incr.templates] gauge count them.
 
     Object creation is served from the check encoding's slack atoms:
     the check stage holds [headroom] fresh atoms per parameter and an
@@ -44,7 +49,7 @@
     fresh objects live in its own {!Echo.Space}). Edits the frozen
     universe cannot express (a brand-new attribute value, slack
     exhaustion) trigger a {e re-encode}: a fresh encoding of the
-    current models replaces the generation, its check finder goes with
+    current models replaces the generation, its check stage goes with
     it, and the next solve takes the check stage of the new shape from
     its template, as opening does. *)
 
@@ -71,13 +76,13 @@ type step_stats = {
           repairs *)
   translate_s : float;
       (** wall seconds the operation spent taking a check stage: the
-          template clone, plus the template's full translation on a
+          solver clone, plus the template's full translation on a
           miss (a clone never translates); 0 on the warm path. A
           [rerepair] that repairs adds its repair's translation. *)
 }
 (** Solver effort attributed to one [recheck]/[rerepair] call: the
-    delta of the session's check finder over the call — counted from
-    zero when the call re-encoded, since its check finder is then new
+    delta of the session's check solver over the call — counted from
+    zero when the call re-encoded, since its check solver is then new
     — plus, for a [rerepair] that repairs, the whole telemetry of its
     {!Echo.Repair.run_all}. *)
 
@@ -147,12 +152,11 @@ val open_session :
     variant.
 
     Opening translates nothing: the first [recheck]/[rerepair] builds
-    the check stage, as a clone of the translation template of the
-    session's shape — a solver clone where another session of that
-    shape already built one, a full translation (kept as the
-    template) otherwise. Either way that call reports
-    [translated = true], with the clone or translation wall in
-    [translate_s]. Every re-encode takes its check stage the same way.
+    the check stage, as a solver clone of the translation template of
+    the session's shape — after a full translation, kept as the
+    template, where no session of that shape built one yet. Either
+    way that call reports [translated = true], with the clone or
+    translation wall in [translate_s]. Every re-encode takes its check stage the same way.
     The server's [open] verb and its snapshot revival both open
     sessions here, so a revived session costs a clone once its shape
     is in the table. *)
@@ -182,7 +186,7 @@ val apply_edits : t -> (Mdl.Ident.t * Mdl.Edit.t list) list -> (unit, string) re
 
 val recheck : ?blame:bool -> t -> (check_report, string) result
 (** Re-check consistency of the current models: one assumption-solve
-    per top directional check on the warm check finder. With
+    per top directional check on the warm check solver. With
     [blame] (default [false]), each violated direction carries a
     minimized fact blame set (extra solves). Verdicts agree with
     {!Qvtr.Check.run} on the current models. *)
@@ -190,7 +194,7 @@ val recheck : ?blame:bool -> t -> (check_report, string) result
 val rerepair : ?limit:int -> t -> (repair_report, string) result
 (** Least-change repair of the current models over the session's
     target set. Consistency is checked first, as one assumption solve
-    on the warm check finder ([Already_consistent] then). Otherwise
+    on the warm check solver ([Already_consistent] then). Otherwise
     the repair is {!Echo.Repair.run_all} (up to [limit] distinct
     repairs, default 16) over {!Echo.Space.build} of the current
     models with [extra_values = value_universe], [slack_objects =

@@ -8,7 +8,7 @@
     the top of that stack, or — when the stack is empty — the
     {e context} installed by {!with_context}. [Parallel.Pool.submit]
     captures {!current} at submission time and wraps the task in
-    {!with_context}, so spans opened inside a pool future attach to the
+    {!with_context}, so spans opened inside a pool task attach to the
     submitting span while still rendering on the worker's track (the
     exporter draws a flow arrow between the two).
 

@@ -1,5 +1,5 @@
-(** A dependency-free domain pool: worker domains pulling thunks from a
-    shared queue, with futures.
+(** A dependency-free domain pool: worker domains pulling
+    fire-and-forget thunks from a shared queue.
 
     The pool is the scheduler of the transformation server
     ({!Server.Engine} runs each session's turns on it) but carries no
@@ -8,9 +8,6 @@
 
 type t
 (** A pool of worker domains. *)
-
-type 'a future
-(** Handle on a submitted task's eventual result. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
@@ -27,20 +24,18 @@ val create : jobs:int -> t
 val jobs : t -> int
 (** Worker count the pool was created with. *)
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task. Raises [Invalid_argument] on a pool that has been
-    shut down.
+val submit : t -> (unit -> unit) -> unit
+(** Enqueue a task. Nothing waits on it: a task reports its own
+    outcome, and an exception it raises is dropped (the worker goes on
+    with the next task). Raises [Invalid_argument] on a pool that has
+    been shut down.
 
     The submitter's {!Obs.Trace.current} context is captured here and
     installed around the task ({!Obs.Trace.with_context}), so spans the
     task opens attach to the submitting span while rendering on the
     worker domain's own trace track. *)
 
-val await : 'a future -> 'a
-(** Block until the task resolves; re-raises the task's exception. *)
-
-val result : 'a future -> ('a, exn) result
-(** Like {!await} without re-raising. *)
-
 val shutdown : t -> unit
-(** Drain the queue, stop and join the workers. Idempotent. *)
+(** Drain the queue, stop and join the workers. Idempotent. Once it
+    returns, every task submitted before it has run, so their effects
+    can be read. *)

@@ -265,8 +265,6 @@ let params t = List.map (fun (p : Ast.param) -> p.Ast.par_name) t.trans.Ast.t_pa
 let slack_atom_names t p =
   Option.value ~default:[] (Ident.Map.find_opt p t.slack)
 
-let has_value t v = Value.Map.mem v t.value_index
-
 let values t = List.map fst (Value.Map.bindings t.value_index)
 
 let atom_idx t name =

@@ -97,10 +97,6 @@ val param_of_rel : Mdl.Ident.t -> Mdl.Ident.t option
     ["<param>$..."], so this is the prefix before the first ['$']
     ([None] without one). *)
 
-val has_value : t -> Mdl.Value.t -> bool
-(** Whether a value has an atom in the universe. An edit introducing a
-    value outside it cannot be expressed over this encoding. *)
-
 val values : t -> Mdl.Value.t list
 (** All values with atoms in the universe (sorted). Feeding these back
     as [extra_values] of a later {!create} reproduces the same value

@@ -9,13 +9,15 @@ type t = {
   enc : Encode.t;
   info : Typecheck.info;
   mode : mode;
-  unroll : int;
   narrow : bool;
   mutable gensym : int;
 }
 
-let create ?(mode = Extended) ?(unroll = 8) ?(narrow = true) enc info =
-  { enc; info; mode; unroll; narrow; gensym = 0 }
+(* Inlining depth of relation calls (see the interface). *)
+let unroll = 8
+
+let create ?(mode = Extended) ?(narrow = true) enc info =
+  { enc; info; mode; narrow; gensym = 0 }
 
 exception Compile_error of string
 
@@ -397,7 +399,7 @@ let match_formula t (r : Ast.relation) =
   let narrowings = List.concat_map (fun (_, _, n) -> n) compiled in
   let preds =
     List.map
-      (compile_pred t env vmap ~direction:pseudo ~depth:t.unroll)
+      (compile_pred t env vmap ~direction:pseudo ~depth:unroll)
       (Ast.preds (r.Ast.r_when @ r.Ast.r_where))
   in
   let roots =
@@ -439,7 +441,7 @@ let match_formula t (r : Ast.relation) =
     | qs -> RAst.Exists (qs, body))
 
 let direction_formula t r dep =
-  compile_direction t r dep ~vmap:id_vmap ~bound_roots:Ident.Set.empty ~depth:t.unroll
+  compile_direction t r dep ~vmap:id_vmap ~bound_roots:Ident.Set.empty ~depth:unroll
   |> Relog.Simplify.formula
 
 let relation_formulas t r =

@@ -21,10 +21,10 @@
     renaming, in the projected direction (§2.3); [where]-calls keep
     the caller's target, [when]-calls (and where-calls to relations
     with no target-side domain) check the callee's own directional
-    conjunction at the bound roots. Inlining depth is bounded by
-    [unroll]; beyond it a call compiles to [False], an
-    under-approximation (only relevant when recursion was explicitly
-    allowed at type-check time). *)
+    conjunction at the bound roots. Inlining is at most 8 calls deep;
+    beyond that a call compiles to [False], an under-approximation
+    (only relevant when recursion was explicitly allowed at type-check
+    time). *)
 
 type mode =
   | Extended  (** honour [dependencies] blocks (paper §2.2) *)
@@ -36,14 +36,13 @@ exception Compile_error of string
 (** Raised on inputs the type checker should have rejected (used
     directly only when callers skip {!Typecheck}). *)
 
-val create :
-  ?mode:mode -> ?unroll:int -> ?narrow:bool -> Encode.t -> Typecheck.info -> t
-(** [unroll] defaults to 8. [narrow] (default true) restricts the
-    quantifier domain of a value variable matched by an attribute
-    pattern [x.a = v] to the slot [x.a] instead of the whole value
-    type — semantics-preserving (outside the slot the pattern equation
-    is false anyway) and the key to polynomial-degree reduction in
-    grounding; disable for the ablation benchmark. *)
+val create : ?mode:mode -> ?narrow:bool -> Encode.t -> Typecheck.info -> t
+(** [narrow] (default true) restricts the quantifier domain of a
+    value variable matched by an attribute pattern [x.a = v] to the
+    slot [x.a] instead of the whole value type — semantics-preserving
+    (outside the slot the pattern equation is false anyway) and the
+    key to polynomial-degree reduction in grounding; disable for the
+    ablation benchmark. *)
 
 val direction_formula :
   t -> Ast.relation -> Ast.dependency -> Relog.Ast.formula

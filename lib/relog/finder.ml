@@ -10,22 +10,12 @@ type t = {
   mutable n_blocked : int;
 }
 
-let make trans =
-  {
-    trans;
-    last = None;
-    solve_s = 0.0;
-    n_sat = 0;
-    n_unsat = 0;
-    n_blocked = 0;
-  }
-
 let solver t = Translate.solver t.trans
 
 let create bnds =
   let trans = Translate.create bnds in
   List.iter (Translate.materialize trans) (Bounds.relations bnds);
-  make trans
+  { trans; last = None; solve_s = 0.0; n_sat = 0; n_unsat = 0; n_blocked = 0 }
 
 let prepare bnds formulas =
   let t = create bnds in
@@ -33,8 +23,6 @@ let prepare bnds formulas =
   t
 
 let guard t f = Translate.formula_lit t.trans f
-
-let clone ~bounds t = make (Translate.clone ~bounds t.trans)
 
 let translation t = t.trans
 

@@ -17,7 +17,8 @@ val prepare : Bounds.t -> Ast.formula list -> t
 val create : Bounds.t -> t
 (** A finder over the bounds with nothing asserted yet: all bound
     relations are materialized, formulas arrive later through
-    {!guard}. How a session's check-stage template is built. *)
+    {!guard}. How a session's check-stage template is built, before
+    it keeps only a {!Sat.Solver.clone} of the finder's solver. *)
 
 val guard : t -> Ast.formula -> Sat.Lit.t
 (** Translate one formula to a {e guard literal} equivalent to it,
@@ -29,19 +30,7 @@ val guard : t -> Ast.formula -> Sat.Lit.t
     formulas purely through assumptions, so one translation and
     solver serve every edit state its universe can express. Thanks to
     the memoized lowering, guarding a formula already seen costs a
-    memo lookup and returns the same literal. Raises
-    [Invalid_argument] on a {!clone}. *)
-
-val clone : bounds:Bounds.t -> t -> t
-(** [clone ~bounds t]: a finder over {!Translate.clone} of [t]'s
-    translation, read through [bounds] (same relations, index tuples
-    and universe size as [t]'s, every atom a routed formula names at
-    the same index). Guard literals [t] returned mean the same in the
-    clone. The clone is read-only: it solves, blocks and enumerates,
-    but {!guard} on it raises [Invalid_argument]. It forgets [t]'s
-    last model and starts with zeroed telemetry. [t] is only read; it
-    must never be solved or written again, since the clone reads its
-    translation tables. *)
+    memo lookup and returns the same literal. *)
 
 val translation : t -> Translate.t
 val solver : t -> Sat.Solver.t

@@ -42,11 +42,7 @@ end)
    key on (node id, environment projected onto the node's free
    variables), so a subtree is lowered once per distinct binding of
    the variables it actually mentions — ground subtrees exactly once —
-   instead of once per occurrence per quantifier grounding.
-
-   A [clone] shares every table with the context it was cloned from
-   and only reads them ([read_only]): the builder, Tseitin cache,
-   store, primaries, matrices and memos belong to the original. *)
+   instead of once per occurrence per quantifier grounding. *)
 type t = {
   builder : C.builder;
   sat : Sat.Solver.t;
@@ -58,7 +54,6 @@ type t = {
   rel_matrices : matrix Rel_tbl.t;
   e_memo : matrix Memo.t;
   f_memo : C.t Memo.t;
-  read_only : bool;  (* a clone: the tables above belong to another context *)
   (* memo lookups of the current translation call, added to the
      process-wide relog.memo_hits/misses counters when it ends *)
   mutable hits : int;
@@ -81,7 +76,6 @@ let create bnds =
     rel_matrices = Rel_tbl.create 64;
     e_memo = Memo.create 1024;
     f_memo = Memo.create 1024;
-    read_only = false;
     hits = 0;
     misses = 0;
     translate_s = 0.0;
@@ -90,25 +84,6 @@ let create bnds =
 
 let solver t = t.sat
 let bounds t = t.bnds
-
-(* The original must never be written again (see the interface): both
-   contexts read its tables. *)
-let clone ~bounds t =
-  Obs.Trace.with_span ~name:"translate.clone" (fun () ->
-      {
-        t with
-        sat = Sat.Solver.clone t.sat;
-        bnds = bounds;
-        read_only = true;
-        hits = 0;
-        misses = 0;
-        translate_s = 0.0;
-        translate_events = 0;
-      })
-
-let writable t what =
-  if t.read_only then
-    invalid_arg (Printf.sprintf "Translate.%s: the context is a read-only clone" what)
 
 let matrix_of_rel t r =
   match Rel_tbl.find_opt t.rel_matrices r with
@@ -453,7 +428,6 @@ let lower t f =
           formula t Ident.Map.empty hf))
 
 let assert_formula t f =
-  writable t "assert_formula";
   Obs.Metrics.incr m_formulas;
   Obs.Trace.with_span ~name:"translate.formula" (fun () ->
       timed t (fun () ->
@@ -462,7 +436,6 @@ let assert_formula t f =
               Sat.Tseitin.assert_true t.tseitin node)))
 
 let formula_lit t f =
-  writable t "formula_lit";
   Obs.Metrics.incr m_formulas;
   Obs.Trace.with_span ~name:"translate.formula" (fun () ->
       timed t (fun () ->
@@ -473,7 +446,6 @@ let formula_lit t f =
 let primary_var t r tuple = Hashtbl.find_opt t.primaries (r, tuple)
 
 let materialize t r =
-  writable t "materialize";
   Obs.Metrics.incr m_relations;
   Obs.Trace.with_span ~name:"translate.materialize"
     ~args:(fun () -> [ ("relation", Obs.Json.String (Ident.name r)) ])

@@ -27,22 +27,6 @@ val create : Bounds.t -> t
 val solver : t -> Sat.Solver.t
 val bounds : t -> Bounds.t
 
-val clone : bounds:Bounds.t -> t -> t
-(** [clone ~bounds t]: a read-only context over {!Sat.Solver.clone}
-    of [t]'s solver that holds exactly the translation [t] holds, read
-    through [bounds] in place of [t]'s own. [bounds] must bind the
-    same relations to the same index tuples over a universe of the
-    same size, and every atom a translated formula names must keep its
-    index: then only atom names differ, and nothing index-keyed does.
-    The clone shares [t]'s tables (builder, Tseitin cache, store,
-    primaries, matrices, memos) and never writes them:
-    {!assert_formula}, {!formula_lit} and {!materialize} on a clone
-    raise [Invalid_argument]. Its solver is its own: solving it, or
-    adding clauses to it, leaves [t] untouched. [t] is only read, so
-    several domains may clone it at once — provided nothing ever
-    writes to [t] again. Counters and translation time start at zero
-    and stay there. *)
-
 exception Unsupported of string
 (** Raised on ill-formed input: unbound relation names, arity abuse,
     unbound variables, or atoms outside the universe. *)
@@ -87,8 +71,6 @@ type stats = {
 val stats : t -> stats
 (** Translation-size and -time telemetry. [vars]/[clauses] read the
     context's solver, so they cover everything encoded into it,
-    translation or not. A clone's sizes start at its original's; its
-    [formulas] and [translate_time] stay zero, since it never
-    translates. *)
+    translation or not. *)
 
 val pp_stats : Format.formatter -> stats -> unit

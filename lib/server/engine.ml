@@ -598,10 +598,10 @@ let rec run_turns t e =
   Mutex.unlock t.mu;
   if more then begin
     if Parallel.Pool.jobs t.pool = 1 then run_turns t e
-    else ignore (Parallel.Pool.submit t.pool (fun () -> run_turns t e))
+    else Parallel.Pool.submit t.pool (fun () -> run_turns t e)
   end
 
-let schedule t e = ignore (Parallel.Pool.submit t.pool (fun () -> run_turns t e))
+let schedule t e = Parallel.Pool.submit t.pool (fun () -> run_turns t e)
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)

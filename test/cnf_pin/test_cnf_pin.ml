@@ -285,6 +285,16 @@ let clone_before_solve () =
   let states = List.map (fun m -> check_pins enc m finder) states in
   search_of c (solve_directions c states guards)
 
+(* (g) A clone of a clone of (b)'s check solver, both taken before any
+   solve, re-solving (b). A template keeps such a clone of the solver
+   it built, and every session clones that clone: it must give (b)'s
+   exact counters and answers, as (f) does. *)
+let clone_of_clone () =
+  let enc, states, finder, guards = check_finder () in
+  let c = Sat.Solver.clone (Sat.Solver.clone (Relog.Finder.solver finder)) in
+  let states = List.map (fun m -> check_pins enc m finder) states in
+  search_of c (solve_directions c states guards)
+
 (* (c) Pigeonhole 8 -> 7: thousands of conflicts and several learnt
    database reductions. *)
 let pigeonhole () =
@@ -348,5 +358,8 @@ let () =
           search_case "clone of the E8 solver after enumeration" clone_e8
             { decisions = 312; propagations = 19804; conflicts = 95; restarts = 0; reduces = 0;
               learnt = 159; answers = "92b09651dca25b96bb655d6cb072d954" };
+          search_case "clone of a never-solved clone" clone_of_clone
+            { decisions = 5494; propagations = 29428; conflicts = 6; restarts = 0; reduces = 0;
+              learnt = 6; answers = "3e2ecfee84a1f9ac10027e00fe2403d6" };
         ] );
     ]

@@ -106,36 +106,6 @@ let test_translate_memo () =
   Alcotest.(check bool) "second lowering is a memo hit" true
     (Obs.Metrics.counter_value (Obs.Metrics.counter "relog.memo_hits") > hits0)
 
-(* A clone shares its original's tables and writes none of them: each
-   write raises, and the original keeps its clauses and guards. *)
-let test_clone_read_only () =
-  let u = universe 3 in
-  let fd = Relog.Finder.create (bounds_st u) in
-  let f = A.Forall ([ (I.make "x", A.rel "S") ], A.in_ (A.var "x") (A.rel "T")) in
-  let g = Relog.Finder.guard fd f in
-  let solver = Relog.Finder.solver fd in
-  let clauses = Sat.Solver.nb_clauses solver and vars = Sat.Solver.nb_vars solver in
-  let c = Relog.Finder.clone ~bounds:(bounds_st u) fd in
-  let ct = Relog.Finder.translation c in
-  let raises what f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s on a clone must raise" what
-  in
-  raises "guard" (fun () -> ignore (Relog.Finder.guard c (A.Some_ (A.rel "S"))));
-  raises "formula_lit" (fun () -> ignore (T.formula_lit ct f));
-  raises "assert_formula" (fun () -> T.assert_formula ct (A.Some_ (A.rel "T")));
-  raises "materialize" (fun () -> T.materialize ct (I.make "S"));
-  (* the clone still solves under the original's guard *)
-  Alcotest.(check bool) "clone solves under the guard" true
-    (match Relog.Finder.solve ~assumptions:[ g ] c with
-    | Relog.Finder.Sat _ -> true
-    | Relog.Finder.Unsat -> false);
-  Alcotest.(check int) "template clauses unchanged" clauses (Sat.Solver.nb_clauses solver);
-  Alcotest.(check int) "template variables unchanged" vars (Sat.Solver.nb_vars solver);
-  Alcotest.(check int) "template guard unchanged" g (Relog.Finder.guard fd f);
-  Alcotest.(check int) "re-guarding adds no clause" clauses (Sat.Solver.nb_clauses solver)
-
 let suite =
   [
     Alcotest.test_case "node sharing" `Quick test_sharing;
@@ -144,5 +114,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_eval_equivalence;
     QCheck_alcotest.to_alcotest prop_simplify_idempotent;
     Alcotest.test_case "translation memo" `Quick test_translate_memo;
-    Alcotest.test_case "clones are read-only" `Quick test_clone_read_only;
   ]

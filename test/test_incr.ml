@@ -524,6 +524,44 @@ let test_reencodes_keep_memory_flat () =
     true
     (float_of_int last <= 1.5 *. float_of_int first)
 
+(* A check stage is a clone of its template's solver and nothing more
+   of the template: no translation tables, no template solver. After
+   its first recheck a session holds little beyond a solver clone of
+   its shape (its models, encoding and primary table are the rest). *)
+let test_check_stage_keeps_no_template () =
+  let cfs, fm =
+    state ~cf1:[ "A"; "B" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false); ("C", false) ]
+  in
+  let sess = open_exn ~headroom:2 ~cfs ~fm [ "cf1"; "cf2" ] in
+  ignore (recheck_exn sess);
+  let held = Obj.reachable_words (Obj.repr sess) in
+  let models = F.bind ~cfs ~fm in
+  let info =
+    match Qvtr.Typecheck.check trans ~metamodels with
+    | Ok info -> info
+    | Error _ -> Alcotest.fail "typecheck"
+  in
+  let enc =
+    match
+      Qvtr.Encode.create ~transformation:trans ~metamodels ~models ~slack_objects:2 ()
+    with
+    | Ok enc -> enc
+    | Error e -> Alcotest.fail e
+  in
+  let fd =
+    Relog.Finder.create
+      (Qvtr.Encode.bounds enc ~targets:(Ident.Set.of_list (List.map fst models)))
+  in
+  List.iter
+    (fun (_, _, f) -> ignore (Relog.Finder.guard fd f))
+    (Qvtr.Semantics.top_formulas (Qvtr.Semantics.create enc info));
+  let clone = Obj.reachable_words (Obj.repr (Sat.Solver.clone (Relog.Finder.solver fd))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "session live words (%d) within 1.5x of a solver clone of its shape (%d)"
+       held clone)
+    true
+    (float_of_int held <= 1.5 *. float_of_int clone)
+
 (* ------------------------------------------------------------------ *)
 (* Translation templates                                               *)
 
@@ -1194,4 +1232,6 @@ let suite =
       test_oneshot_only_orbit;
     Alcotest.test_case "rerepair stats count a Cannot_restore ladder" `Quick
       test_cannot_restore_stats;
+    Alcotest.test_case "check stage keeps no template" `Quick
+      test_check_stage_keeps_no_template;
   ]

@@ -16,7 +16,6 @@ let () =
       ("parallel", Test_parallel.suite);
       ("sat.circuit", Test_circuit.suite);
       ("sat.cardinality", Test_cardinality.suite);
-      ("sat.dimacs", Test_dimacs.suite);
       ("relog.rel", Test_rel.suite);
       ("relog.eval", Test_eval.suite);
       ("relog.simplify", Test_simplify.suite);

@@ -390,18 +390,12 @@ let test_span_survives_raise () =
 let test_pool_handoff () =
   with_tracing @@ fun () ->
   let pool = Parallel.Pool.create ~jobs:4 in
-  let futures = ref [] in
   T.with_span ~name:"submit" (fun () ->
-      futures :=
-        List.init 4 (fun _ ->
-            Parallel.Pool.submit pool (fun () ->
-                T.with_span ~name:"child" (fun () -> Domain.cpu_relax ()))));
-  List.iter
-    (fun f ->
-      match Parallel.Pool.result f with
-      | Ok () -> ()
-      | Error e -> raise e)
-    !futures;
+      for _ = 1 to 4 do
+        Parallel.Pool.submit pool (fun () ->
+            T.with_span ~name:"child" (fun () -> Domain.cpu_relax ()))
+      done);
+  (* shutdown joins the workers: every child has run *)
   Parallel.Pool.shutdown pool;
   let evs = T.events () in
   let submit = find_begin "submit" evs in

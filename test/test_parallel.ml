@@ -1,6 +1,7 @@
-(* Tests for the multicore layer: the domain pool (futures, inline
-   jobs = 1 mode), solver cloning (session translation templates clone
-   a never-solved solver) and the solver's cooperative interrupt. *)
+(* Tests for the multicore layer: the domain pool (fire-and-forget
+   tasks, inline jobs = 1 mode), solver cloning (session check stages
+   clone a never-solved template solver) and the solver's cooperative
+   interrupt. *)
 
 module P = Parallel.Pool
 module S = Sat.Solver
@@ -14,25 +15,30 @@ let with_pool ~jobs f =
   Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
 
 let test_inline_pool () =
+  let order = ref [] in
   with_pool ~jobs:1 (fun pool ->
       Alcotest.(check int) "jobs" 1 (P.jobs pool);
-      let order = ref [] in
-      let f =
-        P.submit pool (fun () ->
-            order := 1 :: !order;
-            41)
-      in
-      order := 2 :: !order;
-      Alcotest.(check int) "result" 41 (P.await f);
-      (* jobs = 1 runs the task inline, during submit *)
-      Alcotest.(check (list int)) "ran at submit time" [ 2; 1 ] !order)
+      P.submit pool (fun () -> order := 1 :: !order);
+      order := 2 :: !order);
+  (* jobs = 1 runs the task inline, during submit *)
+  Alcotest.(check (list int)) "ran at submit time" [ 2; 1 ] !order
 
-let test_submit_await () =
+(* Every task runs, a raising one included, and shutdown returns only
+   once they all have. *)
+let test_submit_runs_every_task () =
+  let squares = Array.make 20 0 in
+  let ran = Atomic.make 0 in
   with_pool ~jobs:2 (fun pool ->
-      let futs = List.init 20 (fun i -> P.submit pool (fun () -> i * i)) in
-      List.iteri
-        (fun i f -> Alcotest.(check int) "square" (i * i) (P.await f))
-        futs)
+      P.submit pool (fun () ->
+          Atomic.incr ran;
+          failwith "dropped");
+      for i = 0 to 19 do
+        P.submit pool (fun () ->
+            squares.(i) <- i * i;
+            Atomic.incr ran)
+      done);
+  Alcotest.(check int) "every task ran" 21 (Atomic.get ran);
+  Array.iteri (fun i sq -> Alcotest.(check int) "square" (i * i) sq) squares
 
 (* ------------------------------------------------------------------ *)
 (* solver cloning                                                      *)
@@ -161,6 +167,13 @@ let pigeonhole n m =
   done;
   s
 
+(* A solve running on a domain of its own, to interrupt from this one. *)
+let solve_on_domain s =
+  Domain.spawn (fun () ->
+      match S.solve s with
+      | r -> `Finished r
+      | exception S.Interrupted -> `Interrupted)
+
 let test_interrupt_then_solve () =
   let s = pigeonhole 6 5 in
   S.interrupt s;
@@ -175,19 +188,13 @@ let test_interrupt_running_solve () =
   (* php(10,9) takes far longer than the interrupt latency; the test
      passes either way but exercises the mid-solve path in practice *)
   let s = pigeonhole 10 9 in
-  with_pool ~jobs:2 (fun pool ->
-      let f =
-        P.submit pool (fun () ->
-            match S.solve s with
-            | r -> `Finished r
-            | exception S.Interrupted -> `Interrupted)
-      in
-      Unix.sleepf 0.05;
-      S.interrupt s;
-      match P.await f with
-      | `Interrupted -> ()
-      | `Finished S.Unsat -> () (* solved before the interrupt landed *)
-      | `Finished S.Sat -> Alcotest.fail "php(10,9) cannot be sat")
+  let d = solve_on_domain s in
+  Unix.sleepf 0.05;
+  S.interrupt s;
+  match Domain.join d with
+  | `Interrupted -> ()
+  | `Finished S.Unsat -> () (* solved before the interrupt landed *)
+  | `Finished S.Sat -> Alcotest.fail "php(10,9) cannot be sat"
 
 let test_interrupt_latency () =
   (* interrupt is polled every 64 trail positions inside propagate,
@@ -197,29 +204,23 @@ let test_interrupt_latency () =
      loaded CI box, tight enough to catch a lost poll (which would run
      to completion). *)
   let s = pigeonhole 11 10 in
-  with_pool ~jobs:2 (fun pool ->
-      let f =
-        P.submit pool (fun () ->
-            match S.solve s with
-            | r -> `Finished r
-            | exception S.Interrupted -> `Interrupted)
-      in
-      Unix.sleepf 0.05;
-      let t0 = Unix.gettimeofday () in
-      S.interrupt s;
-      let outcome = P.await f in
-      let latency = Unix.gettimeofday () -. t0 in
-      (match outcome with
-      | `Interrupted | `Finished S.Unsat -> ()
-      | `Finished S.Sat -> Alcotest.fail "php(11,10) cannot be sat");
-      Alcotest.(check bool)
-        (Printf.sprintf "interrupt latency %.3fs under bound" latency)
-        true (latency < 1.0))
+  let d = solve_on_domain s in
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  S.interrupt s;
+  let outcome = Domain.join d in
+  let latency = Unix.gettimeofday () -. t0 in
+  (match outcome with
+  | `Interrupted | `Finished S.Unsat -> ()
+  | `Finished S.Sat -> Alcotest.fail "php(11,10) cannot be sat");
+  Alcotest.(check bool)
+    (Printf.sprintf "interrupt latency %.3fs under bound" latency)
+    true (latency < 1.0)
 
 let suite =
   [
     Alcotest.test_case "inline pool (jobs = 1)" `Quick test_inline_pool;
-    Alcotest.test_case "submit and await" `Quick test_submit_await;
+    Alcotest.test_case "submit runs every task" `Quick test_submit_runs_every_task;
     Alcotest.test_case "clone equivalence (random CNFs)" `Slow
       test_clone_equivalence;
     Alcotest.test_case "clone equivalence after reduce_db" `Slow
