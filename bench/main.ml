@@ -287,8 +287,9 @@ let e7 () =
   done;
   Format.printf "  backends agree on the optimum: %d/%d cases@." !agreements !cases;
   (* A deep repair: m new mandatory features force a distance-4m
-     optimum, so the ladder climbs 4m + 1 rungs while the MaxSAT
-     descent takes a few weighted steps; both must agree. *)
+     optimum, so the iterative order takes 4m + 1 solves (4m UNSAT
+     cores, then the model at the optimum) while the MaxSAT descent
+     takes a few weighted steps; both must agree. *)
   let deep_m = 3 in
   let pool = G.feature_names 4 in
   let cfs = [ F.configuration ~name:"cf1" pool; F.configuration ~name:"cf2" pool ] in

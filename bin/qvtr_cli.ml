@@ -799,8 +799,9 @@ let backend_arg =
         "iterative"
     & info [ "backend" ]
         ~doc:
-          "Repair backend: iterative (Echo's distance ladder, climbing \
-           from distance 0) or maxsat (Echo's PMax-SAT extension: one \
+          "Repair backend: iterative (Echo's distance ladder, started \
+           at a lower bound proved from UNSAT cores) or maxsat (Echo's \
+           PMax-SAT extension: one \
            unbounded solve, then bounds below each model's distance \
            until UNSAT, then the ladder from there). Both find the same \
            minimal distance. $(b,--all) needs the iterative backend.")

@@ -35,52 +35,55 @@ let key models =
        (fun (p, m) -> Mdl.Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
        models)
 
-let ladder ~limit ~from ~total ~solve ~block ~decode ~models =
+let ladder ~limit ~from ~first ~total ~solve ~block ~decode ~models =
   if limit < 1 then invalid_arg "Repair.ladder: limit must be at least 1";
-  (* Every distinct conformant repair at distance k, up to [limit].
-     Rejected and duplicate instances are blocked without counting;
-     the last repair that fills the menu is not blocked, since nothing
-     is solved after it. A key is serialized only when it is compared,
-     so a [~limit:1] run serializes nothing. *)
-  let collect_at k =
+  (* Every distinct conformant repair at distance k, up to [limit],
+     starting from the outcome [next] (the rung's first solve, or the
+     model the caller already found there). Rejected and duplicate
+     instances are blocked without counting; the last repair that
+     fills the menu is not blocked, since nothing is solved after it.
+     A key is serialized only when it is compared, so a [~limit:1] run
+     serializes nothing. *)
+  let collect_at k next =
     let seen = Hashtbl.create 16 in
-    let rec go acc n =
-      match solve k with
+    let rec go next acc n =
+      match next with
       | Relog.Finder.Unsat -> acc
       | Relog.Finder.Sat inst -> (
         match decode inst with
         | Error _ ->
           block ();
-          go acc n
+          go (solve k) acc n
         | Ok r ->
           let id = lazy (key (models r)) in
           if n > 0 && Hashtbl.mem seen (Lazy.force id) then begin
             Obs.Metrics.incr m_dedup_discards;
             block ();
-            go acc n
+            go (solve k) acc n
           end
           else if n + 1 >= limit then (id, r) :: acc
           else begin
             Hashtbl.add seen (Lazy.force id) ();
             block ();
-            go ((id, r) :: acc) (n + 1)
+            go (solve k) ((id, r) :: acc) (n + 1)
           end)
     in
-    go [] 0
+    go next [] 0
   in
-  (* [collect_at k] also sees instances strictly below k, which earlier
-     rungs proved absent (below [from], the caller's last UNSAT solve),
-     so everything it returns is minimal. *)
-  let rec at_distance k =
+  (* [collect_at k] also sees instances strictly below k, which the
+     caller proved absent below [from] and earlier rungs above it, so
+     everything it returns is minimal. *)
+  let rec at_distance k first =
     if k > total then []
     else
-      match collect_at k with
-      | [] -> at_distance (k + 1)
+      let next = match first with Some inst -> Relog.Finder.Sat inst | None -> solve k in
+      match collect_at k next with
+      | [] -> at_distance (k + 1) None
       | found ->
         List.sort (fun (a, _) (b, _) -> String.compare (Lazy.force a) (Lazy.force b)) found
         |> List.map snd
   in
-  at_distance from
+  at_distance from first
 
 (* ------------------------------------------------------------------ *)
 (* One-shot runs                                                       *)
@@ -92,6 +95,7 @@ type search = {
   backend : backend;
   finder : Relog.Finder.t;
   sbp_guard : Sat.Lit.t list;  (* assumed first by every solve *)
+  changes : (Sat.Lit.t * int) list;  (* change literals and their weights *)
   card : Sat.Cardinality.t;
   total : int;  (* total weight = totalizer input count = ladder cap *)
   started : float;
@@ -130,6 +134,7 @@ let start backend space =
     backend;
     finder;
     sbp_guard;
+    changes;
     card;
     total = List.length inputs;
     started = Obs.Clock.now ();
@@ -138,14 +143,14 @@ let start backend space =
     levels = [];
   }
 
-let step sc k =
+(* One solve, counted at distance bound [k]. *)
+let solve_at sc k assumptions =
   sc.iterations <- sc.iterations + 1;
   Obs.Metrics.incr m_iterations;
   (sc.levels <-
      (match sc.levels with
      | (k', n) :: rest when k' = k -> (k', n + 1) :: rest
      | levels -> (k, 1) :: levels));
-  let assumptions = sc.sbp_guard @ Sat.Cardinality.at_most sc.card k in
   Obs.Trace.with_span ~name:"solve"
     ~args:(fun () ->
       [
@@ -154,6 +159,9 @@ let step sc k =
         ("assumptions", Obs.Json.Int (List.length assumptions));
       ])
     (fun () -> Relog.Finder.solve ~assumptions sc.finder)
+
+(* A rung: distance at most [k]. *)
+let step sc k = solve_at sc k (sc.sbp_guard @ Sat.Cardinality.at_most sc.card k)
 
 let telemetry sc =
   let fs = Relog.Finder.stats sc.finder in
@@ -194,6 +202,71 @@ let descend space sc =
   | Relog.Finder.Unsat -> None
   | Relog.Finder.Sat inst -> tighten (Space.relational_distance space inst)
 
+(* A soft assumption of [lower_bound]: a negated change literal, or
+   the bound [at_most t b] of a core totalizer [t]. *)
+type soft = {
+  lit : Sat.Lit.t;
+  mutable weight : int;  (* 0 once spent on cores *)
+  sum : (Sat.Cardinality.t * int) option;  (* [(t, b)] for a totalizer bound *)
+}
+
+(* The iterative order's start, core-guided (OLL, Morgado, Dodaro and
+   Marques-Silva, CP 2014, with the weight splitting of RC2): solve
+   under the SBP guard and every soft assumption, first "nothing
+   changes". An UNSAT core of least weight [m] raises the bound by
+   [m]; its heavier literals stay soft at the rest of their weight, a
+   totalizer over its negated literals relaxes it (bound 1, weight
+   [m]), and each totalizer bound in it adds weight [m] to the next
+   bound of its totalizer. Every model has distance at least the
+   bound, so the first SAT model, which satisfies every soft
+   assumption, is at the optimum: [Some (bound, model)]. [None] when a
+   core holds no soft assumption (the guard alone never excludes
+   every model), i.e. nothing restores consistency. *)
+let lower_bound sc =
+  let solver = Relog.Finder.solver sc.finder in
+  let softs = Hashtbl.create 64 in
+  let order = ref [] (* reversed creation order *) in
+  let add lit weight sum =
+    match Hashtbl.find_opt softs lit with
+    | Some s -> s.weight <- s.weight + weight
+    | None ->
+      let s = { lit; weight; sum } in
+      Hashtbl.add softs lit s;
+      order := s :: !order
+  in
+  let relax t b weight =
+    List.iter (fun l -> add l weight (Some (t, b))) (Sat.Cardinality.at_most t b)
+  in
+  List.iter (fun (l, w) -> add (Sat.Lit.neg l) w None) sc.changes;
+  let rec go bound =
+    let assumptions =
+      List.fold_left (fun acc s -> if s.weight > 0 then s.lit :: acc else acc) [] !order
+    in
+    match solve_at sc bound (sc.sbp_guard @ assumptions) with
+    | Relog.Finder.Sat inst -> Some (bound, inst)
+    | Relog.Finder.Unsat -> (
+      match List.filter_map (Hashtbl.find_opt softs) (Sat.Solver.unsat_core solver) with
+      | [] -> None
+      | core ->
+        let m = List.fold_left (fun m s -> min m s.weight) max_int core in
+        List.iter
+          (fun s ->
+            s.weight <- s.weight - m;
+            Option.iter (fun (t, b) -> relax t (b + 1) m) s.sum)
+          core;
+        if List.compare_length_with core 1 > 0 then begin
+          let inputs = List.map (fun s -> Sat.Lit.neg s.lit) core in
+          let t =
+            Obs.Trace.with_span ~name:"cnf.cardinality"
+              ~args:(fun () -> [ ("inputs", Obs.Json.Int (List.length inputs)) ])
+              (fun () -> Sat.Cardinality.build solver inputs)
+          in
+          relax t 1 m
+        end;
+        go (bound + m))
+  in
+  go 0
+
 let run_all ?(backend = Iterative) ?(limit = 16) space =
   (* Below 1 the collector would stop before its first solve at every
      rung and climb to a false [Cannot_restore]. *)
@@ -203,12 +276,16 @@ let run_all ?(backend = Iterative) ?(limit = 16) space =
     (* Translation failures of ill-formed input surface as [Error]. *)
     try
       let sc = start backend space in
-      let from = match backend with Iterative -> Some 0 | Maxsat -> descend space sc in
+      let optimum =
+        match backend with
+        | Iterative -> Option.map (fun (d, inst) -> (d, Some inst)) (lower_bound sc)
+        | Maxsat -> Option.map (fun d -> (d, None)) (descend space sc)
+      in
       let found =
-        match from with
+        match optimum with
         | None -> []
-        | Some from ->
-          ladder ~limit ~from ~total:sc.total ~solve:(step sc)
+        | Some (from, first) ->
+          ladder ~limit ~from ~first ~total:sc.total ~solve:(step sc)
             ~block:(fun () -> Relog.Finder.block sc.finder)
             ~decode:(fun inst ->
               match Space.decode_targets space inst with

@@ -15,14 +15,17 @@ type t = {
   solve_time : float;  (** seconds spent inside the solver *)
   distance_levels : (int * int) list;
       (** [(distance bound, solver calls at that bound)] in search
-          order; the MaxSAT backend's first entry is its unbounded
-          solve, at the total weight *)
+          order; the iterative backend's core-guided solves count at
+          their running lower bound, and the MaxSAT backend's first
+          entry is its unbounded solve, at the total weight *)
   blocked_nonconformant : int;
       (** instances that satisfied the encoding but failed full
           conformance and were excluded by a blocking clause *)
   cardinality_inputs : int;  (** change literals (weight-expanded) *)
-  cardinality_aux_vars : int;  (** totalizer variables *)
-  cardinality_clauses : int;  (** totalizer clauses *)
+  cardinality_aux_vars : int;
+      (** variables of the ladder's totalizer (not the core-guided
+          bound's core totalizers) *)
+  cardinality_clauses : int;  (** clauses of the ladder's totalizer *)
   total_time : float;  (** wall seconds for the whole repair *)
 }
 

@@ -490,10 +490,3 @@ let stats t =
     formulas = t.translate_events;
     translate_time = t.translate_s;
   }
-
-let pp_stats ppf st =
-  Format.fprintf ppf
-    "@[<h>%d vars (%d primary); %d clauses; %d relations materialized; \
-     translation %.3f ms@]"
-    st.vars st.primary_vars st.clauses st.relations
-    (st.translate_time *. 1000.)

@@ -72,5 +72,3 @@ val stats : t -> stats
 (** Translation-size and -time telemetry. [vars]/[clauses] read the
     context's solver, so they cover everything encoded into it,
     translation or not. *)
-
-val pp_stats : Format.formatter -> stats -> unit

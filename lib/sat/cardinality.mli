@@ -8,9 +8,12 @@
 
     The enforcement engine ({!Echo.Repair}) builds one over the
     weight-expanded change literals of a repair and assumes its
-    bounds rung by rung, in either order: climbing from 0 (Echo's
-    iterative search) or tightening below each model's distance (the
-    PMax-SAT backend's linear SAT-UNSAT search). *)
+    bounds rung by rung, in either order: climbing from a core-guided
+    lower bound (Echo's iterative search) or tightening below each
+    model's distance (the PMax-SAT backend's linear SAT-UNSAT search).
+    The core-guided bound builds one more per UNSAT core of more than
+    one literal, over the core's negated assumptions, and assumes its
+    bounds as soft literals (OLL). *)
 
 type t
 

@@ -6,7 +6,9 @@
     under assumptions. This is the search backend of the relational
     model finder ({!Relog.Finder}); both least-change rung orders of
     {!Echo.Repair} (Echo's ascending ladder and the PMax-SAT descent)
-    solve on it under {!Cardinality} bounds. *)
+    solve on it under {!Cardinality} bounds, and the ascending
+    ladder's core-guided lower bound reads {!unsat_core} after each
+    UNSAT solve instead of climbing from 0. *)
 
 type t
 

@@ -338,16 +338,20 @@ let test_k3_shapes () =
 
 (* The MaxSAT backend is Repair's descending rung order: one unbounded
    solve, bounds tightened below each model's distance until UNSAT,
-   then the ladder from the rung above that UNSAT solve. On random
-   weighted states and target sets it must find the iterative
-   ladder's optimum, on single-target CF repairs the weighted
-   exhaustive one, and its search must end with the descent's one
-   UNSAT solve right below the rung the ladder collects at. *)
+   then the ladder from the rung above that UNSAT solve. The iterative
+   order starts at the core-guided lower bound, whose weighted cores
+   (model weights 1-3 here) this is the main check on. On random
+   weighted states and target sets the two orders must find the same
+   optimum, on single-target CF repairs the weighted exhaustive one;
+   the descent's search must end with its one UNSAT solve right below
+   the rung the ladder collects at, and the iterative order must take
+   at most d* + 1 solves, since every core raises the bound by at
+   least 1. *)
 let prop_descent_finds_the_optimum =
   let trans = F.transformation ~k:2 in
   let pool = G.feature_names 3 in
-  QCheck.Test.make ~name:"maxsat descent finds the weighted optimum" ~count:40
-    QCheck.small_nat (fun seed ->
+  QCheck.Test.make ~name:"maxsat descent finds the weighted optimum" ~count:200
+    QCheck.(int_bound 999_999) (fun seed ->
       let rng = G.rng seed in
       let state = G.consistent_state rng ~k:2 ~n_features:3 in
       let cfs, fm =
@@ -398,29 +402,93 @@ let prop_descent_finds_the_optimum =
             = d
           | _ -> true
         in
-        distance it = d && ladder_from_optimum && exhaustive
+        let iterative_within =
+          match it with
+          | Some r when r.Eng.stats.Echo.Telemetry.blocked_nonconformant = 0 ->
+            r.Eng.iterations <= r.Eng.relational_distance + 1
+          | _ -> true
+        in
+        distance it = d && ladder_from_optimum && exhaustive && iterative_within
       | _ -> false)
 
-let test_descent_cannot_restore_in_one_solve () =
-  (* no consistent instance at any distance: the unbounded solve is
-     UNSAT, and the descent stops there *)
-  let s = Featuremodel.Scenarios.new_mandatory_feature in
+let solves_during f =
+  let before = (Sat.Solver.global_stats ()).Sat.Solver.solves in
+  let x = f () in
+  (x, (Sat.Solver.global_stats ()).Sat.Solver.solves - before)
+
+let test_cannot_restore_in_one_solve () =
+  (* no consistent instance at any distance: the descent's unbounded
+     solve is UNSAT, and so is the core-guided bound's first solve,
+     with a core that holds no change literal: no constraint but the
+     encoding's own is in conflict *)
   List.iter
-    (fun targets ->
-      let before = (Sat.Solver.global_stats ()).Sat.Solver.solves in
-      (match
-         enforce ~backend:Eng.Maxsat (F.transformation ~k:2)
-           s.Featuremodel.Scenarios.cfs s.Featuremodel.Scenarios.fm targets
-       with
-      | Ok Eng.Cannot_restore -> ()
-      | Ok o ->
-        Alcotest.failf "expected Cannot_restore, got %s" (Format.asprintf "%a" Eng.pp_outcome o)
-      | Error e -> Alcotest.fail e);
+    (fun (s : Featuremodel.Scenarios.t) ->
+      List.iter
+        (fun targets ->
+          List.iter
+            (fun backend ->
+              let what =
+                Printf.sprintf "%s / %s / %s" s.Featuremodel.Scenarios.s_name
+                  (String.concat "," targets) (Echo.Repair.backend_name backend)
+              in
+              let outcome, solves =
+                solves_during (fun () ->
+                    enforce ~backend (F.transformation ~k:2) s.Featuremodel.Scenarios.cfs
+                      s.Featuremodel.Scenarios.fm targets)
+              in
+              (match outcome with
+              | Ok Eng.Cannot_restore -> ()
+              | Ok o ->
+                Alcotest.failf "%s: expected Cannot_restore, got %s" what
+                  (Format.asprintf "%a" Eng.pp_outcome o)
+              | Error e -> Alcotest.fail e);
+              Alcotest.(check int) (what ^ ": one solve") 1 solves)
+            [ Eng.Iterative; Eng.Maxsat ])
+        s.Featuremodel.Scenarios.not_restorable)
+    Featuremodel.Scenarios.all
+
+(* The relational distance of every restorable target set of the
+   paper scenarios, as the bottom-up climb found it. *)
+let scenario_optima =
+  [
+    ("new-mandatory-feature", [ ([ "cf1"; "cf2" ], 4); ([ "fm" ], 2); ([ "cf1"; "cf2"; "fm" ], 2) ]);
+    ("feature-made-mandatory", [ ([ "cf2" ], 2); ([ "fm" ], 2); ([ "cf1"; "cf2" ], 2) ]);
+    ( "renamed-feature",
+      [ ([ "cf1" ], 2); ([ "fm" ], 5); ([ "fm"; "cf2" ], 4); ([ "cf1"; "cf2"; "fm" ], 2) ] );
+    ("unknown-selection", [ ([ "fm" ], 3); ([ "cf2" ], 2) ]);
+  ]
+
+let test_iterative_within_optimum_plus_one () =
+  (* the core-guided bound proves d* in d* UNSAT solves at most (each
+     core raises it by at least 1) and its SAT solve is the ladder's
+     first candidate: no more solves than the climb's d* + 1 *)
+  List.iter
+    (fun (s : Featuremodel.Scenarios.t) ->
+      let optima = List.assoc s.Featuremodel.Scenarios.s_name scenario_optima in
       Alcotest.(check int)
-        (String.concat "," targets ^ ": one solve")
-        1
-        ((Sat.Solver.global_stats ()).Sat.Solver.solves - before))
-    s.Featuremodel.Scenarios.not_restorable
+        (s.Featuremodel.Scenarios.s_name ^ ": every restorable set pinned")
+        (List.length s.Featuremodel.Scenarios.restorable)
+        (List.length optima);
+      List.iter
+        (fun targets ->
+          let what = s.Featuremodel.Scenarios.s_name ^ " / " ^ String.concat "," targets in
+          let optimum = List.assoc targets optima in
+          let outcome, solves =
+            solves_during (fun () ->
+                enforce ~backend:Eng.Iterative (F.transformation ~k:2)
+                  s.Featuremodel.Scenarios.cfs s.Featuremodel.Scenarios.fm targets)
+          in
+          match outcome with
+          | Ok (Eng.Enforced r) ->
+            Alcotest.(check int) (what ^ ": distance") optimum r.Eng.relational_distance;
+            if solves > optimum + 1 then
+              Alcotest.failf "%s: %d solves for d* = %d" what solves optimum
+          | Ok o ->
+            Alcotest.failf "%s: expected a repair, got %s" what
+              (Format.asprintf "%a" Eng.pp_outcome o)
+          | Error e -> Alcotest.fail e)
+        s.Featuremodel.Scenarios.restorable)
+    Featuremodel.Scenarios.all
 
 let suite =
   suite
@@ -430,6 +498,8 @@ let suite =
       Alcotest.test_case "k = 3 shapes" `Quick test_k3_shapes;
       Alcotest.test_case "negative slack is an error" `Quick test_negative_slack;
       QCheck_alcotest.to_alcotest prop_descent_finds_the_optimum;
-      Alcotest.test_case "maxsat cannot-restore in one solve" `Quick
-        test_descent_cannot_restore_in_one_solve;
+      Alcotest.test_case "cannot-restore in one solve (both orders)" `Quick
+        test_cannot_restore_in_one_solve;
+      Alcotest.test_case "iterative repair within d* + 1 solves" `Quick
+        test_iterative_within_optimum_plus_one;
     ]

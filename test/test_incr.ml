@@ -968,8 +968,10 @@ let test_replay_parse_errors () =
 
 (* The repair ladder's SAT work is booked as SAT work: every ladder
    solve runs under a [solve] span tagged [iterative] with its
-   distance, inside the [session.rerepair] span, and the totalizer
-   build under [cnf.cardinality]. *)
+   distance, inside the [session.rerepair] span, and every totalizer
+   build (the ladder's, and one per core of the core-guided lower
+   bound with more than one literal) under [cnf.cardinality], inside
+   it too. *)
 let test_rerepair_spans () =
   let cfs, fm =
     state ~cf1:[ "A"; "C" ] ~cf2:[ "B" ] ~fm:[ ("A", false); ("B", true) ]
@@ -1013,7 +1015,13 @@ let test_rerepair_spans () =
       Alcotest.(check bool) "assumptions tagged" true
         (List.mem_assoc "assumptions" e.args))
     ladder;
-  Alcotest.(check int) "one totalizer build" 1 (List.length (begins "cnf.cardinality"))
+  let totalizers = begins "cnf.cardinality" in
+  Alcotest.(check bool) "totalizers traced" true (totalizers <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "totalizer inside session.rerepair" true
+        (inside "session.rerepair" e))
+    totalizers
 
 (* ------------------------------------------------------------------ *)
 (* One symmetry scheme                                                 *)
