@@ -197,180 +197,61 @@ let run_enforce trans_file mm_file models_file targets standard backend
 
 (* ------------------------------------------------------------------ *)
 (* session: replay an edit script on a long-lived incremental session.
-
-   The replay is driven through Server.Engine — the same
-   request-handling core `qvtr serve` exposes over a socket — so the
-   CLI and the wire protocol cannot drift: every step is an
-   apply_edits + recheck request against a persistent "main" session,
-   compared with an open + recheck + close of a fresh session over the
-   same post-edit models, whose check stage is a translation-template
-   clone once its shape has been seen. *)
-
-module SP = Server.Protocol
-
-type session_step_record = {
-  ss_label : string;
-  ss_edits : int;
-  ss_rebuilt : bool;
-  ss_consistent : bool;
-  ss_match : bool;
-  ss_warm : Incr.Session.step_stats;
-  ss_scratch : Incr.Session.step_stats;
-}
+   Server.Replay sends the requests of `qvtr serve` to an in-process
+   engine, so the CLI and the wire protocol cannot drift. *)
 
 let run_session trans_file mm_file models_file edits_file targets standard
     slack headroom stats trace =
   with_trace trace @@ fun () ->
-  let mm_text = read_file mm_file in
-  let models_text = read_file models_file in
-  let prep =
-    let* mms = Mdl.Serialize.parse_metamodels mm_text in
-    let* models = Mdl.Serialize.parse_models mms models_text in
-    let* bs = Incr.Replay.blocks (read_file edits_file) in
-    (* validate every block up front so malformed scripts fail with
-       their replay-file line numbers before any solver work *)
-    let* snapshots =
-      List.fold_left
-        (fun acc (label, line, body) ->
-          let* acc = acc in
-          match Mdl.Serialize.parse_models mms body with
-          | Ok ms -> Ok ((label, body, ms) :: acc)
-          | Error e ->
-            Error
-              (Printf.sprintf "replay script: step %S (marker at line %d): %s"
-                 label line e))
-        (Ok []) bs
-    in
-    Ok (models, List.rev snapshots)
+  let spec =
+    {
+      Server.Protocol.o_transformation = read_file trans_file;
+      o_metamodels = read_file mm_file;
+      o_models = read_file models_file;
+      o_targets = targets;
+      o_standard = standard;
+      o_slack = slack;
+      o_headroom = headroom;
+    }
   in
-  match prep with
+  match Server.Replay.run spec (read_file edits_file) with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     2
-  | Ok (models, snapshots) -> (
-    let engine = Server.Engine.create ~jobs:1 () in
-    let spec =
-      {
-        SP.o_transformation = read_file trans_file;
-        o_metamodels = mm_text;
-        o_models = models_text;
-        o_targets = targets;
-        o_standard = standard;
-        o_slack = slack;
-        o_headroom = headroom;
-      }
+  | Ok records ->
+    Format.printf "%-28s %5s %6s %6s %5s  %-26s %-26s@." "step" "edits"
+      "re-enc" "consis" "match" "session (ms/confl/props)"
+      "scratch (ms/confl/props)";
+    let pp_side (s : Incr.Session.step_stats) =
+      Printf.sprintf "%8.2f %6d %9d" (s.Incr.Session.wall *. 1000.)
+        s.Incr.Session.conflicts s.Incr.Session.propagations
     in
-    let next_id = ref 0 in
-    let call session q_req =
-      incr next_id;
-      let resp =
-        Server.Engine.call engine
-          { SP.q_id = !next_id; q_session = session; q_req }
+    List.iter
+      (fun (r : Server.Replay.step) ->
+        Format.printf "%-28s %5d %6s %6s %5s  %-26s %-26s@." r.label r.edits
+          (if r.rebuilt then "yes" else "-")
+          (if r.consistent then "yes" else "no")
+          (if r.verdicts_match then "yes" else "NO")
+          (pp_side r.warm) (pp_side r.scratch))
+      records;
+    if stats then begin
+      let sum f =
+        List.fold_left
+          (fun (a, b) (r : Server.Replay.step) ->
+            (a + f r.warm, b + f r.scratch))
+          (0, 0) records
       in
-      resp.SP.s_result
-    in
-    let checked = function
-      | SP.Checked { consistent; verdicts; stats } ->
-        Ok (consistent, verdicts, stats)
-      | _ -> Error "unexpected reply to recheck"
-    in
-    let replay =
-      let* _ = call "main" (SP.Open spec) in
-      (* warm-up: pay the session's translation before step 1, as
-         Incr.Replay.run does *)
-      let* _ = call "main" (SP.Recheck { blame = false }) in
-      let projected =
-        ref (List.map (fun m -> (Mdl.Model.name m, m)) models)
-      in
-      let step (label, body, ms) =
-        List.iter
-          (fun m ->
-            let p = Mdl.Model.name m in
-            projected :=
-              List.map
-                (fun (q, old) ->
-                  if Mdl.Ident.equal q p then (q, m) else (q, old))
-                !projected)
-          ms;
-        let* applied = call "main" (SP.Apply_edits { models = body }) in
-        let* edits =
-          match applied with
-          | SP.Applied { edits } -> Ok edits
-          | _ -> Error "unexpected reply to apply_edits"
-        in
-        let* consistent, warm_vs, warm_stats =
-          Result.bind (call "main" (SP.Recheck { blame = false })) checked
-        in
-        let scratch_models =
-          String.concat "\n"
-            (List.map
-               (fun (_, m) -> Mdl.Serialize.model_to_string m)
-               !projected)
-        in
-        let* _ =
-          call "scratch" (SP.Open { spec with SP.o_models = scratch_models })
-        in
-        let* _, scratch_vs, scratch_stats =
-          Result.bind (call "scratch" (SP.Recheck { blame = false })) checked
-        in
-        let* _ = call "scratch" SP.Close in
-        Ok
-          {
-            ss_label = label;
-            ss_edits = edits;
-            ss_rebuilt = warm_stats.Incr.Session.translated;
-            ss_consistent = consistent;
-            ss_match = warm_vs = scratch_vs;
-            ss_warm = warm_stats;
-            ss_scratch = scratch_stats;
-          }
-      in
-      List.fold_left
-        (fun acc snap ->
-          let* acc = acc in
-          let* r = step snap in
-          Ok (r :: acc))
-        (Ok []) snapshots
-      |> Result.map List.rev
-    in
-    let result = replay in
-    Server.Engine.shutdown engine;
-    match result with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      2
-    | Ok records ->
-      Format.printf "%-28s %5s %6s %6s %5s  %-26s %-26s@." "step" "edits"
-        "re-enc" "consis" "match" "session (ms/confl/props)"
-        "scratch (ms/confl/props)";
-      let pp_side (s : Incr.Session.step_stats) =
-        Printf.sprintf "%8.2f %6d %9d" (s.Incr.Session.wall *. 1000.)
-          s.Incr.Session.conflicts s.Incr.Session.propagations
-      in
-      List.iter
-        (fun r ->
-          Format.printf "%-28s %5d %6s %6s %5s  %-26s %-26s@." r.ss_label
-            r.ss_edits
-            (if r.ss_rebuilt then "yes" else "-")
-            (if r.ss_consistent then "yes" else "no")
-            (if r.ss_match then "yes" else "NO")
-            (pp_side r.ss_warm) (pp_side r.ss_scratch))
-        records;
-      if stats then begin
-        let sum f =
-          List.fold_left
-            (fun (a, b) r -> (a + f r.ss_warm, b + f r.ss_scratch))
-            (0, 0) records
-        in
-        let c_s, c_c = sum (fun s -> s.Incr.Session.conflicts) in
-        let p_s, p_c = sum (fun s -> s.Incr.Session.propagations) in
-        Format.printf
-          "totals: session %d conflicts / %d propagations; from-scratch %d / \
-           %d@."
-          c_s p_s c_c p_c;
-        pp_metrics stats
-      end;
-      if List.for_all (fun r -> r.ss_match) records then 0 else 1)
+      let c_s, c_c = sum (fun s -> s.Incr.Session.conflicts) in
+      let p_s, p_c = sum (fun s -> s.Incr.Session.propagations) in
+      Format.printf
+        "totals: session %d conflicts / %d propagations; from-scratch %d / \
+         %d@."
+        c_s p_s c_c p_c;
+      pp_metrics stats
+    end;
+    if List.for_all (fun (r : Server.Replay.step) -> r.verdicts_match) records
+    then 0
+    else 1
 
 (* ------------------------------------------------------------------ *)
 (* serve: long-lived multi-session daemon                              *)

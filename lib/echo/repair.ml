@@ -205,10 +205,13 @@ let descend space sc =
 (* A soft assumption of [lower_bound]: a negated change literal, or
    the bound [at_most t b] of a core totalizer [t]. *)
 type soft = {
+  id : int;  (* creation order *)
   lit : Sat.Lit.t;
   mutable weight : int;  (* 0 once spent on cores *)
   sum : (Sat.Cardinality.t * int) option;  (* [(t, b)] for a totalizer bound *)
 }
+
+module Live = Map.Make (Int)
 
 (* The iterative order's start, core-guided (OLL, Morgado, Dodaro and
    Marques-Silva, CP 2014, with the weight splitting of RC2): solve
@@ -221,18 +224,25 @@ type soft = {
    bound, so the first SAT model, which satisfies every soft
    assumption, is at the optimum: [Some (bound, model)]. [None] when a
    core holds no soft assumption (the guard alone never excludes
-   every model), i.e. nothing restores consistency. *)
+   every model), i.e. nothing restores consistency. The assumptions
+   are the softs of positive weight in creation order; a spent soft
+   leaves [live], and returns to its place if a later core adds
+   weight to it, so each solve's list walks only the live softs. *)
 let lower_bound sc =
   let solver = Relog.Finder.solver sc.finder in
   let softs = Hashtbl.create 64 in
-  let order = ref [] (* reversed creation order *) in
+  let live = ref Live.empty in
   let add lit weight sum =
-    match Hashtbl.find_opt softs lit with
-    | Some s -> s.weight <- s.weight + weight
-    | None ->
-      let s = { lit; weight; sum } in
-      Hashtbl.add softs lit s;
-      order := s :: !order
+    let s =
+      match Hashtbl.find_opt softs lit with
+      | Some s -> s
+      | None ->
+        let s = { id = Hashtbl.length softs; lit; weight = 0; sum } in
+        Hashtbl.add softs lit s;
+        s
+    in
+    s.weight <- s.weight + weight;
+    if s.weight > 0 then live := Live.add s.id s !live
   in
   let relax t b weight =
     List.iter (fun l -> add l weight (Some (t, b))) (Sat.Cardinality.at_most t b)
@@ -240,7 +250,7 @@ let lower_bound sc =
   List.iter (fun (l, w) -> add (Sat.Lit.neg l) w None) sc.changes;
   let rec go bound =
     let assumptions =
-      List.fold_left (fun acc s -> if s.weight > 0 then s.lit :: acc else acc) [] !order
+      Live.fold (fun _ s acc -> s.lit :: acc) !live [] |> List.rev
     in
     match solve_at sc bound (sc.sbp_guard @ assumptions) with
     | Relog.Finder.Sat inst -> Some (bound, inst)
@@ -252,6 +262,7 @@ let lower_bound sc =
         List.iter
           (fun s ->
             s.weight <- s.weight - m;
+            if s.weight <= 0 then live := Live.remove s.id !live;
             Option.iter (fun (t, b) -> relax t (b + 1) m) s.sum)
           core;
         if List.compare_length_with core 1 > 0 then begin

@@ -795,10 +795,3 @@ let pp_fact ppf f =
     Ident.pp f.f_rel
     (String.concat ", "
        (List.map Ident.name (Array.to_list f.f_atoms)))
-
-let pp_step_stats ppf s =
-  Format.fprintf ppf
-    "@[<h>%.4fs; %d solves; %d conflicts; %d propagations; %d decisions%s@]"
-    s.wall s.solver_calls s.conflicts s.propagations s.decisions
-    (if s.translated then Printf.sprintf "; translated (%.4fs)" s.translate_s
-     else "")

@@ -210,5 +210,3 @@ val commit : t -> repair -> (unit, string) result
 
 val pp_fact : Format.formatter -> fact -> unit
 (** [R(a, b)] for a present fact, [not R(a, b)] for an absent one. *)
-
-val pp_step_stats : Format.formatter -> step_stats -> unit

@@ -5,9 +5,7 @@ type t = {
          clause *)
   (* telemetry; only the domain that owns the finder writes them *)
   mutable solve_s : float;
-  mutable n_sat : int;
-  mutable n_unsat : int;
-  mutable n_blocked : int;
+  mutable n_solves : int;
 }
 
 let solver t = Translate.solver t.trans
@@ -15,7 +13,7 @@ let solver t = Translate.solver t.trans
 let create bnds =
   let trans = Translate.create bnds in
   List.iter (Translate.materialize trans) (Bounds.relations bnds);
-  { trans; last = None; solve_s = 0.0; n_sat = 0; n_unsat = 0; n_blocked = 0 }
+  { trans; last = None; solve_s = 0.0; n_solves = 0 }
 
 let prepare bnds formulas =
   let t = create bnds in
@@ -40,7 +38,7 @@ let solve ?(assumptions = []) t =
   with
   | Sat.Solver.Unsat ->
     t.last <- None;
-    t.n_unsat <- t.n_unsat + 1;
+    t.n_solves <- t.n_solves + 1;
     Unsat
   | Sat.Solver.Sat ->
     let blocking =
@@ -51,7 +49,7 @@ let solve ?(assumptions = []) t =
         []
     in
     t.last <- Some (Array.of_list blocking);
-    t.n_sat <- t.n_sat + 1;
+    t.n_solves <- t.n_solves + 1;
     Sat (Translate.decode t.trans)
 
 let block t =
@@ -59,7 +57,6 @@ let block t =
   | None -> ()
   | Some lits ->
     Sat.Solver.add_clause_array (solver t) lits;
-    t.n_blocked <- t.n_blocked + 1;
     t.last <- None
 
 let enumerate ?limit t =
@@ -81,9 +78,6 @@ type stats = {
   translation : Translate.stats;
   solver : Sat.Solver.stats;
   solves : int;
-  sat : int;
-  unsat : int;
-  blocked : int;
   solve_time : float;
 }
 
@@ -91,9 +85,6 @@ let stats t =
   {
     translation = Translate.stats t.trans;
     solver = Sat.Solver.stats (solver t);
-    solves = t.n_sat + t.n_unsat;
-    sat = t.n_sat;
-    unsat = t.n_unsat;
-    blocked = t.n_blocked;
+    solves = t.n_solves;
     solve_time = t.solve_s;
   }

@@ -58,9 +58,6 @@ type stats = {
   translation : Translate.stats;  (** size/time of the encoding *)
   solver : Sat.Solver.stats;  (** search counters of the backend *)
   solves : int;  (** {!solve} calls through this finder *)
-  sat : int;  (** ... of which satisfiable *)
-  unsat : int;  (** ... of which unsatisfiable *)
-  blocked : int;  (** blocking clauses added via {!block} *)
   solve_time : float;  (** wall seconds inside {!solve} *)
 }
 

@@ -23,14 +23,14 @@
     [apply_edits] carries a {e model snapshot}, not an edit list: one
     or more model blocks in {!Mdl.Serialize} concrete syntax, which the
     server diffs against the session's current state (parameters not
-    restated are unchanged) — exactly the replay-block semantics of
-    {!Incr.Replay}, so an editor can send "what the models look like
-    now" after every save.
+    restated are unchanged) — exactly a block of a {!Replay} script,
+    so an editor can send "what the models look like now" after every
+    save.
 
     This module is the codec only; {!Engine} interprets requests and
-    {!Net} frames them over a socket. The [qvtr session] CLI drives
-    {!Engine} through these same request values, so CLI and wire
-    semantics cannot drift. *)
+    {!Net} frames them over a socket. {!Replay}, the driver of the
+    [qvtr session] CLI, sends {!Engine} these same request values, so
+    CLI and wire semantics cannot drift. *)
 
 type open_spec = {
   o_transformation : string;  (** QVT-R concrete syntax *)

@@ -9,10 +9,11 @@
    memory), translation templates (shared only between equal
    translations), commit round-trips, and the warm path's strict cost
    advantage over from-scratch — experiment E9's property
-   (EXPERIMENTS.md), checked here on E9's own replay. *)
+   (EXPERIMENTS.md), checked here on E9's own replay through
+   [Server.Replay], the driver of [qvtr session]. *)
 
 module S = Incr.Session
-module Rp = Incr.Replay
+module Rp = Server.Replay
 module F = Featuremodel.Fm
 module Sc = Featuremodel.Scenarios
 module Eng = Echo.Engine
@@ -800,65 +801,76 @@ let test_templates () =
 (* ------------------------------------------------------------------ *)
 (* Warm vs from-scratch cost (the E9 property)                         *)
 
-let fm_block features =
-  "== "
-  ^ String.concat " / "
-      (List.map (fun (n, m) -> n ^ (if m then "!" else "")) features)
-  ^ "\n"
-  ^ Mdl.Serialize.model_to_string (F.feature_model ~name:"fm" features)
-  ^ "\n"
+let block label model =
+  "== " ^ label ^ "\n" ^ Mdl.Serialize.model_to_string model ^ "\n"
 
-(* Replay [steps] against a from-scratch baseline: identical verdicts,
-   and the warm path costs strictly fewer conflicts+propagations and no
-   more translation wall at every step, and strictly less translation
-   wall over the replay. A single-edit step must stay fully warm. *)
-let check_replay ~base steps =
+let fm_block features =
+  block
+    (String.concat " / "
+       (List.map (fun (n, m) -> n ^ if m then "!" else "") features))
+    (F.feature_model ~name:"fm" features)
+
+(* The open spec of a replay from [base]: the paper's k = 2
+   transformation in concrete syntax, repairing both configurations,
+   at the session defaults (slack 2, headroom 6). *)
+let replay_spec base =
+  {
+    Server.Protocol.o_transformation = F.source ~k:2;
+    o_metamodels =
+      String.concat "\n"
+        (List.map Mdl.Serialize.metamodel_to_string
+           [ F.cf_metamodel; F.fm_metamodel ]);
+    o_models =
+      String.concat "\n"
+        (List.map (fun (_, m) -> Mdl.Serialize.model_to_string m) base);
+    o_targets = [ "cf1"; "cf2" ];
+    o_standard = false;
+    o_slack = 2;
+    o_headroom = 6;
+  }
+
+(* Replay [script] from [base] against a from-scratch baseline:
+   identical verdicts, and the warm path costs strictly fewer
+   conflicts+propagations and no more translation wall at every step,
+   and strictly less translation wall over the replay. A single-edit
+   step must stay fully warm. *)
+let check_replay ~base script =
   let records =
-    match
-      Rp.run ~transformation:trans ~metamodels ~models:base
-        ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ])
-        steps
-    with
+    match Rp.run (replay_spec base) script with
     | Ok rs -> rs
     | Error e -> Alcotest.fail e
   in
   List.iter
-    (fun (r : Rp.step_record) ->
+    (fun (r : Rp.step) ->
+      Alcotest.(check bool) (r.Rp.label ^ ": verdicts match") true r.Rp.verdicts_match;
       Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": verdicts match") true r.Rp.sr_verdicts_match;
+        (r.Rp.label ^ ": scratch pays translation")
+        true r.Rp.scratch.S.translated;
       Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": scratch pays translation")
-        true r.Rp.sr_scratch.S.translated;
-      Alcotest.(check bool)
-        (r.Rp.sr_label ^ ": warm path translates no longer than scratch")
+        (r.Rp.label ^ ": warm path translates no longer than scratch")
         true
-        (r.Rp.sr_session.S.translate_s <= r.Rp.sr_scratch.S.translate_s);
-      if r.Rp.sr_edits = 1 then begin
+        (r.Rp.warm.S.translate_s <= r.Rp.scratch.S.translate_s);
+      if r.Rp.edits = 1 then begin
         Alcotest.(check bool)
-          (r.Rp.sr_label ^ ": warm path stays warm")
+          (r.Rp.label ^ ": warm path stays warm")
           false
-          (r.Rp.sr_rebuilt || r.Rp.sr_session.S.translated);
+          (r.Rp.rebuilt || r.Rp.warm.S.translated);
         Alcotest.(check bool)
-          (r.Rp.sr_label ^ ": warm path spends no translation wall")
+          (r.Rp.label ^ ": warm path spends no translation wall")
           true
-          (r.Rp.sr_session.S.translate_s = 0.
-          && r.Rp.sr_scratch.S.translate_s > 0.)
+          (r.Rp.warm.S.translate_s = 0. && r.Rp.scratch.S.translate_s > 0.)
       end;
-      let warm =
-        r.Rp.sr_session.S.conflicts + r.Rp.sr_session.S.propagations
-      in
-      let cold =
-        r.Rp.sr_scratch.S.conflicts + r.Rp.sr_scratch.S.propagations
-      in
+      let warm = r.Rp.warm.S.conflicts + r.Rp.warm.S.propagations in
+      let cold = r.Rp.scratch.S.conflicts + r.Rp.scratch.S.propagations in
       if warm >= cold then
         Alcotest.failf "%s: warm %d >= scratch %d conflicts+propagations"
-          r.Rp.sr_label warm cold)
+          r.Rp.label warm cold)
     records;
   let translate_s side =
     List.fold_left (fun acc r -> acc +. (side r).S.translate_s) 0. records
   in
-  let warm_tr = translate_s (fun r -> r.Rp.sr_session)
-  and cold_tr = translate_s (fun r -> r.Rp.sr_scratch) in
+  let warm_tr = translate_s (fun r -> r.Rp.warm)
+  and cold_tr = translate_s (fun r -> r.Rp.scratch) in
   if warm_tr >= cold_tr then
     Alcotest.failf "warm translation %.6fs >= scratch %.6fs over the replay"
       warm_tr cold_tr;
@@ -868,7 +880,6 @@ let test_warm_beats_scratch () =
   (* single-attribute flips on the feature model, parsed from a replay
      script *)
   let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true); ("B", false) ] in
-  let base = F.bind ~cfs ~fm in
   let script =
     String.concat ""
       (List.map fm_block
@@ -880,37 +891,30 @@ let test_warm_beats_scratch () =
            [ ("A", true); ("B", true) ];
          ])
   in
-  let steps =
-    match
-      Rp.parse ~metamodels:[ F.cf_metamodel; F.fm_metamodel ] ~base script
-    with
-    | Ok steps -> steps
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check int) "five steps" 5 (List.length steps);
+  let records = check_replay ~base:(F.bind ~cfs ~fm) script in
+  Alcotest.(check int) "five steps" 5 (List.length records);
   List.iter
-    (fun (r : Rp.step_record) ->
-      Alcotest.(check bool) (r.Rp.sr_label ^ ": one edit") true (r.Rp.sr_edits = 1))
-    (check_replay ~base steps);
+    (fun (r : Rp.step) ->
+      Alcotest.(check bool) (r.Rp.label ^ ": one edit") true (r.Rp.edits = 1))
+    records;
   (* E9's ten-feature replay: flips there and back, then a bulk
      rewrite of every flag, where almost no assumption prefix
      survives *)
-  let base = F.bind ~cfs:ten_feature_cfs ~fm:(ten_feature_fm []) in
-  let fm_key = Ident.make "fm" in
-  let steps =
-    Rp.steps_of_snapshots ~base
+  let script =
+    String.concat ""
       (List.concat_map
          (fun f ->
            [
-             ("flip " ^ f ^ " mandatory", [ (fm_key, ten_feature_fm [ f ]) ]);
-             ("flip " ^ f ^ " back", [ (fm_key, ten_feature_fm []) ]);
+             block ("flip " ^ f ^ " mandatory") (ten_feature_fm [ f ]);
+             block ("flip " ^ f ^ " back") (ten_feature_fm []);
            ])
          [ "F4"; "F10"; "F5" ]
-      @ [ ("bulk flip all", [ (fm_key, ten_feature_fm ten_pool) ]) ])
+      @ [ block "bulk flip all" (ten_feature_fm ten_pool) ])
   in
-  match List.rev (check_replay ~base steps) with
+  let base = F.bind ~cfs:ten_feature_cfs ~fm:(ten_feature_fm []) in
+  match List.rev (check_replay ~base script) with
   | bulk :: _ ->
-    Alcotest.(check int) "bulk flip rewrites every flag" 10 bulk.Rp.sr_edits
+    Alcotest.(check int) "bulk flip rewrites every flag" 10 bulk.Rp.edits
   | [] -> Alcotest.fail "empty replay"
 
 let contains ~sub s =
@@ -925,18 +929,17 @@ let check_error_mentions ctx ~sub = function
   | Ok _ -> Alcotest.failf "%s: malformed script must be rejected" ctx
 
 let test_replay_parse_errors () =
-  let mms = [ F.cf_metamodel; F.fm_metamodel ] in
   let cfs, fm = state ~cf1:[ "A" ] ~cf2:[ "A" ] ~fm:[ ("A", true) ] in
-  let base = F.bind ~cfs ~fm in
+  let run = Rp.run (replay_spec (F.bind ~cfs ~fm)) in
   (* every rejection must name the script line it comes from *)
   check_error_mentions "text before the first marker" ~sub:"line 1"
-    (Rp.parse ~metamodels:mms ~base "model x {}\n== late marker\n");
+    (run "model x {}\n== late marker\n");
   check_error_mentions "stray text after blank lines" ~sub:"line 3"
-    (Rp.parse ~metamodels:mms ~base "\n\nstray text\n== step\n");
+    (run "\n\nstray text\n== step\n");
   (* a model-syntax error inside a block reports the step, its marker
      line, and the absolute line of the offending token — bodies are
      newline-padded to their file position *)
-  let bad = Rp.parse ~metamodels:mms ~base "== s1 bad block\nnot a model\n" in
+  let bad = run "== s1 bad block\nnot a model\n" in
   check_error_mentions "malformed block names its step" ~sub:{|step "s1 bad block"|} bad;
   check_error_mentions "malformed block names its marker" ~sub:"marker at line 1" bad;
   check_error_mentions "model error keeps absolute lines" ~sub:"line 2" bad;
@@ -946,10 +949,10 @@ let test_replay_parse_errors () =
   in
   check_error_mentions "later block, later marker line"
     ~sub:(Printf.sprintf "marker at line %d" marker_line)
-    (Rp.parse ~metamodels:mms ~base (prefix ^ "== broken\nmodel cf1 : CF {\n"));
+    (run (prefix ^ "== broken\nmodel cf1 : CF {\n"));
   (* unknown declaration keywords are model-syntax errors too *)
   check_error_mentions "unknown keyword" ~sub:"marker at line 1"
-    (Rp.parse ~metamodels:mms ~base "== kw\nwidget w : W {}\n");
+    (run "== kw\nwidget w : W {}\n");
   (* blocks: labels, marker lines, and bodies in file coordinates *)
   (match Rp.blocks "== a\nbody\n\n== b\nmore\n" with
   | Ok [ ("a", 1, ba); ("b", 4, bb) ] ->
@@ -957,12 +960,14 @@ let test_replay_parse_errors () =
     Alcotest.(check string) "body b" "more" (String.trim bb)
   | Ok bs -> Alcotest.failf "unexpected blocks (%d)" (List.length bs)
   | Error e -> Alcotest.fail e);
+  (* a block may restate only the session's own parameters: one naming
+     a parameter the transformation lacks ends the replay, after the
+     steps before it ran, with an error that names it *)
+  check_error_mentions "unknown parameter" ~sub:"unknown parameter cf3"
+    (run (block "noop" fm ^ block "stray" (F.configuration ~name:"cf3" [ "A" ])));
   (* a block restating the current state yields a step with no edits *)
-  match
-    Rp.parse ~metamodels:mms ~base
-      ("== noop\n" ^ Mdl.Serialize.model_to_string fm ^ "\n")
-  with
-  | Ok [ { Rp.s_label = "noop"; s_batch = []; _ } ] -> ()
+  match run (block "noop" fm) with
+  | Ok [ { Rp.label = "noop"; edits = 0; _ } ] -> ()
   | Ok _ -> Alcotest.fail "expected one empty step"
   | Error e -> Alcotest.fail e
 
