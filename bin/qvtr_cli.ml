@@ -257,7 +257,7 @@ let run_session trans_file mm_file models_file edits_file targets standard
 (* serve: long-lived multi-session daemon                              *)
 
 let run_serve socket tcp admin_tcp jobs max_live snapshot_dir slow_ms
-    reqlog_path sample_interval no_sbp =
+    reqlog_path sample_interval =
   match (socket, tcp) with
   | None, None ->
     Format.eprintf "error: one of --socket PATH or --tcp PORT is required@.";
@@ -279,7 +279,7 @@ let run_serve socket tcp admin_tcp jobs max_live snapshot_dir slow_ms
     let jobs = if jobs <= 0 then Parallel.Pool.default_jobs () else jobs in
     let engine =
       Server.Engine.create ~jobs ~max_live ~snapshot_dir
-        ?slow_ms ?reqlog ~sbp:(not no_sbp) ()
+        ?slow_ms ?reqlog ()
     in
     (* the sampler keeps scrape-visible gauges fresh between requests:
        GC stats from Obs.Runtime itself, engine queue/session gauges
@@ -653,9 +653,9 @@ let no_sbp_arg =
         ~doc:
           "Disable symmetry breaking: no lex-leader predicates, so the \
            search visits every symmetric variant of each repair. Verdicts \
-           and distances are unchanged; searches are larger, and repair \
-           menus ($(b,enforce --all), session $(b,rerepair)) list \
-           isomorphic variants separately.")
+           and distances are unchanged; searches are larger, and the \
+           repair menu of $(b,--all) lists isomorphic variants \
+           separately.")
 
 let check_cmd =
   let doc = "check consistency of models under a QVT-R transformation" in
@@ -850,7 +850,7 @@ let serve_cmd =
     Term.(
       const run_serve $ socket_arg $ tcp_arg $ admin_tcp_arg $ jobs_arg
       $ max_live_arg $ snapshot_dir_arg $ slow_ms_arg $ reqlog_arg
-      $ sample_interval_arg $ no_sbp_arg)
+      $ sample_interval_arg)
 
 let top_admin_arg =
   Arg.(

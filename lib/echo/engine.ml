@@ -31,29 +31,28 @@ let enforced backend (r : Repair.success) =
       stats = r.Repair.stats;
     }
 
-(* The path [enforce] and [enforce_all] share: check, build the search
-   space of an inconsistent state, and run [repairs] on it. *)
+(* The path [enforce] and [enforce_all] share: build the search space,
+   evaluate consistency on its own check instance, and run [repairs]
+   on it when that fails. *)
 let run_enforcement ~name ?args ~backend ~repairs ?mode ?slack_objects
     ?extra_values ?model_weights ?sbp transformation ~metamodels ~models
     ~targets =
   Obs.Metrics.incr m_enforcements;
   Obs.Trace.with_span ~name ?args @@ fun () ->
   let ( let* ) = Result.bind in
-  let* report =
-    Obs.Trace.with_span ~name:"check" (fun () ->
-        Qvtr.Check.run ?mode transformation ~metamodels ~models)
+  let* space =
+    Obs.Trace.with_span ~name:"space.build" (fun () ->
+        Space.build ?mode ?slack_objects ?extra_values ?model_weights ?sbp
+          ~transformation ~metamodels ~models ~targets ())
   in
-  if report.Qvtr.Check.consistent then Ok [ Already_consistent ]
-  else
-    let* space =
-      Obs.Trace.with_span ~name:"space.build" (fun () ->
-          Space.build ?mode ?slack_objects ?extra_values ?model_weights ?sbp
-            ~transformation ~metamodels ~models ~targets ())
-    in
+  match Obs.Trace.with_span ~name:"check.eval" (fun () -> Space.consistent space) with
+  | exception Relog.Eval.Eval_error msg -> Error msg
+  | true -> Ok [ Already_consistent ]
+  | false -> (
     let* found = repairs space in
     match found with
     | [] -> Ok [ Cannot_restore ]
-    | rs -> Ok (List.map (enforced backend) rs)
+    | rs -> Ok (List.map (enforced backend) rs))
 
 let enforce ?(backend = Iterative) ?mode ?slack_objects ?extra_values
     ?model_weights ?sbp transformation ~metamodels ~models ~targets =
@@ -81,20 +80,20 @@ let diagnose ?mode ?slack_objects ?extra_values transformation ~metamodels
     ~models ~targets =
   let ( let* ) = Result.bind in
   (* One satisfiability probe per directional formula and no
-     enumeration, so no symmetry is broken. *)
+     enumeration, so no symmetry is broken. One translation serves
+     every probe: the structural constraints are asserted, and each
+     direction is solved under its own guard alone. *)
   let* space =
     Space.build ?mode ?slack_objects ?extra_values ~sbp:false ~transformation
       ~metamodels ~models ~targets ()
   in
-  let structural = Space.structural space in
+  let finder = Relog.Finder.prepare (Space.bounds space) (Space.structural space) in
   Ok
     (List.map
        (fun (rel, dep, formula) ->
-         let finder =
-           Relog.Finder.prepare (Space.bounds space) (formula :: structural)
-         in
+         let guard = Relog.Finder.guard finder formula in
          let satisfiable =
-           match Relog.Finder.solve finder with
+           match Relog.Finder.solve ~assumptions:[ guard ] finder with
            | Relog.Finder.Sat _ -> true
            | Relog.Finder.Unsat -> false
          in

@@ -2,7 +2,8 @@
     chosen direction (target set), explain failures.
 
     This is the API the examples and the CLI drive. [checkonly] is
-    {!Qvtr.Check}; [enforce] builds the search space and runs
+    {!Qvtr.Check}; [enforce] builds the search space, evaluates
+    consistency on it ({!Space.consistent}) and, when that fails, runs
     {!Repair.run_all} with the chosen backend, one of its two rung
     orders over one search, so both backends return least-change
     repairs at the same minimal distance (experiment E7). *)
@@ -51,11 +52,14 @@ val enforce :
   models:(Mdl.Ident.t * Mdl.Model.t) list ->
   targets:Target.t ->
   (enforce_outcome, string) result
-(** Default backend {!Iterative}; [slack_objects] fresh objects are
-    available per target model (default 2; negative is an [Error]);
-    [extra_values] widens the
-    value universe available to repairs; [model_weights] prioritises
-    models in the aggregated distance.
+(** [Already_consistent] when every top directional check holds on
+    the space's original models; the space is built first, so an
+    invalid target set, slack or weight is an [Error] whatever the
+    models. Default backend {!Iterative}; [slack_objects] fresh
+    objects are available per target model (default 2; negative is an
+    [Error]); [extra_values] widens the value universe available to
+    repairs; [model_weights] prioritises models in the aggregated
+    distance.
 
     [sbp] (default [true]) enables the bounds-level symmetry analysis
     and its lex-leader symmetry-breaking predicates
@@ -102,7 +106,8 @@ val diagnose :
   (diagnosis list, string) result
 (** Explain a [Cannot_restore]: test each top directional check in
     isolation (together with the structural constraints) against the
-    target set. Checks with [d_satisfiable = false] pinpoint the
+    target set, on one translation — the structural constraints
+    asserted, each check solved under its own guard literal. Checks with [d_satisfiable = false] pinpoint the
     obstruction — typically a direction whose target models are all
     frozen, the situation §3 warns about. (All checks individually
     satisfiable with the conjunction unsatisfiable indicates genuinely

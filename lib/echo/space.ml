@@ -3,10 +3,10 @@ module TS = Relog.Rel.Tupleset
 
 type t = {
   enc : Qvtr.Encode.t;
-  sem : Qvtr.Semantics.t;
   tgts : Target.t;
   original : Relog.Instance.t;
   bnds : Relog.Bounds.t;
+  directional : (Ident.t * Qvtr.Ast.dependency * Relog.Ast.formula) list;
   consistency : Relog.Ast.formula;
   structural : Relog.Ast.formula list;
   weights : int Ident.Map.t;  (* param -> weight *)
@@ -16,35 +16,27 @@ type t = {
 
 let param_of_rel = Qvtr.Encode.param_of_rel
 
-let typecheck ~transformation ~metamodels ~targets =
-  let params =
-    List.map
-      (fun (p : Qvtr.Ast.param) -> p.Qvtr.Ast.par_name)
-      transformation.Qvtr.Ast.t_params
-  in
-  Result.bind (Target.validate ~params targets) @@ fun () ->
-  match Qvtr.Typecheck.check transformation ~metamodels with
-  | Ok info -> Ok info
-  | Error errs ->
-    Error
-      (String.concat "; "
-         (List.map (fun e -> Format.asprintf "%a" Qvtr.Typecheck.pp_error e) errs))
-
 let build ?mode ?(slack_objects = 2) ?(extra_values = [])
     ?(model_weights = []) ?(sbp = true) ~transformation ~metamodels ~models
     ~targets () =
   let ( let* ) = Result.bind in
-  let* info = typecheck ~transformation ~metamodels ~targets in
-  let* enc =
-    Qvtr.Encode.create ~transformation ~metamodels ~models ~extra_values
-      ~slack_objects ()
+  let* () =
+    Target.validate ~params:(Qvtr.Ast.param_names transformation) targets
   in
+  let* fe =
+    Qvtr.Front.create ?mode ~slack_objects ~extra_values transformation
+      ~metamodels ~models
+  in
+  let enc = fe.Qvtr.Front.encoding in
   try
-    let sem = Qvtr.Semantics.create ?mode enc info in
     (* Evaluation order matters beyond this function: compiling these
        formulas interns identifiers, whose tags order the primary
        registry's iteration, and with it the CNF. *)
-    let consistency = Qvtr.Semantics.consistency_formula sem in
+    let directional =
+      List.map
+        (fun (r, d, f) -> (r.Qvtr.Ast.r_name, d, f))
+        (Lazy.force fe.Qvtr.Front.top)
+    in
     let structural =
       List.concat_map
         (fun p -> Qvtr.Encode.structural_formulas enc ~param:p)
@@ -65,11 +57,12 @@ let build ?mode ?(slack_objects = 2) ?(extra_values = [])
     Ok
       {
         enc;
-        sem;
         tgts = targets;
         original = Qvtr.Encode.check_instance enc;
         bnds = Qvtr.Encode.bounds enc ~targets;
-        consistency;
+        directional;
+        consistency =
+          Relog.Ast.conj (List.map (fun (_, _, f) -> f) directional);
         structural;
         weights;
         originals = models;
@@ -80,12 +73,8 @@ let build ?mode ?(slack_objects = 2) ?(extra_values = [])
   | Invalid_argument msg -> Error msg
 
 let encoding s = s.enc
-
-let directional_formulas s =
-  List.map
-    (fun (r, d, f) -> (r.Qvtr.Ast.r_name, d, f))
-    (Qvtr.Semantics.top_formulas s.sem)
-
+let directional_formulas s = s.directional
+let consistent s = Relog.Eval.holds s.original s.consistency
 let structural s = s.structural
 let formulas s = s.consistency :: s.structural
 let use_sbp s = s.sbp

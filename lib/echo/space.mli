@@ -24,7 +24,9 @@ val build :
   targets:Target.t ->
   unit ->
   (t, string) result
-(** [model_weights] prioritises models in the aggregated distance
+(** Validates the target set, then typechecks and encodes through
+    {!Qvtr.Front.create} and compiles the top directional checks once.
+    [model_weights] prioritises models in the aggregated distance
     (default 1 each — the paper's summed aggregation; other weights
     realise the prioritisation it leaves as future work).
 
@@ -32,23 +34,20 @@ val build :
     ({!sbp_orbits}); with [sbp] false no symmetry is broken at all.
     The structural formulas never break symmetry themselves. *)
 
-val typecheck :
-  transformation:Qvtr.Ast.transformation ->
-  metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
-  targets:Target.t ->
-  (Qvtr.Typecheck.info, string) result
-(** The input checks {!build} starts with, and
-    {!Incr.Session.open_session} too: the target set is valid for the
-    transformation's parameters, and the transformation typechecks
-    (all type errors joined into one message). *)
-
 val encoding : t -> Qvtr.Encode.t
 
 val directional_formulas :
   t -> (Mdl.Ident.t * Qvtr.Ast.dependency * Relog.Ast.formula) list
 (** The individual top directional checks (relation, dependency,
-    compiled formula) — used by the diagnosis of unrepairable target
-    sets. *)
+    compiled formula), as {!build} compiled them once — used by the
+    diagnosis of unrepairable target sets. *)
+
+val consistent : t -> bool
+(** Whether every top directional check holds on the original models
+    (the space's own check instance, evaluated by {!Relog.Eval}): the
+    test {!Engine.enforce} makes before repairing.
+    @raise Relog.Eval.Eval_error on a formula naming an unknown atom or
+    an unbound variable. *)
 
 val structural : t -> Relog.Ast.formula list
 (** Only the structural (conformance) constraints of the mutable

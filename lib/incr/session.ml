@@ -76,7 +76,7 @@ type check_state = {
    replaces the generation whole, check stage included. *)
 type generation = {
   g_enc : Qvtr.Encode.t;
-  g_sem : Qvtr.Semantics.t;
+  g_top : (Qvtr.Ast.relation * Qvtr.Ast.dependency * Relog.Ast.formula) list Lazy.t;
   g_bounds : Relog.Bounds.t;
   mutable g_check : check_state option;
 }
@@ -90,7 +90,6 @@ type pstate = {
 type t = {
   trans : Qvtr.Ast.transformation;
   metamodels : (Ident.t * Mdl.Metamodel.t) list;
-  info : Qvtr.Typecheck.info;
   mode : Qvtr.Semantics.mode option;
   tgts : Echo.Target.t;
   budget : int;
@@ -180,25 +179,19 @@ let finish t (t0, g0, s0, tr0, ts0) =
 (* ------------------------------------------------------------------ *)
 (* Generations                                                         *)
 
-let build_generation ~trans ~metamodels ~models ~values ~slack ?mode info =
-  let ( let* ) = Result.bind in
-  let* enc =
-    Qvtr.Encode.create ~transformation:trans ~metamodels ~models
-      ~extra_values:(Value.Set.elements values) ~slack_objects:slack ()
-  in
-  match Qvtr.Semantics.create ?mode enc info with
-  | sem ->
-    let bounds =
-      Qvtr.Encode.bounds enc ~targets:(Ident.Set.of_list (List.map fst models))
-    in
-    Ok
+let build_generation ~trans ~metamodels ~models ~values ~slack ?mode () =
+  Result.map
+    (fun { Qvtr.Front.encoding; top; _ } ->
       {
-        g_enc = enc;
-        g_sem = sem;
-        g_bounds = bounds;
+        g_enc = encoding;
+        g_top = top;
+        g_bounds =
+          Qvtr.Encode.bounds encoding
+            ~targets:(Ident.Set.of_list (List.map fst models));
         g_check = None;
-      }
-  | exception Qvtr.Semantics.Compile_error msg -> Error msg
+      })
+    (Qvtr.Front.create ?mode ~slack_objects:slack
+       ~extra_values:(Value.Set.elements values) trans ~metamodels ~models)
 
 let m_rebuilds = Obs.Metrics.counter "incr.rebuilds"
 
@@ -213,7 +206,7 @@ let ensure_generation t =
     let* g =
       Obs.Trace.with_span ~name:"session.rebuild" (fun () ->
           build_generation ~trans:t.trans ~metamodels:t.metamodels
-            ~models:t.cur ~values:t.values ~slack:t.headroom ?mode:t.mode t.info)
+            ~models:t.cur ~values:t.values ~slack:t.headroom ?mode:t.mode ())
     in
     Obs.Metrics.incr m_rebuilds;
     t.gen <- g;
@@ -239,7 +232,9 @@ let open_session ?mode ?(slack_budget = 2) ?(headroom = 6)
   if slack_budget < 0 || headroom < 0 then
     Error "Session.open_session: slack_budget and headroom must be >= 0"
   else
-    let* info = Echo.Space.typecheck ~transformation ~metamodels ~targets in
+    let* () =
+      Echo.Target.validate ~params:(Qvtr.Ast.param_names transformation) targets
+    in
     let seed =
       List.fold_left
         (fun acc v -> Value.Set.add v acc)
@@ -248,13 +243,12 @@ let open_session ?mode ?(slack_budget = 2) ?(headroom = 6)
     let* gen =
       Obs.Trace.with_span ~name:"session.build" (fun () ->
           build_generation ~trans:transformation ~metamodels ~models
-            ~values:seed ~slack:headroom ?mode info)
+            ~values:seed ~slack:headroom ?mode ())
     in
     let t =
       {
         trans = transformation;
         metamodels;
-        info;
         mode;
         tgts = targets;
         budget = slack_budget;
@@ -509,7 +503,7 @@ let ensure_check t =
   | None ->
     stage_event ~hit:false "check_stage";
     t.translations <- t.translations + 1;
-    let dirs = Qvtr.Semantics.top_formulas g.g_sem in
+    let dirs = Lazy.force g.g_top in
     let t0 = Obs.Clock.now () in
     let tp = find_or_build_template g.g_bounds (List.map (fun (_, _, f) -> f) dirs) in
     let solver =

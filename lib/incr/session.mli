@@ -147,9 +147,10 @@ val open_session :
     session searches exactly the space the evicted one did.
     [sbp] (default true) is the [sbp] of every repair's
     {!Echo.Space.build}: the one-shot symmetry pass collapses
-    isomorphic variants of a menu; with [~sbp:false] (the server's
-    [--no-sbp]) no symmetry is broken and the menu lists every
-    variant.
+    isomorphic variants of a menu; with [~sbp:false] no symmetry is
+    broken and the menu lists every variant (the reference the tests
+    compare the symmetry pass against; the server always breaks
+    symmetry).
 
     Opening translates nothing: the first [recheck]/[rerepair] builds
     the check stage, as a solver clone of the translation template of

@@ -397,38 +397,31 @@ let rec specialize_formula inst (f : Relog.Ast.formula) =
     Relog.Ast.Exists (List.map (fun (v, d) -> (v, goe d)) bs, go f)
 
 let constant_checks (t : Ast.transformation) ~metamodels ~models =
-  match Qvtr.Typecheck.check t ~metamodels with
+  match Qvtr.Front.create ~slack_objects:0 t ~metamodels ~models with
   | Error _ -> []  (* typecheck errors are reported separately *)
-  | Ok info -> (
-    match
-      Qvtr.Encode.create ~transformation:t ~metamodels ~models ~slack_objects:0
-        ()
-    with
-    | Error _ -> []
-    | Ok enc -> (
-      try
-        let sem = Qvtr.Semantics.create enc info in
-        let inst = Qvtr.Encode.check_instance enc in
-        List.filter_map
-          (fun ((r : Ast.relation), (d : Ast.dependency), f) ->
-            match Relog.Simplify.formula (specialize_formula inst f) with
-            | Relog.Ast.True ->
-              Some
-                (diag ~code:"W009" ~loc:r.Ast.r_loc ~relation:r.Ast.r_name
-                   (Printf.sprintf
-                      "check %s simplifies to TRUE under the given models: \
-                       the relation constrains nothing here"
-                      (Format.asprintf "%a" Ast.pp_dependency d)))
-            | Relog.Ast.False ->
-              Some
-                (diag ~code:"W009" ~loc:r.Ast.r_loc ~relation:r.Ast.r_name
-                   (Printf.sprintf
-                      "check %s simplifies to FALSE under the given models: \
-                       it can never be satisfied"
-                      (Format.asprintf "%a" Ast.pp_dependency d)))
-            | _ -> None)
-          (Qvtr.Semantics.top_formulas sem)
-      with Qvtr.Semantics.Compile_error _ -> []))
+  | Ok fe -> (
+    try
+      let inst = Qvtr.Encode.check_instance fe.Qvtr.Front.encoding in
+      List.filter_map
+        (fun ((r : Ast.relation), (d : Ast.dependency), f) ->
+          match Relog.Simplify.formula (specialize_formula inst f) with
+          | Relog.Ast.True ->
+            Some
+              (diag ~code:"W009" ~loc:r.Ast.r_loc ~relation:r.Ast.r_name
+                 (Printf.sprintf
+                    "check %s simplifies to TRUE under the given models: \
+                     the relation constrains nothing here"
+                    (Format.asprintf "%a" Ast.pp_dependency d)))
+          | Relog.Ast.False ->
+            Some
+              (diag ~code:"W009" ~loc:r.Ast.r_loc ~relation:r.Ast.r_name
+                 (Printf.sprintf
+                    "check %s simplifies to FALSE under the given models: \
+                     it can never be satisfied"
+                    (Format.asprintf "%a" Ast.pp_dependency d)))
+          | _ -> None)
+        (Lazy.force fe.Qvtr.Front.top)
+    with Qvtr.Semantics.Compile_error _ -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)

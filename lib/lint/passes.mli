@@ -48,5 +48,5 @@ val analyze :
   metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
   Diagnostic.t list
 (** All passes, sorted by source position. [W009] runs only when
-    [models] is given. Assumes the transformation typechecks; run
-    {!Qvtr.Typecheck.check} first (the {!Driver} does). *)
+    [models] is given. Assumes the transformation typechecks:
+    [lint_ast] runs the passes only on one that does. *)

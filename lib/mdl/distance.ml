@@ -1,33 +1,1 @@
-type weights = {
-  w_add_object : int;
-  w_delete_object : int;
-  w_set_attr : int;
-  w_add_ref : int;
-  w_del_ref : int;
-}
-
-let uniform =
-  { w_add_object = 1; w_delete_object = 1; w_set_attr = 1; w_add_ref = 1; w_del_ref = 1 }
-
-let weight w = function
-  | Edit.Add_object _ -> w.w_add_object
-  | Edit.Delete_object _ -> w.w_delete_object
-  | Edit.Set_attr _ -> w.w_set_attr
-  | Edit.Add_ref _ -> w.w_add_ref
-  | Edit.Del_ref _ -> w.w_del_ref
-
-let script_cost w edits = List.fold_left (fun acc e -> acc + weight w e) 0 edits
-
-let delta ?(weights = uniform) a b = script_cost weights (Diff.script a b)
-
-let delta_tuple ?(weights = uniform) xs ys =
-  if List.length xs <> List.length ys then
-    invalid_arg "Distance.delta_tuple: tuple length mismatch";
-  List.fold_left2 (fun acc a b -> acc + delta ~weights a b) 0 xs ys
-
-let delta_weighted_tuple ?(weights = uniform) ws xs ys =
-  if List.length xs <> List.length ys || List.length ws <> List.length xs then
-    invalid_arg "Distance.delta_weighted_tuple: length mismatch";
-  List.fold_left2
-    (fun acc (w, a) b -> acc + (w * delta ~weights a b))
-    0 (List.combine ws xs) ys
+let delta a b = List.length (Diff.script a b)

@@ -1,40 +1,13 @@
-(** Model distance metrics Δ (paper §3).
+(** Model distance Δ (paper §3).
 
     The enforcement semantics of the paper is parametric on a distance
     [Δ_M : M × M → ℕ] per metamodel; repairs minimize the distance to
-    the original. We provide the graph-edit distance induced by
-    {!Diff} (the metric Echo uses), with configurable per-edit weights,
-    plus the summed aggregation over tuples of models used for the
-    multi-target transformations of §3. *)
+    the original. This is the graph-edit distance induced by {!Diff}
+    (the metric Echo uses), every edit costing 1: the edit distance
+    that {!Echo.Space.edit_distance} reports next to the relational
+    one. *)
 
-type weights = {
-  w_add_object : int;
-  w_delete_object : int;
-  w_set_attr : int;
-  w_add_ref : int;
-  w_del_ref : int;
-}
-
-val uniform : weights
-(** Every edit costs 1 — the metric used throughout the paper's
-    discussion and in EXPERIMENTS.md. *)
-
-val weight : weights -> Edit.t -> int
-
-val script_cost : weights -> Edit.t list -> int
-
-val delta : ?weights:weights -> Model.t -> Model.t -> int
-(** [delta a b] is the weighted size of [Diff.script a b]. With
-    {!uniform} weights this is a metric on models sharing an id space:
-    zero iff equal, symmetric, triangle inequality. *)
-
-val delta_tuple : ?weights:weights -> Model.t list -> Model.t list -> int
-(** Summed aggregation over equal-length tuples:
-    [Δ(⟨a₁..aₙ⟩,⟨b₁..bₙ⟩) = Σ Δ(aᵢ,bᵢ)] — the paper's
-    [Δ_CFᵏ]. Raises [Invalid_argument] on length mismatch. *)
-
-val delta_weighted_tuple :
-  ?weights:weights -> int list -> Model.t list -> Model.t list -> int
-(** Per-position weighted sum [Σ wᵢ·Δ(aᵢ,bᵢ)] — the prioritisation
-    the paper leaves as future work (e.g. preferring configuration
-    changes over feature-model changes). *)
+val delta : Model.t -> Model.t -> int
+(** [delta a b] is the length of [Diff.script a b]: a metric on models
+    sharing an id space (zero iff equal, symmetric, triangle
+    inequality). *)

@@ -110,6 +110,8 @@ let find_relation t name =
 let find_param t name =
   List.find_opt (fun p -> Ident.equal p.par_name name) t.t_params
 
+let param_names t = List.map (fun p -> p.par_name) t.t_params
+
 let domain_for r model =
   List.find_opt (fun d -> Ident.equal d.d_model model) r.r_domains
 

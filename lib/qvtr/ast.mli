@@ -146,6 +146,9 @@ val preds : clause list -> pred list
 val find_relation : transformation -> Mdl.Ident.t -> relation option
 val find_param : transformation -> Mdl.Ident.t -> param option
 
+val param_names : transformation -> Mdl.Ident.t list
+(** The model parameters' names, in declaration order. *)
+
 val domain_for : relation -> Mdl.Ident.t -> domain option
 (** The relation's domain over a given model parameter. *)
 

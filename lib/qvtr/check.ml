@@ -32,55 +32,32 @@ let pp_report ppf r =
 
 let run ?mode trans ~metamodels ~models =
   let started = Obs.Clock.now () in
-  match
-    Obs.Trace.with_span ~name:"typecheck" (fun () ->
-        Typecheck.check trans ~metamodels)
-  with
-  | Error errs ->
-    Error
-      (String.concat "; "
-         (List.map (fun e -> Format.asprintf "%a" Typecheck.pp_error e) errs))
-  | Ok info -> (
-    match
-      Obs.Trace.with_span ~name:"encode" (fun () ->
-          Encode.create ~transformation:trans ~metamodels ~models
-            ~slack_objects:0 ())
-    with
-    | Error msg -> Error msg
-    | Ok enc -> (
-      try
-        let sem = Semantics.create ?mode enc info in
-        let inst = Encode.check_instance enc in
-        let verdicts =
-          Obs.Trace.with_span ~name:"check.eval" (fun () ->
+  Result.bind (Front.create ?mode ~slack_objects:0 trans ~metamodels ~models)
+  @@ fun (fe : Front.t) ->
+  try
+    let inst = Encode.check_instance fe.encoding in
+    let verdicts =
+      Obs.Trace.with_span ~name:"check.eval" (fun () ->
           List.map
             (fun (r, d, f) ->
-              match Relog.Eval.counterexample inst f with
-              | None ->
-                {
-                  v_relation = r.Ast.r_name;
-                  v_direction = d;
-                  v_holds = true;
-                  v_witness = [];
-                }
-              | Some witness ->
-                {
-                  v_relation = r.Ast.r_name;
-                  v_direction = d;
-                  v_holds = false;
-                  v_witness = witness;
-                })
-            (Semantics.top_formulas sem))
-        in
-        Ok
-          {
-            consistent = List.for_all (fun v -> v.v_holds) verdicts;
-            verdicts;
-            elapsed = Obs.Clock.now () -. started;
-          }
-      with
-      | Semantics.Compile_error msg -> Error msg
-      | Relog.Eval.Eval_error msg -> Error msg))
+              let witness = Relog.Eval.counterexample inst f in
+              {
+                v_relation = r.Ast.r_name;
+                v_direction = d;
+                v_holds = Option.is_none witness;
+                v_witness = Option.value witness ~default:[];
+              })
+            (Lazy.force fe.top))
+    in
+    Ok
+      {
+        consistent = List.for_all (fun v -> v.v_holds) verdicts;
+        verdicts;
+        elapsed = Obs.Clock.now () -. started;
+      }
+  with
+  | Semantics.Compile_error msg -> Error msg
+  | Relog.Eval.Eval_error msg -> Error msg
 
 let run_exn ?mode trans ~metamodels ~models =
   match run ?mode trans ~metamodels ~models with
@@ -103,67 +80,57 @@ let pp_trace ppf t =
           t.tr_roots))
 
 let traces ?mode trans ~metamodels ~models =
-  match Typecheck.check trans ~metamodels with
-  | Error errs ->
-    Error
-      (String.concat "; "
-         (List.map (fun e -> Format.asprintf "%a" Typecheck.pp_error e) errs))
-  | Ok info -> (
-    match
-      Encode.create ~transformation:trans ~metamodels ~models ~slack_objects:0 ()
-    with
-    | Error msg -> Error msg
-    | Ok enc -> (
-      try
-        let sem = Semantics.create ?mode enc info in
-        let inst = Encode.check_instance enc in
-        let universe = Encode.universe enc in
-        let result =
-          List.concat_map
-            (fun (r : Ast.relation) ->
-              if not r.Ast.r_top then []
-              else begin
-                let f = Semantics.match_formula sem r in
-                (* Enumerate the product of the root extents. *)
-                let roots =
-                  List.map
-                    (fun (d : Ast.domain) ->
-                      let extent =
-                        Relog.Eval.expr inst Relog.Eval.empty_env
-                          (Encode.extent_expr enc ~param:d.Ast.d_model
-                             ~cls:d.Ast.d_template.Ast.t_class)
-                      in
-                      ( d.Ast.d_template.Ast.t_var,
-                        Relog.Rel.Tupleset.fold (fun t acc -> t.(0) :: acc) extent []
-                      ))
-                    r.Ast.r_domains
+  Result.bind (Front.create ?mode ~slack_objects:0 trans ~metamodels ~models)
+  @@ fun { Front.encoding = enc; semantics = sem; _ } ->
+  try
+    let inst = Encode.check_instance enc in
+    let universe = Encode.universe enc in
+    let result =
+      List.concat_map
+        (fun (r : Ast.relation) ->
+          if not r.Ast.r_top then []
+          else begin
+            let f = Semantics.match_formula sem r in
+            (* Enumerate the product of the root extents. *)
+            let roots =
+              List.map
+                (fun (d : Ast.domain) ->
+                  let extent =
+                    Relog.Eval.expr inst Relog.Eval.empty_env
+                      (Encode.extent_expr enc ~param:d.Ast.d_model
+                         ~cls:d.Ast.d_template.Ast.t_class)
+                  in
+                  ( d.Ast.d_template.Ast.t_var,
+                    Relog.Rel.Tupleset.fold (fun t acc -> t.(0) :: acc) extent []
+                  ))
+                r.Ast.r_domains
+            in
+            let rec product bound = function
+              | [] ->
+                let env =
+                  List.fold_left
+                    (fun env (v, idx) -> Mdl.Ident.Map.add v idx env)
+                    Relog.Eval.empty_env bound
                 in
-                let rec product bound = function
-                  | [] ->
-                    let env =
-                      List.fold_left
-                        (fun env (v, idx) -> Mdl.Ident.Map.add v idx env)
-                        Relog.Eval.empty_env bound
-                    in
-                    if Relog.Eval.formula inst env f then
-                      [
-                        {
-                          tr_relation = r.Ast.r_name;
-                          tr_roots =
-                            List.rev_map
-                              (fun (v, idx) -> (v, Relog.Rel.Universe.atom universe idx))
-                              bound;
-                        };
-                      ]
-                    else []
-                  | (v, idxs) :: rest ->
-                    List.concat_map (fun idx -> product ((v, idx) :: bound) rest) idxs
-                in
-                product [] roots
-              end)
-            trans.Ast.t_relations
-        in
-        Ok result
-      with
-      | Semantics.Compile_error msg -> Error msg
-      | Relog.Eval.Eval_error msg -> Error msg))
+                if Relog.Eval.formula inst env f then
+                  [
+                    {
+                      tr_relation = r.Ast.r_name;
+                      tr_roots =
+                        List.rev_map
+                          (fun (v, idx) -> (v, Relog.Rel.Universe.atom universe idx))
+                          bound;
+                    };
+                  ]
+                else []
+              | (v, idxs) :: rest ->
+                List.concat_map (fun idx -> product ((v, idx) :: bound) rest) idxs
+            in
+            product [] roots
+          end)
+        trans.Ast.t_relations
+    in
+    Ok result
+  with
+  | Semantics.Compile_error msg -> Error msg
+  | Relog.Eval.Eval_error msg -> Error msg

@@ -33,8 +33,9 @@ val run :
   metamodels:(Mdl.Ident.t * Mdl.Metamodel.t) list ->
   models:(Mdl.Ident.t * Mdl.Model.t) list ->
   (report, string) result
-(** Type-checks, encodes, compiles and evaluates. [Error] carries the
-    first type/encoding error rendered as text. *)
+(** Type-checks and encodes without slack ({!Front.create}), then
+    compiles and evaluates (span [check.eval]). [Error] carries the
+    type errors or the encoding error rendered as text. *)
 
 val run_exn :
   ?mode:Semantics.mode ->

@@ -260,7 +260,7 @@ let lookup_param t p =
 
 let model_of_param t p = fst (lookup_param t p)
 let metamodel_of_param t p = snd (lookup_param t p)
-let params t = List.map (fun (p : Ast.param) -> p.Ast.par_name) t.trans.Ast.t_params
+let params t = Ast.param_names t.trans
 
 let slack_atom_names t p =
   Option.value ~default:[] (Ident.Map.find_opt p t.slack)

@@ -255,8 +255,6 @@ let or_ b operands =
 
 let implies b x y = or_ b [ not_ b x; y ]
 let iff b x y = and_ b [ implies b x y; implies b y x ]
-let xor b x y = not_ b (iff b x y)
-let ite b c t e = and_ b [ implies b c t; implies b (not_ b c) e ]
 
 let size n =
   let seen = Hashtbl.create 64 in

@@ -38,8 +38,6 @@ val and_ : builder -> t list -> t
 val or_ : builder -> t list -> t
 val implies : builder -> t -> t -> t
 val iff : builder -> t -> t -> t
-val xor : builder -> t -> t -> t
-val ite : builder -> t -> t -> t -> t
 
 val is_true : t -> bool
 val is_false : t -> bool

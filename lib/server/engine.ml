@@ -79,11 +79,10 @@ type t = {
   slow_s : float;  (** replies slower than this bump [server.slow_requests] *)
   reqlog : Reqlog.t;  (** every reply funnels through here, counted *)
   served : int Atomic.t;  (** frames answered (== reqlog count) *)
-  sbp : bool;  (** symmetry breaking on session repairs *)
 }
 
 let create ?(jobs = 1) ?(max_live = 64) ?(snapshot_dir = "./qvtr-sessions")
-    ?slow_ms ?reqlog ?(sbp = true) () =
+    ?slow_ms ?reqlog () =
   {
     pool = Parallel.Pool.create ~jobs;
     mu = Mutex.create ();
@@ -97,7 +96,6 @@ let create ?(jobs = 1) ?(max_live = 64) ?(snapshot_dir = "./qvtr-sessions")
       (match slow_ms with Some ms -> ms /. 1000. | None -> infinity);
     reqlog = (match reqlog with Some r -> r | None -> Reqlog.create ());
     served = Atomic.make 0;
-    sbp;
   }
 
 let jobs t = Parallel.Pool.jobs t.pool
@@ -320,7 +318,7 @@ let ensure_live t e =
       Result.bind (Snapshot.load path) (fun snap ->
           Result.map
             (fun (sess, mms) -> (snap, sess, mms))
-            (Snapshot.revive ~sbp:t.sbp snap))
+            (Snapshot.revive snap))
     in
     match revived with
     | Error err -> Error (Printf.sprintf "revive %S: %s" e.e_name err)
@@ -340,7 +338,7 @@ let handle_open t e pr (spec : P.open_spec) =
   | Live _ | Cold _ ->
     answer t pr (Error (Printf.sprintf "session %S already open" e.e_name))
   | Empty -> (
-    match Snapshot.hydrate ~sbp:t.sbp spec with
+    match Snapshot.hydrate spec with
     | Error err ->
       (* leave no husk behind: the name can be re-opened *)
       Mutex.lock t.mu;

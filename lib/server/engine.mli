@@ -53,7 +53,6 @@ val create :
   ?snapshot_dir:string ->
   ?slow_ms:float ->
   ?reqlog:Reqlog.t ->
-  ?sbp:bool ->
   unit ->
   t
 (** [jobs] (default 1) sizes the worker pool — with 1, requests run
@@ -64,9 +63,7 @@ val create :
     sets the end-to-end latency above which a reply bumps
     [server.slow_requests] and is flagged [slow] in the request log.
     [reqlog] (default: a counter-only log) receives one record per
-    reply. [sbp] (default true) is forwarded to every session open
-    and revival; [qvtr serve --no-sbp] sets it false, so no repair
-    breaks any symmetry. *)
+    reply. *)
 
 val jobs : t -> int
 

@@ -75,11 +75,23 @@ let run (spec : P.open_spec) script =
   let* mms = Mdl.Serialize.parse_metamodels spec.o_metamodels in
   let* models = Mdl.Serialize.parse_models mms spec.o_models in
   let* bs = blocks script in
+  (* a block may restate only the session's own parameters *)
+  let params = List.map Mdl.Model.name models in
   let* rev_snapshots =
     List.fold_left
       (fun acc (label, line, body) ->
         let* acc = acc in
-        match Mdl.Serialize.parse_models mms body with
+        let parsed =
+          let* ms = Mdl.Serialize.parse_models mms body in
+          match
+            List.find_opt
+              (fun p -> not (List.exists (Mdl.Ident.equal p) params))
+              (List.map Mdl.Model.name ms)
+          with
+          | Some p -> Error ("unknown parameter " ^ Mdl.Ident.name p)
+          | None -> Ok ms
+        in
+        match parsed with
         | Ok ms -> Ok ((label, body, ms) :: acc)
         | Error e ->
           Error

@@ -48,10 +48,12 @@ val blocks : string -> ((string * int * string) list, string) result
 
 val run : Protocol.open_spec -> string -> (step list, string) result
 (** [run spec script] replays [script] from the session [spec] opens.
-    Every block is parsed against [spec]'s metamodels before the
-    engine starts, so a malformed script fails with
+    Every block is parsed against [spec]'s metamodels, and its models'
+    names checked against [spec]'s models (the session's parameters),
+    before the engine starts, so a malformed script, or a block naming
+    a parameter the session lacks, fails with
     [replay script: step "<label>" (marker at line N): <error>] and
-    absolute script lines before any solver work. Any request the
-    engine refuses (a block naming a parameter the session does not
-    have, an [open] whose texts do not parse) ends the replay with
-    that reply's error. The engine is shut down on every return. *)
+    absolute script lines before any solver work. A request the
+    engine refuses (an [open] whose transformation does not parse or
+    typecheck) ends the replay with that reply's error. The engine is
+    shut down on every return. *)

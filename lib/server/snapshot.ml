@@ -14,7 +14,7 @@ let ( let* ) = Result.bind
 (* Opening a session from an open_spec — shared by the open verb and
    revival, so both interpret the texts identically.                   *)
 
-let hydrate ?(extra_values = []) ?sbp (spec : Protocol.open_spec) =
+let hydrate ?(extra_values = []) (spec : Protocol.open_spec) =
   let* trans = Qvtr.Parser.parse ~file:"<open:transformation>" spec.o_transformation in
   let* mms = Mdl.Serialize.parse_metamodels spec.o_metamodels in
   let* models = Mdl.Serialize.parse_models mms spec.o_models in
@@ -22,9 +22,7 @@ let hydrate ?(extra_values = []) ?sbp (spec : Protocol.open_spec) =
   let bound = List.map (fun m -> (Mdl.Model.name m, m)) models in
   let targets =
     match spec.o_targets with
-    | [] ->
-      Mdl.Ident.Set.of_list
-        (List.map (fun p -> p.Qvtr.Ast.par_name) trans.Qvtr.Ast.t_params)
+    | [] -> Mdl.Ident.Set.of_list (Qvtr.Ast.param_names trans)
     | ts -> Echo.Target.of_list ts
   in
   let mode =
@@ -32,7 +30,7 @@ let hydrate ?(extra_values = []) ?sbp (spec : Protocol.open_spec) =
   in
   let* sess =
     Incr.Session.open_session ~mode ~slack_budget:spec.o_slack
-      ~headroom:spec.o_headroom ~extra_values ?sbp
+      ~headroom:spec.o_headroom ~extra_values
       ~transformation:trans ~metamodels ~models:bound ~targets ()
   in
   Ok (sess, mms)
@@ -212,4 +210,4 @@ let load path =
   | s -> of_string (String.trim s)
   | exception Sys_error e -> Error (Printf.sprintf "snapshot: %s" e)
 
-let revive ?sbp t = hydrate ~extra_values:t.values ?sbp t.spec
+let revive t = hydrate ~extra_values:t.values t.spec

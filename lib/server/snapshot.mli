@@ -51,16 +51,12 @@ val load : string -> (t, string) result
 
 val hydrate :
   ?extra_values:Mdl.Value.t list ->
-  ?sbp:bool ->
   Protocol.open_spec ->
   (Incr.Session.t * Mdl.Metamodel.t list, string) result
 (** Parse an open spec's texts and open an {!Incr.Session} over them
     — the one code path behind both the [open] verb and snapshot
     revival (which passes the snapshot's [values] as
-    [extra_values]). [sbp] is forwarded to
-    {!Incr.Session.open_session} — the server's [--no-sbp] sets it
-    false. Empty [o_targets] selects every parameter. *)
+    [extra_values]). Empty [o_targets] selects every parameter. *)
 
-val revive :
-  ?sbp:bool -> t -> (Incr.Session.t * Mdl.Metamodel.t list, string) result
-(** [hydrate ~extra_values:t.values ?sbp t.spec]. *)
+val revive : t -> (Incr.Session.t * Mdl.Metamodel.t list, string) result
+(** [hydrate ~extra_values:t.values t.spec]. *)

@@ -98,30 +98,6 @@ let test_invert_roundtrip =
         | Ok a' -> Model.equal a a'
         | Error msg -> QCheck.Test.fail_reportf "inverse apply failed: %s" msg))
 
-let test_weights () =
-  let w =
-    { Mdl.Distance.uniform with Mdl.Distance.w_set_attr = 10; w_add_ref = 3 }
-  in
-  let m = Model.empty ~name:"m" mm in
-  let m, a = Model.add_object m ~cls:n_cls in
-  let m2 = Model.set_attr1 m a tag (V.str "x") in
-  Alcotest.(check int) "weighted attr edit" 10 (Mdl.Distance.delta ~weights:w m m2);
-  let m3 = Model.add_ref m2 ~src:a ~ref_:out ~dst:a in
-  Alcotest.(check int) "weighted edge edit" 3 (Mdl.Distance.delta ~weights:w m2 m3)
-
-let test_tuple_aggregation () =
-  let m0 = Model.empty ~name:"m" mm in
-  let m1, a = Model.add_object m0 ~cls:n_cls in
-  let m2 = Model.set_attr1 m1 a tag (V.str "x") in
-  (* Σ Δ over positions: (m0→m1) = 1, (m1→m2) = 1 *)
-  Alcotest.(check int) "summed tuple distance" 2
-    (Mdl.Distance.delta_tuple [ m0; m1 ] [ m1; m2 ]);
-  Alcotest.(check int) "weighted tuple distance" 12
-    (Mdl.Distance.delta_weighted_tuple [ 2; 10 ] [ m0; m1 ] [ m1; m2 ]);
-  match Mdl.Distance.delta_tuple [ m0 ] [ m0; m1 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "length mismatch must raise"
-
 let test_reclassification () =
   let mm2 = MM.make_exn ~name:"Z" [ MM.cls "A"; MM.cls "B" ] in
   let a = Model.add_object_with_id (Model.empty ~name:"m" mm2) ~id:0 ~cls:(I.make "A") in
@@ -136,8 +112,6 @@ let suite =
   [
     Alcotest.test_case "identical models" `Quick test_identical_models_empty_script;
     Alcotest.test_case "simple edits" `Quick test_simple_edits;
-    Alcotest.test_case "weights" `Quick test_weights;
-    Alcotest.test_case "tuple aggregation" `Quick test_tuple_aggregation;
     Alcotest.test_case "reclassification" `Quick test_reclassification;
     QCheck_alcotest.to_alcotest test_apply_roundtrip_random;
     QCheck_alcotest.to_alcotest test_metric_laws;

@@ -490,6 +490,151 @@ let test_iterative_within_optimum_plus_one () =
         s.Featuremodel.Scenarios.restorable)
     Featuremodel.Scenarios.all
 
+(* ------------------------------------------------------------------ *)
+(* One front end per request                                           *)
+
+(* An inconsistent enforcement typechecks and encodes once, inside its
+   space, and runs no separate check: beneath the [enforce] span lie
+   one [typecheck] span, one [encode] span, one consistency evaluation
+   and no [check] span. *)
+let test_enforce_runs_one_front_end () =
+  let s = Featuremodel.Scenarios.new_mandatory_feature in
+  Obs.Trace.clear ();
+  Obs.Trace.set_enabled true;
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled false)
+      (fun () ->
+        enforce (F.transformation ~k:2) s.Featuremodel.Scenarios.cfs
+          s.Featuremodel.Scenarios.fm [ "cf1"; "cf2" ])
+  in
+  let evs = Obs.Trace.events () in
+  Obs.Trace.clear ();
+  (match outcome with
+  | Ok (Eng.Enforced _) -> ()
+  | Ok o -> Alcotest.failf "expected a repair, got %s" (Format.asprintf "%a" Eng.pp_outcome o)
+  | Error e -> Alcotest.fail e);
+  let begins = List.filter (fun (e : Obs.Trace.event) -> e.ph = `Begin) evs in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (e : Obs.Trace.event) -> Hashtbl.replace by_id e.id e) begins;
+  let rec under_enforce (e : Obs.Trace.event) =
+    match Hashtbl.find_opt by_id e.parent with
+    | Some p -> p.name = "enforce" || under_enforce p
+    | None -> false
+  in
+  let count name =
+    List.length
+      (List.filter (fun (e : Obs.Trace.event) -> e.name = name && under_enforce e) begins)
+  in
+  Alcotest.(check int) "one typecheck" 1 (count "typecheck");
+  Alcotest.(check int) "one encode" 1 (count "encode");
+  Alcotest.(check int) "one consistency evaluation" 1 (count "check.eval");
+  Alcotest.(check int) "no check" 0 (count "check")
+
+let formulas_translated = Obs.Metrics.counter "relog.formulas_translated"
+
+(* [diagnose] translates once: the structural constraints, then one
+   guard per direction. One translation per direction would take
+   directions x (1 + structural) formulas. *)
+let test_diagnose_translates_once () =
+  let s = Featuremodel.Scenarios.new_mandatory_feature in
+  let trans = F.transformation ~k:2 in
+  let models = F.bind ~cfs:s.Featuremodel.Scenarios.cfs ~fm:s.Featuremodel.Scenarios.fm in
+  let targets = Echo.Target.single "cf1" in
+  let space =
+    match
+      Echo.Space.build ~sbp:false ~transformation:trans ~metamodels ~models ~targets ()
+    with
+    | Ok space -> space
+    | Error e -> Alcotest.fail e
+  in
+  let before = Obs.Metrics.counter_value formulas_translated in
+  let ds =
+    match Eng.diagnose trans ~metamodels ~models ~targets with
+    | Ok ds -> ds
+    | Error e -> Alcotest.fail e
+  in
+  let translated = Obs.Metrics.counter_value formulas_translated - before in
+  let directions = List.length (Echo.Space.directional_formulas space) in
+  let structural = List.length (Echo.Space.structural space) in
+  Alcotest.(check int) "one diagnosis per direction" directions (List.length ds);
+  Alcotest.(check bool) "the space has structural constraints" true (structural > 0);
+  Alcotest.(check int) "structural + directions" (structural + directions) translated
+
+(* The diagnosis as one translation per direction computes it: each
+   direction with the structural constraints, alone in a finder of its
+   own. *)
+let reference_diagnosis ~mode ~slack ~extra_values trans ~models ~targets =
+  Result.map
+    (fun space ->
+      List.map
+        (fun (rel, _, f) ->
+          let fd =
+            Relog.Finder.prepare (Echo.Space.bounds space) (f :: Echo.Space.structural space)
+          in
+          match Relog.Finder.solve fd with
+          | Relog.Finder.Sat _ -> (rel, true)
+          | Relog.Finder.Unsat -> (rel, false))
+        (Echo.Space.directional_formulas space))
+    (Echo.Space.build ~mode ~slack_objects:slack ~extra_values ~sbp:false
+       ~transformation:trans ~metamodels ~models ~targets ())
+
+(* Enforcement evaluates consistency on the space it built, slack atoms
+   and extra values included, where [Check.run] evaluates a slack-free
+   encoding: both must reach the same verdict. And [diagnose]'s one
+   translation answers as one translation per direction does. *)
+let prop_front_end_verdicts =
+  QCheck.Test.make ~name:"enforce and diagnose verdicts match Check.run" ~count:30
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = G.rng seed in
+      let k = 1 + Random.State.int rng 3 in
+      let state = G.consistent_state rng ~k ~n_features:(2 + Random.State.int rng 3) in
+      let cfs, fm =
+        match if Random.State.bool rng then G.random_perturbation rng state else None with
+        | Some p -> G.apply_perturbation state p
+        | None -> state
+      in
+      let mode =
+        if Random.State.bool rng then Qvtr.Semantics.Extended else Qvtr.Semantics.Standard
+      in
+      let slack = Random.State.int rng 4 in
+      let extra_values = if Random.State.bool rng then [ Mdl.Value.str "X9" ] else [] in
+      let trans = F.transformation ~k in
+      let models = F.bind ~cfs ~fm in
+      let targets =
+        match List.filter (fun _ -> Random.State.bool rng) (List.map fst models) with
+        | [] -> I.Set.singleton (fst (List.hd models))
+        | ps -> I.Set.of_list ps
+      in
+      let consistent =
+        (Qvtr.Check.run_exn ~mode trans ~metamodels ~models).Qvtr.Check.consistent
+      in
+      let already = function
+        | Ok outcomes -> outcomes = [ Eng.Already_consistent ]
+        | Error e -> QCheck.Test.fail_reportf "seed %d: %s" seed e
+      in
+      let enforced =
+        already
+          (Result.map
+             (fun o -> [ o ])
+             (Eng.enforce ~mode ~slack_objects:slack ~extra_values trans ~metamodels ~models
+                ~targets))
+      in
+      let menu =
+        already
+          (Eng.enforce_all ~limit:2 ~mode ~slack_objects:slack ~extra_values trans
+             ~metamodels ~models ~targets)
+      in
+      let diagnosis =
+        Result.map
+          (List.map (fun (d : Eng.diagnosis) -> (d.Eng.d_relation, d.Eng.d_satisfiable)))
+          (Eng.diagnose ~mode ~slack_objects:slack ~extra_values trans ~metamodels ~models
+             ~targets)
+      in
+      enforced = consistent && menu = consistent
+      && diagnosis = reference_diagnosis ~mode ~slack ~extra_values trans ~models ~targets)
+
 let suite =
   suite
   @ [
@@ -502,4 +647,8 @@ let suite =
         test_cannot_restore_in_one_solve;
       Alcotest.test_case "iterative repair within d* + 1 solves" `Quick
         test_iterative_within_optimum_plus_one;
+      Alcotest.test_case "enforce runs one front end" `Quick
+        test_enforce_runs_one_front_end;
+      Alcotest.test_case "diagnose translates once" `Quick test_diagnose_translates_once;
+      QCheck_alcotest.to_alcotest prop_front_end_verdicts;
     ]

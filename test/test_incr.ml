@@ -961,10 +961,19 @@ let test_replay_parse_errors () =
   | Ok bs -> Alcotest.failf "unexpected blocks (%d)" (List.length bs)
   | Error e -> Alcotest.fail e);
   (* a block may restate only the session's own parameters: one naming
-     a parameter the transformation lacks ends the replay, after the
-     steps before it ran, with an error that names it *)
-  check_error_mentions "unknown parameter" ~sub:"unknown parameter cf3"
-    (run (block "noop" fm ^ block "stray" (F.configuration ~name:"cf3" [ "A" ])));
+     a parameter the transformation lacks fails the up-front parse,
+     before the engine starts, naming the parameter, its step and its
+     marker line *)
+  let noop = block "noop" fm in
+  let stray = run (noop ^ block "stray" (F.configuration ~name:"cf3" [ "A" ])) in
+  check_error_mentions "unknown parameter" ~sub:"unknown parameter cf3" stray;
+  check_error_mentions "unknown parameter names its step"
+    ~sub:{|replay script: step "stray"|} stray;
+  check_error_mentions "unknown parameter names its marker"
+    ~sub:
+      (Printf.sprintf "marker at line %d"
+         (1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 noop))
+    stray;
   (* a block restating the current state yields a step with no edits *)
   match run (block "noop" fm) with
   | Ok [ { Rp.label = "noop"; edits = 0; _ } ] -> ()
