@@ -66,7 +66,7 @@ type prim = {
 type check_state = {
   solver : Sat.Solver.t;
   dirs : (Ident.t * Qvtr.Ast.dependency * Sat.Lit.t) list;
-  cprims : prim array;
+  cprims : prim list;
   cvar_fact : (Sat.Lit.var, Ident.t * Relog.Rel.Tuple.t) Hashtbl.t;
 }
 
@@ -323,18 +323,18 @@ let prim_order a b =
     let c = String.compare (Ident.name a.p_rel) (Ident.name b.p_rel) in
     if c <> 0 then c else compare a.p_tuple b.p_tuple
 
+(* A list: an array of more than 256 fresh records would force a
+   stop-the-world minor collection to promote its first element (see
+   {!Sat.Solver}'s conventions). [prim_order] is total on distinct
+   primaries, so any sort gives the same order. *)
 let collect_prims trans =
-  let a =
-    Relog.Translate.fold_primaries trans
-      (fun r tuple v acc ->
-        match Qvtr.Encode.param_of_rel r with
-        | Some p -> { p_param = p; p_rel = r; p_tuple = tuple; p_var = v } :: acc
-        | None -> acc)
-      []
-    |> Array.of_list
-  in
-  Array.sort prim_order a;
-  a
+  Relog.Translate.fold_primaries trans
+    (fun r tuple v acc ->
+      match Qvtr.Encode.param_of_rel r with
+      | Some p -> { p_param = p; p_rel = r; p_tuple = tuple; p_var = v } :: acc
+      | None -> acc)
+    []
+  |> List.sort prim_order
 
 (* ------------------------------------------------------------------ *)
 (* Translation templates                                               *)
@@ -364,7 +364,7 @@ let template_cap = 32
 type template = {
   tp_solver : Sat.Solver.t;  (* never solved: only cloned *)
   tp_guards : Sat.Lit.t list;  (* one per top formula, in order *)
-  tp_prims : prim array;
+  tp_prims : prim list;
   tp_var_fact : (Sat.Lit.var, Ident.t * Relog.Rel.Tuple.t) Hashtbl.t;
   mutable tp_used : int;  (* LRU stamp *)
 }
@@ -481,8 +481,8 @@ let find_or_build_template bounds formulas =
     let fd = Relog.Finder.create bounds in
     let guards = List.map (Relog.Finder.guard fd) formulas in
     let prims = collect_prims (Relog.Finder.translation fd) in
-    let var_fact = Hashtbl.create (Array.length prims) in
-    Array.iter (fun pr -> Hashtbl.replace var_fact pr.p_var (pr.p_rel, pr.p_tuple)) prims;
+    let var_fact = Hashtbl.create (List.length prims) in
+    List.iter (fun pr -> Hashtbl.replace var_fact pr.p_var (pr.p_rel, pr.p_tuple)) prims;
     insert_template key
       {
         tp_solver = Sat.Solver.clone (Relog.Finder.solver fd);
@@ -507,7 +507,13 @@ let ensure_check t =
     let t0 = Obs.Clock.now () in
     let tp = find_or_build_template g.g_bounds (List.map (fun (_, _, f) -> f) dirs) in
     let solver =
-      Obs.Trace.with_span ~name:"session.clone" (fun () -> Sat.Solver.clone tp.tp_solver)
+      Obs.Trace.with_span ~name:"session.clone"
+        ~args:(fun () ->
+          [
+            ("vars", Obs.Json.Int (Sat.Solver.nb_vars tp.tp_solver));
+            ("clauses", Obs.Json.Int (Sat.Solver.nb_clauses tp.tp_solver));
+          ])
+        (fun () -> Sat.Solver.clone tp.tp_solver)
     in
     t.template_s <- t.template_s +. Obs.Clock.since t0;
     let dirs =
@@ -521,11 +527,9 @@ let ensure_check t =
    solves depends on assumption lists sharing a literal-for-literal
    prefix, so the order must be stable call to call. *)
 let check_pins t cs =
-  Array.fold_right
-    (fun pr acc ->
-      (if present t pr then Sat.Lit.pos pr.p_var else Sat.Lit.neg_of pr.p_var)
-      :: acc)
-    cs.cprims []
+  List.map
+    (fun pr -> if present t pr then Sat.Lit.pos pr.p_var else Sat.Lit.neg_of pr.p_var)
+    cs.cprims
 
 let universe_atom t idx = Relog.Rel.Universe.atom (Qvtr.Encode.universe t.gen.g_enc) idx
 

@@ -71,6 +71,17 @@ let atomic_add_float a x =
   in
   go ()
 
+(* Two runs of fresh atomics, neither over 256 long, joined by
+   [Array.append], which copies without forcing a collection. One
+   [Array.init] of all [n_buckets] would allocate in the major heap
+   over a young first atomic, and OCaml 5 forces a stop-the-world
+   minor collection to promote it first. *)
+let new_buckets () =
+  let half = n_buckets / 2 in
+  Array.append
+    (Array.init half (fun _ -> Atomic.make 0))
+    (Array.init (n_buckets - half) (fun _ -> Atomic.make 0))
+
 let histogram name =
   match
     get_or_create name
@@ -78,7 +89,7 @@ let histogram name =
         Histogram
           {
             h_name = name;
-            h_buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
+            h_buckets = new_buckets ();
             h_count = Atomic.make 0;
             h_sum = Atomic.make 0.;
           })

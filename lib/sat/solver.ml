@@ -6,22 +6,42 @@
      literals follow {!Lit}'s encoding (var v is 2v, not v is 2v + 1),
      spelled out locally below because the hot loop cannot afford a
      cross-module call per literal;
-   - clauses live in a segmented int arena: a header of [header] ints
-     (size, watched literals w0/w1, learnt id and removed flag)
-     followed by the literals. A clause reference packs (segment,
-     offset) into one int. The literals are never written once stored:
-     the two watched literals are the header's w0/w1 (literal values,
-     not indices), so propagation only rewrites the header;
-   - watch lists are int vectors of clause references, indexed by the
-     literal that must become FALSE for the clause to need attention
-     (i.e. clause c watches lit p via the list of [Lit.neg p]); clause
-     [c] sits in [watches.(w0 c)] and [watches.(w1 c)], exactly;
-   - a variable's reason is the reference of the clause that implied
-     it, -1 for decisions and root-level units.
+   - clauses of three or more literals, and every learnt clause, live
+     in a segmented int arena: a header of [header] ints (size,
+     watched literals w0/w1, learnt id and removed flag) followed by
+     the literals. A clause reference packs (segment, offset) into one
+     int, >= 0. The literals are never written once stored: the two
+     watched literals are the header's w0/w1 (literal values, not
+     indices), so propagation only rewrites the header;
+   - binary problem clauses live in the watch lists alone: {a, b} is
+     the inline entry [bin b] in the list of a and [bin a] in the list
+     of b. An inline entry is below -1, so its sign tells it from a
+     clause reference. Its watches never move, so propagation reads
+     the other literal's value and touches no clause memory;
+   - watch lists are int arrays (with their fill in [nwatch]) of
+     clause references and inline entries, indexed by the literal that
+     must become FALSE for the clause to need attention (i.e. clause c
+     watches lit p via the list of [Lit.neg p]); arena clause [c] sits
+     in [watches.(w0 c)] and [watches.(w1 c)], exactly;
+   - a variable's reason is the reference of the arena clause that
+     implied it, the inline entry naming the other literal of the
+     binary clause that did, or -1 for decisions and root-level units;
+   - [clauses] lists the problem clauses in the order added: an arena
+     reference, or a binary clause {a, b} (a < b) packed into one
+     value below -1 by [pack]. A binary conflict is reported in that
+     packed form too. Packing needs literals below 2^30.
 
    Nothing the propagation loop touches is a boxed value: it reads and
    writes int arrays only, so it makes no [caml_modify] call and
-   allocates nothing. *)
+   allocates nothing.
+
+   OCaml 5's [Array.make] (and so [Array.init], [map], [of_list]) of
+   more than 256 elements allocates in the major heap, and when its
+   initial element is a young block it first forces a stop-the-world
+   minor collection to promote it. The watch table, one slot per
+   literal, is therefore made over [[||]], which is statically
+   allocated and never young, and filled afterwards. (The segment
+   table holds a few dozen slots at most.) *)
 
 (* ----------------------------------------------------------------- *)
 (* Literals                                                            *)
@@ -73,6 +93,15 @@ let seg_bits = 32
 let off_mask = (1 lsl seg_bits) - 1
 let first_segment = 1024
 
+(* The inline watch entry (and binary reason) naming the other literal
+   [l]: -2 - l, below -1. It is its own inverse. *)
+let bin l = -2 - l
+
+(* A binary clause {a, b}, a < b, as one value below -1. *)
+let pack a b = -2 - ((a lsl seg_bits) lor b)
+let pack_fst p = (-2 - p) lsr seg_bits
+let pack_snd p = (-2 - p) land off_mask
+
 (* Problem clauses and learnt clauses fill separate chains of segments,
    each segment twice the size of the one before it. A full segment is
    never copied or grown: the next clause starts a new one. The learnt
@@ -95,12 +124,13 @@ type t = {
   free_slots : Ivec.t;
   problem : region;
   learnt : region;
-  clauses : Ivec.t;  (* problem clause references, in order added *)
+  clauses : Ivec.t;  (* problem clauses (references or packed binaries), in order added *)
   learnts : Ivec.t;  (* learnt clause references; the i-th has learnt id i *)
   mutable lact : float array;  (* learnt id -> activity *)
-  (* watches.(lit) = clauses that must be inspected when [lit] becomes
-     false. *)
-  mutable watches : Ivec.t array;
+  (* watches.(lit).(0 .. nwatch.(lit) - 1) = clauses that must be
+     inspected when [lit] becomes false. *)
+  mutable watches : int array array;
+  mutable nwatch : int array;
   (* assignment *)
   mutable assign : int array;  (* var -> -1/0/1 *)
   mutable level : int array;
@@ -165,7 +195,8 @@ let create () =
     clauses = Ivec.create ();
     learnts = Ivec.create ();
     lact = [||];
-    watches = Array.init 2 (fun _ -> Ivec.create ());
+    watches = Array.make 2 [||];
+    nwatch = Array.make 2 0;
     assign = Array.make 1 (-1);
     level = Array.make 1 (-1);
     reason = Array.make 1 (-1);
@@ -332,12 +363,8 @@ let new_var s =
   s.seen <- grow_array s.seen (v + 1) false;
   let nlits = 2 * (v + 1) in
   s.amark <- grow_array s.amark nlits false;
-  if Array.length s.watches < nlits then begin
-    let watches = Array.init (max nlits (2 * Array.length s.watches)) (fun i ->
-        if i < Array.length s.watches then s.watches.(i) else Ivec.create ())
-    in
-    s.watches <- watches
-  end;
+  s.watches <- grow_array s.watches nlits [||];
+  s.nwatch <- grow_array s.nwatch nlits 0;
   s.assign.(v) <- -1;
   s.level.(v) <- -1;
   s.reason.(v) <- -1;
@@ -383,8 +410,24 @@ let cancel_until s lvl =
 
 exception Interrupted
 
+(* Append [x] to the watch list of [l]. *)
+let watch s l x =
+  let n = s.nwatch.(l) and data = s.watches.(l) in
+  let data =
+    if n < Array.length data then data
+    else begin
+      let grown = Array.make (max 4 (2 * n)) 0 in
+      Array.blit data 0 grown 0 n;
+      s.watches.(l) <- grown;
+      grown
+    end
+  in
+  data.(n) <- x;
+  s.nwatch.(l) <- n + 1
+
 (* Propagate all enqueued facts; returns the reference of a falsified
-   clause, or -1 when every clause is satisfied or unit-propagated.
+   arena clause, a falsified binary clause in [pack]ed form, or -1 when
+   every clause is satisfied or unit-propagated.
 
    The cooperative stop flag is polled here too, between propagation
    waves (every 64 trail positions): a solve that is deep inside one
@@ -398,74 +441,84 @@ let propagate s =
   let confl = ref (-1) in
   (* Neither array is replaced while propagating (only [new_var] and
      [new_segment] do that); reading them once keeps the loop from
-     reloading them after every store. The literal tests below are
+     reloading them after every store. Nor is the list being scanned:
+     [watch] only grows the list of a new watch, which is never the
+     false literal. The literal tests below are
      [lit_is_true]/[lit_is_false] spelled out on [assign]. *)
   let assign = s.assign and segs = s.segs in
-  while !confl < 0 && s.qhead < s.trail.size do
+  while !confl = -1 && s.qhead < s.trail.size do
     if s.qhead land 63 = 0 && Atomic.get s.stop then raise Interrupted;
     let p = s.trail.data.(s.qhead) in
     s.qhead <- s.qhead + 1;
     (* p just became true: visit clauses watching ¬p. *)
     let false_lit = neg p in
-    let ws = s.watches.(false_lit) in
-    let wd = ws.data in
-    let n = ws.size in
+    let wd = s.watches.(false_lit) in
+    let n = s.nwatch.(false_lit) in
     let kept = ref 0 in
     let i = ref 0 in
-    while !i < n do
+    while !i < n && !confl = -1 do
       let cr = wd.(!i) in
       incr i;
-      let seg = segs.(cr lsr seg_bits) and o = cr land off_mask in
-      (* Normalize: the false literal in w1. *)
-      let w0 =
-        let w0 = seg.(o + h_w0) in
-        if w0 = false_lit then begin
-          let w1 = seg.(o + h_w1) in
-          seg.(o + h_w0) <- w1;
-          seg.(o + h_w1) <- false_lit;
-          w1
-        end
-        else w0
-      in
-      if assign.(var w0) = 1 - (w0 land 1) then begin
-        (* Clause already satisfied: keep the watch. *)
+      if cr < 0 then begin
+        (* The binary clause {false_lit, q}: its watches never move. *)
         wd.(!kept) <- cr;
-        incr kept
+        incr kept;
+        let q = bin cr in
+        let vq = assign.(var q) in
+        if vq = q land 1 then
+          confl := if false_lit < q then pack false_lit q else pack q false_lit
+        else if vq < 0 then enqueue s q (bin false_lit)
       end
       else begin
-        (* Look for a new literal to watch; the literals are never
-           written (watch state lives in the header), so the scan may
-           cross the current watches — skip w0 explicitly, and
-           false_lit is excluded by being false. *)
-        let j = ref (o + header) in
-        let stop = o + header + seg.(o + h_size) in
-        while !j < stop do
-          let l = seg.(!j) in
-          if l <> w0 && assign.(var l) <> l land 1 then begin
-            seg.(o + h_w1) <- l;
-            Ivec.push s.watches.(l) cr;
-            j := stop + 1
+        let seg = segs.(cr lsr seg_bits) and o = cr land off_mask in
+        (* Normalize: the false literal in w1. *)
+        let w0 =
+          let w0 = seg.(o + h_w0) in
+          if w0 = false_lit then begin
+            let w1 = seg.(o + h_w1) in
+            seg.(o + h_w0) <- w1;
+            seg.(o + h_w1) <- false_lit;
+            w1
           end
-          else incr j
-        done;
-        if !j = stop then begin
-          (* Unit or conflicting. *)
+          else w0
+        in
+        if assign.(var w0) = 1 - (w0 land 1) then begin
+          (* Clause already satisfied: keep the watch. *)
           wd.(!kept) <- cr;
-          incr kept;
-          if assign.(var w0) = w0 land 1 then begin
-            (* Conflict: keep the remaining watches. *)
-            while !i < n do
-              wd.(!kept) <- wd.(!i);
-              incr kept;
-              incr i
-            done;
-            confl := cr
+          incr kept
+        end
+        else begin
+          (* Look for a new literal to watch; the literals are never
+             written (watch state lives in the header), so the scan may
+             cross the current watches — skip w0 explicitly, and
+             false_lit is excluded by being false. *)
+          let j = ref (o + header) in
+          let stop = o + header + seg.(o + h_size) in
+          while !j < stop do
+            let l = seg.(!j) in
+            if l <> w0 && assign.(var l) <> l land 1 then begin
+              seg.(o + h_w1) <- l;
+              watch s l cr;
+              j := stop + 1
+            end
+            else incr j
+          done;
+          if !j = stop then begin
+            (* Unit or conflicting. *)
+            wd.(!kept) <- cr;
+            incr kept;
+            if assign.(var w0) = w0 land 1 then confl := cr else enqueue s w0 cr
           end
-          else enqueue s w0 cr
         end
       end
     done;
-    ws.size <- !kept
+    (* After a conflict, keep the remaining watches. *)
+    while !i < n do
+      wd.(!kept) <- wd.(!i);
+      incr kept;
+      incr i
+    done;
+    s.nwatch.(false_lit) <- !kept
   done;
   !confl
 
@@ -503,8 +556,13 @@ let bump_clause s cr =
 
 let attach_clause s cr =
   let seg = seg_of s cr and o = off cr in
-  Ivec.push s.watches.(seg.(o + h_w0)) cr;
-  Ivec.push s.watches.(seg.(o + h_w1)) cr
+  watch s seg.(o + h_w0) cr;
+  watch s seg.(o + h_w1) cr
+
+let attach_binary s p =
+  let a = pack_fst p and b = pack_snd p in
+  watch s a (bin b);
+  watch s b (bin a)
 
 (* Ascending in place. Clauses are short (Tseitin gates, totalizer
    merges, blocking clauses), so insertion sort wins below a cutoff. *)
@@ -566,9 +624,13 @@ let add_clause_array s a =
              interruptible work — and leave the flag set for the next
              [solve] to consume. *)
           match propagate s with
-          | confl -> if confl >= 0 then s.ok <- false
+          | confl -> if confl <> -1 then s.ok <- false
           | exception Interrupted -> ()
         end
+      | 2 ->
+        let p = pack a.(0) a.(1) in
+        Ivec.push s.clauses p;
+        attach_binary s p
       | k ->
         let cr = store s s.problem a k problem_meta in
         Ivec.push s.clauses cr;
@@ -587,12 +649,28 @@ let fold_clauses f s acc =
     acc := f [| Ivec.get s.trail i |] !acc
   done;
   for i = 0 to s.clauses.size - 1 do
-    acc := f (clause_lits s (Ivec.get s.clauses i)) !acc
+    let cr = Ivec.get s.clauses i in
+    acc := f (if cr < 0 then [| pack_fst cr; pack_snd cr |] else clause_lits s cr) !acc
   done;
   !acc
 
 (* ----------------------------------------------------------------- *)
 (* Conflict analysis (first UIP)                                       *)
+
+(* [lit_redundant]'s step on literal [q] of the reason of [l]: false
+   when [q] is a decision, else marked and queued for expansion unless
+   already settled. *)
+let expand s l q =
+  let v = var q in
+  if v <> var l && (not s.seen.(v)) && s.level.(v) > 0 then
+    if s.reason.(v) = -1 then false
+    else begin
+      s.seen.(v) <- true;
+      Ivec.push s.an_added v;
+      Ivec.push s.an_stack q;
+      true
+    end
+  else true
 
 (* Recursive learnt-clause minimization (self-subsumption over the
    implication graph): a tail literal is redundant when it has a
@@ -605,7 +683,7 @@ let fold_clauses f s acc =
    strictly below the current decision level, so the walk never
    reaches the UIP or any current-level variable. *)
 let lit_redundant s p =
-  if s.reason.(var p) < 0 then false
+  if s.reason.(var p) = -1 then false
   else begin
     let stack = s.an_stack and added = s.an_added in
     stack.size <- 0;
@@ -616,22 +694,16 @@ let lit_redundant s p =
       stack.size <- stack.size - 1;
       let l = Ivec.get stack stack.size in
       let cr = s.reason.(var l) in
-      let seg = seg_of s cr and o = off cr in
-      let stop = o + header + seg.(o + h_size) in
-      let j = ref (o + header) in
-      while !ok && !j < stop do
-        let q = seg.(!j) in
-        let v = var q in
-        if v <> var l && (not s.seen.(v)) && s.level.(v) > 0 then begin
-          if s.reason.(v) < 0 then ok := false
-          else begin
-            s.seen.(v) <- true;
-            Ivec.push added v;
-            Ivec.push stack q
-          end
-        end;
-        incr j
-      done
+      if cr < 0 then ok := expand s l (bin cr)
+      else begin
+        let seg = seg_of s cr and o = off cr in
+        let stop = o + header + seg.(o + h_size) in
+        let j = ref (o + header) in
+        while !ok && !j < stop do
+          ok := expand s l seg.(!j);
+          incr j
+        done
+      end
     done;
     for i = 0 to added.size - 1 do
       let v = Ivec.get added i in
@@ -639,6 +711,22 @@ let lit_redundant s p =
     done;
     !ok
   end
+
+(* Literal [q] of a conflict or of a reason: bump and mark it once.
+   Returns 1 when it is at the current level (one more path to
+   resolve); below it, it joins the learnt clause's tail. *)
+let mark s q =
+  let v = var q in
+  if (not s.seen.(v)) && s.level.(v) > 0 then begin
+    bump_var s v;
+    s.seen.(v) <- true;
+    if s.level.(v) >= decision_level s then 1
+    else begin
+      Ivec.push s.an_tail q;
+      0
+    end
+  end
+  else 0
 
 (* Leaves the learnt clause in [an_learnt] (asserting literal first)
    and returns the backtrack level. *)
@@ -652,22 +740,25 @@ let analyze s confl =
   let confl = ref confl in
   let continue = ref true in
   while !continue do
-    bump_clause s !confl;
-    let seg = seg_of s !confl and o = off !confl in
-    (* Skip the pivot literal by variable (clauses never repeat a
-       variable): the asserting literal sits at no known index, since
-       the literals are immutable and watches live in w0/w1. *)
-    let skip = if !p = -1 then -1 else var !p in
-    for j = o + header to o + header + seg.(o + h_size) - 1 do
-      let q = seg.(j) in
-      let v = var q in
-      if v <> skip && (not s.seen.(v)) && s.level.(v) > 0 then begin
-        bump_var s v;
-        s.seen.(v) <- true;
-        if s.level.(v) >= decision_level s then incr path_count
-        else Ivec.push tail q
-      end
-    done;
+    let c = !confl in
+    if c >= 0 then begin
+      bump_clause s c;
+      let seg = seg_of s c and o = off c in
+      (* Skip the pivot literal by variable (clauses never repeat a
+         variable): the asserting literal sits at no known index, since
+         the literals are immutable and watches live in w0/w1. *)
+      let skip = if !p = -1 then -1 else var !p in
+      for j = o + header to o + header + seg.(o + h_size) - 1 do
+        if var seg.(j) <> skip then path_count := !path_count + mark s seg.(j)
+      done
+    end
+    else if !p = -1 then begin
+      (* A binary conflict, in its stored (ascending) literal order. *)
+      path_count := !path_count + mark s (pack_fst c);
+      path_count := !path_count + mark s (pack_snd c)
+    end
+    else (* A binary reason: the literal besides the pivot. *)
+      path_count := !path_count + mark s (bin c);
     (* Select next literal on the trail to expand. *)
     while not s.seen.(var (Ivec.get s.trail !idx)) do
       decr idx
@@ -680,7 +771,7 @@ let analyze s confl =
     if !path_count <= 0 then continue := false
     else begin
       confl := s.reason.(var l);
-      assert (!confl >= 0)
+      assert (!confl <> -1)
     end
   done;
   (* Minimize the tail, most recently found literal first: drop
@@ -728,10 +819,14 @@ let analyze_final s p assumptions =
       let v = var l in
       if s.seen.(v) then begin
         let cr = s.reason.(v) in
-        if cr < 0 then begin
+        if cr = -1 then begin
           (* A decision — under assumption-driven search all decisions
              at these levels are assumptions. *)
           if s.amark.(l) then core := l :: !core
+        end
+        else if cr < 0 then begin
+          let q = bin cr in
+          if s.level.(var q) > 0 then s.seen.(var q) <- true
         end
         else begin
           let seg = seg_of s cr and o = off cr in
@@ -774,7 +869,7 @@ let record_learnt s btlevel =
     cancel_until s 0;
     if lit_is_unassigned s l then begin
       enqueue s l (-1);
-      if propagate s >= 0 then s.ok <- false
+      if propagate s <> -1 then s.ok <- false
     end
     else if lit_is_false s l then s.ok <- false
   end
@@ -872,18 +967,23 @@ let reduce_db s =
       let seg = seg_of s cr and o = off cr in
       if seg.(o + h_meta) < 0 then cr else seg.(o + h_w0)
     in
-    Array.iter
-      (fun (ws : Ivec.t) ->
-        let kept = ref 0 in
-        for i = 0 to ws.size - 1 do
-          let cr = Ivec.get ws i in
-          if meta cr land 1 = 0 then begin
-            ws.data.(!kept) <- forward cr;
-            incr kept
-          end
-        done;
-        ws.size <- !kept)
-      s.watches;
+    for l = 0 to Array.length s.watches - 1 do
+      let wd = s.watches.(l) in
+      let kept = ref 0 in
+      for i = 0 to s.nwatch.(l) - 1 do
+        let cr = wd.(i) in
+        if cr < 0 then begin
+          (* inline binary clauses never move *)
+          wd.(!kept) <- cr;
+          incr kept
+        end
+        else if meta cr land 1 = 0 then begin
+          wd.(!kept) <- forward cr;
+          incr kept
+        end
+      done;
+      s.nwatch.(l) <- !kept
+    done;
     for i = 0 to s.trail.size - 1 do
       let v = var (Ivec.get s.trail i) in
       if s.reason.(v) >= 0 then s.reason.(v) <- forward s.reason.(v)
@@ -985,7 +1085,7 @@ let solve_inner ~assumptions s =
                  [propagate]. *)
               if Atomic.get s.stop then raise Interrupted;
               let confl = propagate s in
-              if confl >= 0 then begin
+              if confl <> -1 then begin
                 s.n_conflicts <- s.n_conflicts + 1;
                 incr conflicts_here;
                 if decision_level s = 0 then begin
@@ -1219,12 +1319,20 @@ let pp_stats ppf st =
    The clause arena is copied segment by segment (each a flat int
    array, so a block copy with no per-clause allocation); clause
    references stay valid because the clone keeps the segment table's
-   layout. Cost: O(stored literals + vars).
+   layout. Binary problem clauses are in no segment: they are
+   re-attached from their packed entries in [clauses].
+
+   Cost: O(stored literals + vars), in a few dozen fixed allocations,
+   one per segment and one int array per watched literal. No large
+   array a clone makes starts from a young element, so a clone forces
+   no minor collection. A six-feature session's check solver (981
+   variables, 7,387 problem clauses of which 6,562 binary) clones in
+   51k words and about 0.64 ms on one core of a 2-core VM.
 
    Invariants restored on the copy:
-   - the copied headers carry the original's w0/w1; watch lists are
-     rebuilt from them in database order (problem clauses as added,
-     then learnt clauses), each sized to fit;
+   - watch lists are rebuilt in database order (problem clauses as
+     added, then learnt clauses), arena clauses from the copied
+     headers' w0/w1, each list sized to fit;
    - reasons are dropped: after [cancel_until 0] only level-0
      assignments remain, and neither [analyze] nor [analyze_final]
      ever dereferences a level-0 reason;
@@ -1234,16 +1342,27 @@ let pp_stats ppf st =
 let clone s =
   let nlits = Array.length s.watches in
   let counts = Array.make nlits 0 in
+  let count l = counts.(l) <- counts.(l) + 1 in
   let count_refs (v : Ivec.t) =
     for i = 0 to v.size - 1 do
       let cr = Ivec.get v i in
-      let seg = seg_of s cr and o = off cr in
-      counts.(seg.(o + h_w0)) <- counts.(seg.(o + h_w0)) + 1;
-      counts.(seg.(o + h_w1)) <- counts.(seg.(o + h_w1)) + 1
+      if cr < 0 then begin
+        count (pack_fst cr);
+        count (pack_snd cr)
+      end
+      else begin
+        let seg = seg_of s cr and o = off cr in
+        count seg.(o + h_w0);
+        count seg.(o + h_w1)
+      end
     done
   in
   count_refs s.clauses;
   count_refs s.learnts;
+  let watches = Array.make nlits [||] in
+  for l = 0 to nlits - 1 do
+    if counts.(l) > 0 then watches.(l) <- Array.make counts.(l) 0
+  done;
   (* A segment being filled is copied only up to its fill mark: the
      clone's next clause then opens a new segment. *)
   let copy_seg slot seg =
@@ -1261,8 +1380,8 @@ let clone s =
       clauses = Ivec.copy s.clauses;
       learnts = Ivec.copy s.learnts;
       lact = Array.copy s.lact;
-      watches =
-        Array.init nlits (fun l -> { Ivec.data = Array.make counts.(l) 0; size = 0 });
+      watches;
+      nwatch = Array.make nlits 0;
       assign = Array.copy s.assign;
       level = Array.copy s.level;
       reason = Array.make (Array.length s.reason) (-1);
@@ -1302,7 +1421,8 @@ let clone s =
     }
   in
   for i = 0 to t.clauses.size - 1 do
-    attach_clause t (Ivec.get t.clauses i)
+    let cr = Ivec.get t.clauses i in
+    if cr < 0 then attach_binary t cr else attach_clause t cr
   done;
   for i = 0 to t.learnts.size - 1 do
     attach_clause t (Ivec.get t.learnts i)

@@ -377,9 +377,90 @@ let test_phase_saving_preserved () =
   (* and the solver is still usable with the same answer *)
   Alcotest.(check bool) "still sat after interrupt" true (S.solve s = S.Sat)
 
+(* Binary problem clauses live inline in the watch lists, so every
+   path that walks them is exercised on mostly binary CNFs: random
+   clauses over at most 12 variables (about three in four binary, the
+   rest ternary or units), checked against brute force under random
+   assumptions. A pigeonhole 6 -> 5 gadget on fresh variables rides
+   along: its binary clauses always hold, and its long clauses need a
+   selector [g]. Under [g] it is unsatisfiable after more than 100
+   conflicts, so the search passes a restart, and under
+   [set_learnt_cap 1] that restart runs [reduce_db]. Without [g] it
+   holds with every pigeon left out, so the other answers are the
+   random part's. Every query runs on the solver, on a clone taken
+   before any solve, on a clone taken after the solver's queries, and
+   on a fresh solver refilled through [fold_clauses]. The refill runs
+   only when the clauses are satisfiable: [fold_clauses] lists no
+   contradiction found at level 0, since the clause that completes
+   one is never stored. *)
+let test_binary_heavy =
+  QCheck.Test.make ~name:"binary-heavy CNFs: answers, clones, refills, reductions" ~count:100
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| 2000 + seed |] in
+      let nv = 4 + Random.State.int rng 9 in
+      let lit () = L.make (Random.State.int rng nv) (Random.State.bool rng) in
+      let random_part =
+        List.init
+          (nv + Random.State.int rng (3 * nv))
+          (fun _ ->
+            let r = Random.State.int rng 20 in
+            List.init (if r < 2 then 1 else if r < 15 then 2 else 3) (fun _ -> lit ()))
+      in
+      let g = nv and hole i j = nv + 1 + (5 * i) + j in
+      let gadget =
+        List.init 6 (fun i -> L.neg_of g :: List.init 5 (fun j -> L.pos (hole i j)))
+        @ List.concat
+            (List.init 5 (fun j ->
+                 List.concat
+                   (List.init 6 (fun i ->
+                        List.init (5 - i) (fun d -> [ L.neg_of (hole i j); L.neg_of (hole (i + 1 + d) j) ])))))
+      in
+      let nvars = nv + 31 in
+      let queries =
+        [ L.pos g ] :: List.init 4 (fun _ -> List.init (Random.State.int rng 4) (fun _ -> lit ()))
+      in
+      let unsat_under lits = not (brute_force nv (random_part @ List.map (fun l -> [ l ]) lits)) in
+      let satisfiable = not (unsat_under []) in
+      let answers_right s =
+        List.for_all
+          (fun assumptions ->
+            match S.solve ~assumptions s with
+            | S.Sat ->
+              assumptions <> [ L.pos g ]
+              && (not (unsat_under assumptions))
+              && List.for_all (S.lit_value s) assumptions
+              && List.for_all (List.exists (S.lit_value s)) (random_part @ gadget)
+            | S.Unsat ->
+              let core = S.unsat_core s in
+              List.for_all (fun l -> List.mem l assumptions) core
+              && (assumptions = [ L.pos g ] || unsat_under assumptions)
+              && (core <> [] || unsat_under [])
+              && (List.mem (L.pos g) core || unsat_under core))
+          queries
+      in
+      let run ~cap =
+        let s = S.create () in
+        ignore (new_vars s nvars);
+        List.iter (S.add_clause s) (random_part @ gadget);
+        if cap then S.set_learnt_cap s 1;
+        let before = S.clone s in
+        let ok = answers_right s in
+        let after = S.clone s in
+        let refill = S.create () in
+        ignore (new_vars refill nvars);
+        S.fold_clauses (fun c () -> S.add_clause_array refill c) s ();
+        if cap then S.set_learnt_cap refill 1;
+        if cap && satisfiable && (S.stats s).S.reduces = 0 then
+          QCheck.Test.fail_report "no reduction ran";
+        ok && answers_right before && answers_right after
+        && ((not satisfiable) || answers_right refill)
+      in
+      run ~cap:false && run ~cap:true)
+
 let suite =
   suite
   @ [
+      QCheck_alcotest.to_alcotest test_binary_heavy;
       Alcotest.test_case "reduce_db stress" `Slow test_reduce_db_stress;
       Alcotest.test_case "reduce_db bounds memory" `Quick test_reduce_db_bounds_memory;
       Alcotest.test_case "reduce_db preserves models" `Quick
